@@ -13,8 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -347,63 +345,6 @@ TEST(WarmStartSweep, AllJobCountsAndModesAreIdentical)
     }
 }
 
-// --- CLI: the golden figures, warm-started -----------------------------
-
-TEST(CheckpointGolden, WarmStartedFiguresReproduceGoldenCsvs)
-{
-    // tests/golden/*.csv predate the checkpoint engine. Rerunning the
-    // same figures through the warm-start path (and the --warmup-insts
-    // spelling) must reproduce them byte for byte.
-    const std::string out_dir = ::testing::TempDir() + "mtdae_ckpt_golden";
-
-    const std::vector<std::pair<std::string, std::vector<std::string>>>
-        experiments = {
-            {"fig1",
-             {"fig1", "--bench=tomcatv,swim", "--latencies=1,16,64"}},
-            {"fig3", {"fig3", "--threads-list=1,2,4"}},
-            {"fig4",
-             {"fig4", "--threads-list=1,2", "--latencies=1,16,64"}},
-            {"fig5",
-             {"fig5", "--threads-list=1,2,4", "--latencies=16,64"}},
-        };
-    for (const auto &[name, base] : experiments) {
-        std::vector<std::string> args = base;
-        args.insert(args.end(),
-                    {"--insts=2000", "--warmup-insts=500",
-                     "--warm-start=1", "--quiet", "--out=" + out_dir});
-        std::string out;
-        ASSERT_EQ(test::cli(args, out), 0) << name;
-        const std::string got = test::slurp(out_dir + "/" + name + ".csv");
-        const std::string want = test::slurp(std::string(MTDAE_SOURCE_DIR) +
-                                       "/tests/golden/" + name + ".csv");
-        ASSERT_FALSE(want.empty()) << name;
-        EXPECT_EQ(got, want)
-            << name << ": warm-started output drifted from the golden "
-            << "pre-checkpoint simulator";
-    }
-}
-
-TEST(CheckpointGolden, AblateCheckpointWarmAndColdAreByteIdentical)
-{
-    const std::string warm_dir = ::testing::TempDir() + "mtdae_ckpt_warm";
-    const std::string cold_dir = ::testing::TempDir() + "mtdae_ckpt_cold";
-    const std::vector<std::string> common = {
-        "ablate-checkpoint", "--insts=800",  "--warmup-insts=2000",
-        "--threads-list=1,2", "--quiet"};
-    std::vector<std::string> warm = common, cold = common;
-    warm.insert(warm.end(), {"--warm-start=1", "--jobs=4",
-                             "--out=" + warm_dir});
-    cold.insert(cold.end(), {"--warm-start=0", "--jobs=1",
-                             "--out=" + cold_dir});
-    std::string out;
-    ASSERT_EQ(test::cli(warm, out), 0);
-    ASSERT_EQ(test::cli(cold, out), 0);
-    const std::string w = test::slurp(warm_dir + "/ablate_checkpoint.csv");
-    const std::string c = test::slurp(cold_dir + "/ablate_checkpoint.csv");
-    ASSERT_FALSE(w.empty());
-    EXPECT_EQ(w, c);
-}
-
 TEST(CheckpointDsl, DslKernelsRestoreByteIdenticallyAtAnyCycle)
 {
     // DSL-compiled kernels go through the same {0, 1, mid, last}
@@ -420,36 +361,6 @@ TEST(CheckpointDsl, DslKernelsRestoreByteIdenticallyAtAnyCycle)
                            PolicyKind::RoundRobin),
                 k);
     }
-}
-
-TEST(CheckpointDsl, AblateDslWarmAndColdAreByteIdentical)
-{
-    // The DSL param grid through the sweep engine: warm-started
-    // parallel execution must emit the same CSV bytes as a cold serial
-    // run.
-    const std::string warm_dir = ::testing::TempDir() + "mtdae_dsl_warm";
-    const std::string cold_dir = ::testing::TempDir() + "mtdae_dsl_cold";
-    const std::vector<std::string> common = {
-        "ablate-dsl",
-        "--kernel-file=" + std::string(MTDAE_SOURCE_DIR) +
-            "/examples/kernels/pointer_chase.mk",
-        "--kernel-param=footprint=64K,256K",
-        "--insts=800",
-        "--warmup-insts=1000",
-        "--threads-list=1,2",
-        "--quiet"};
-    std::vector<std::string> warm = common, cold = common;
-    warm.insert(warm.end(),
-                {"--warm-start=1", "--jobs=8", "--out=" + warm_dir});
-    cold.insert(cold.end(),
-                {"--warm-start=0", "--jobs=1", "--out=" + cold_dir});
-    std::string out;
-    ASSERT_EQ(test::cli(warm, out), 0);
-    ASSERT_EQ(test::cli(cold, out), 0);
-    const std::string w = test::slurp(warm_dir + "/ablate_dsl.csv");
-    const std::string c = test::slurp(cold_dir + "/ablate_dsl.csv");
-    ASSERT_FALSE(w.empty());
-    EXPECT_EQ(w, c);
 }
 
 TEST(CheckpointCli, WarmStartFlagParses)

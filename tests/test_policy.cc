@@ -2,16 +2,14 @@
  * @file
  * The thread-arbitration policy layer (src/policy/policy.hh): ordering
  * rules of every policy, the rotation mechanics, the Simulator's
- * policy plumbing, per-policy sweep determinism at different worker
- * counts, and the golden-CSV regression pinning the default policies
- * to the pre-policy-layer simulator byte for byte.
+ * policy plumbing and per-policy sweep determinism at different worker
+ * counts. The golden-CSV regression pinning the default policies to the
+ * pre-policy-layer simulator lives in test_equivalence.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -540,40 +538,6 @@ TEST(PolicySweep, AblateGatingCoversItsGrid)
          pos = out.find("\"fetch_policy\"", pos + 1))
         rows += 1;
     EXPECT_EQ(rows, 3u);
-}
-
-TEST(PolicyGolden, DefaultPoliciesReproducePrePolicyLayerCsvs)
-{
-    // tests/golden/*.csv were generated by the simulator *before* the
-    // arbitration layer existed (commit 055b469's tree), with exactly
-    // these arguments. The default icount/round-robin policies must
-    // reproduce them byte for byte.
-    const std::string out_dir = ::testing::TempDir() + "mtdae_golden";
-
-    const std::vector<std::pair<std::string, std::vector<std::string>>>
-        experiments = {
-            {"fig1",
-             {"fig1", "--bench=tomcatv,swim", "--latencies=1,16,64"}},
-            {"fig3", {"fig3", "--threads-list=1,2,4"}},
-            {"fig4",
-             {"fig4", "--threads-list=1,2", "--latencies=1,16,64"}},
-            {"fig5",
-             {"fig5", "--threads-list=1,2,4", "--latencies=16,64"}},
-        };
-    for (const auto &[name, base] : experiments) {
-        std::vector<std::string> args = base;
-        args.insert(args.end(), {"--insts=2000", "--warmup=500",
-                                 "--quiet", "--out=" + out_dir});
-        std::string out;
-        ASSERT_EQ(test::cli(args, out), 0) << name;
-        const std::string got = test::slurp(out_dir + "/" + name + ".csv");
-        const std::string want = test::slurp(std::string(MTDAE_SOURCE_DIR) +
-                                       "/tests/golden/" + name + ".csv");
-        ASSERT_FALSE(want.empty()) << name;
-        EXPECT_EQ(got, want)
-            << name << ": default-policy output drifted from the "
-            << "pre-policy-layer simulator";
-    }
 }
 
 TEST(PolicyContract, EveryOrderIsAFullPermutation)
