@@ -45,13 +45,12 @@ main(int argc, char **argv)
             cfg.dramCas *= scale;
             cfg.dramRas *= scale;
             cfg.dramPrecharge *= scale;
-            cfg.seed = envSeed();
             spec.addSuiteMix(cfg, insts * n,
                              std::to_string(n) + "T " +
                                  (dec ? "dec" : "non-dec"));
         }
     }
-    const std::vector<RunResult> runs = JobRunner(envJobs()).run(spec);
+    const std::vector<RunResult> runs = JobRunner(defaultJobs()).run(spec);
 
     double fill_1t = 0.0, fill_max = 0.0;
     std::size_t k = 0;

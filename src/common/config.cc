@@ -1,6 +1,7 @@
 #include "common/config.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/log.hh"
 
@@ -134,69 +135,81 @@ SimConfig::scaledForLatency(std::uint32_t l2_latency) const
     return c;
 }
 
+namespace {
+
+/** Reject a configuration: throw ConfigError with the joined message. */
+template <typename... Args>
+[[noreturn]] void
+reject(Args &&...args)
+{
+    throw ConfigError(detail::concat(std::forward<Args>(args)...));
+}
+
+} // namespace
+
 void
 SimConfig::validate() const
 {
     if (numThreads == 0)
-        MTDAE_FATAL("numThreads must be >= 1");
+        reject("numThreads must be >= 1");
     if (!policyIsFetch(fetchPolicy))
-        MTDAE_FATAL("'", policyName(fetchPolicy),
-                    "' is not a fetch policy (valid: icount, "
-                    "round-robin, brcount, misscount, stall, flush, "
-                    "adaptive, weighted)");
+        reject("'", policyName(fetchPolicy),
+               "' is not a fetch policy (valid: icount, "
+               "round-robin, brcount, misscount, stall, flush, "
+               "adaptive, weighted)");
     if (!policyIsIssue(issuePolicy))
-        MTDAE_FATAL("'", policyName(issuePolicy),
-                    "' is not a dispatch/issue policy (valid: icount, "
-                    "round-robin, brcount, misscount, split, "
-                    "weighted)");
+        reject("'", policyName(issuePolicy),
+               "' is not a dispatch/issue policy (valid: icount, "
+               "round-robin, brcount, misscount, split, "
+               "weighted)");
     for (const std::uint32_t w : threadWeights)
         if (w == 0)
-            MTDAE_FATAL("thread weights must be >= 1");
+            reject("thread weights must be >= 1");
     if (adaptiveMissThreshold == 0)
-        MTDAE_FATAL("adaptiveMissThreshold must be >= 1");
+        reject("adaptiveMissThreshold must be >= 1");
     if (apUnits == 0 || epUnits == 0)
-        MTDAE_FATAL("both units need at least one functional unit");
+        reject("both units need at least one functional unit");
     if (apLatency == 0 || epLatency == 0)
-        MTDAE_FATAL("functional unit latencies must be >= 1");
+        reject("functional unit latencies must be >= 1");
     if (apPhysRegs <= kArchIntRegs)
-        MTDAE_FATAL("apPhysRegs must exceed the ", kArchIntRegs,
-                    " architectural integer registers");
+        reject("apPhysRegs must exceed the ", kArchIntRegs,
+               " architectural integer registers");
     if (epPhysRegs <= kArchFpRegs)
-        MTDAE_FATAL("epPhysRegs must exceed the ", kArchFpRegs,
-                    " architectural FP registers");
+        reject("epPhysRegs must exceed the ", kArchFpRegs,
+               " architectural FP registers");
     if (iqEntries == 0 || apQueueEntries == 0 || saqEntries == 0)
-        MTDAE_FATAL("queues must have at least one entry");
+        reject("queues must have at least one entry");
     if (robEntries == 0)
-        MTDAE_FATAL("robEntries must be >= 1");
+        reject("robEntries must be >= 1");
     if (l1LineBytes == 0 || (l1LineBytes & (l1LineBytes - 1)) != 0)
-        MTDAE_FATAL("l1LineBytes must be a power of two");
+        reject("l1LineBytes must be a power of two");
     if (l1Bytes == 0 || l1Bytes % l1LineBytes != 0)
-        MTDAE_FATAL("l1Bytes must be a multiple of the line size");
+        reject("l1Bytes must be a multiple of the line size");
     if ((l1Bytes / l1LineBytes) & (l1Bytes / l1LineBytes - 1))
-        MTDAE_FATAL("L1 line count must be a power of two (direct-mapped)");
+        reject("L1 line count must be a power of two (direct-mapped)");
     if (mshrs == 0)
-        MTDAE_FATAL("a lockup-free cache needs at least one MSHR");
+        reject("a lockup-free cache needs at least one MSHR");
     if (busBytesPerCycle == 0)
-        MTDAE_FATAL("busBytesPerCycle must be >= 1");
+        reject("busBytesPerCycle must be >= 1");
     if (fetchThreadsPerCycle == 0 || fetchWidth == 0 || dispatchWidth == 0)
-        MTDAE_FATAL("front-end widths must be >= 1");
+        reject("front-end widths must be >= 1");
     if (l2Assoc == 0)
-        MTDAE_FATAL("l2Assoc must be >= 1");
+        reject("l2Assoc must be >= 1");
     if (l2Bytes == 0 || l2Bytes % (l1LineBytes * l2Assoc) != 0)
-        MTDAE_FATAL("l2Bytes must be a multiple of l1LineBytes * l2Assoc");
+        reject("l2Bytes must be a multiple of l1LineBytes * l2Assoc");
     const std::uint32_t l2_sets = l2Bytes / (l1LineBytes * l2Assoc);
     if (l2_sets & (l2_sets - 1))
-        MTDAE_FATAL("L2 set count must be a power of two");
+        reject("L2 set count must be a power of two");
     if (l2Ports == 0 || l2Mshrs == 0)
-        MTDAE_FATAL("the L2 needs at least one port and one MSHR");
+        reject("the L2 needs at least one port and one MSHR");
     if (dramBanks == 0)
-        MTDAE_FATAL("dramBanks must be >= 1");
+        reject("dramBanks must be >= 1");
     if (dramRowBytes < l1LineBytes || dramRowBytes % l1LineBytes != 0)
-        MTDAE_FATAL("dramRowBytes must be a multiple of the line size");
+        reject("dramRowBytes must be a multiple of the line size");
     if (dramCas == 0 || dramRas == 0 || dramBusCycles == 0)
-        MTDAE_FATAL("DRAM CAS/RAS latencies and bus cycles must be >= 1");
+        reject("DRAM CAS/RAS latencies and bus cycles must be >= 1");
     if (bhtEntries == 0 || (bhtEntries & (bhtEntries - 1)) != 0)
-        MTDAE_FATAL("bhtEntries must be a power of two");
+        reject("bhtEntries must be a power of two");
 }
 
 } // namespace mtdae

@@ -8,6 +8,7 @@
 #define MTDAE_COMMON_CONFIG_HH
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,16 @@ bool policyIsFetch(PolicyKind k);
 
 /** True when @p k may be used as the dispatch/issue policy. */
 bool policyIsIssue(PolicyKind k);
+
+/**
+ * A SimConfig that describes no buildable machine. Thrown by
+ * SimConfig::validate() (and so by SweepSpec::add and the Simulator
+ * constructor); `mtdae` reports it as a usage error.
+ */
+struct ConfigError : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
 
 /**
  * Full machine configuration. Defaults reproduce the paper's Figure 2:
@@ -280,7 +291,7 @@ struct SimConfig
                    : threadWeights[tid % threadWeights.size()];
     }
 
-    /** Die with a fatal() if the configuration is inconsistent. */
+    /** @throws ConfigError naming the first inconsistent parameter. */
     void validate() const;
 };
 

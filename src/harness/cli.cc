@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <cstdlib>
 #include <functional>
 #include <map>
@@ -10,11 +9,8 @@
 #include <sstream>
 #include <sys/stat.h>
 
-#include "common/log.hh"
 #include "common/table.hh"
-#include "core/slot_stats.hh"
 #include "harness/experiment.hh"
-#include "harness/sweep.hh"
 #include "workload/dsl/interp.hh"
 #include "workload/spec_fp95.hh"
 
@@ -92,106 +88,6 @@ parseU32List(const std::string &s, std::vector<std::uint32_t> &out,
         return false;
     }
     return true;
-}
-
-/**
- * Parse one --kernel-param value: a number with an optional binary
- * K/M/G suffix, matching the DSL's own numeric literals.
- */
-bool
-parseParamValue(const std::string &s, double &out)
-{
-    if (s.empty())
-        return false;
-    char *end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str())
-        return false;
-    double mult = 1.0;
-    if (*end == 'K') {
-        mult = 1024.0;
-        ++end;
-    } else if (*end == 'M') {
-        mult = 1024.0 * 1024.0;
-        ++end;
-    } else if (*end == 'G') {
-        mult = 1024.0 * 1024.0 * 1024.0;
-        ++end;
-    }
-    if (*end != '\0')
-        return false;
-    out = v * mult;
-    return true;
-}
-
-/** Shortest decimal form that parses back to the same double. */
-std::string
-paramText(double v)
-{
-    char buf[40];
-    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
-    return std::string(buf, res.ptr);
-}
-
-/**
- * The --kernel-param overrides as single values (`run --bench=dsl`):
- * comma lists are grid axes and only ablate-dsl crosses them.
- *
- * @throws dsl::DslError on a malformed value (runCli reports it as a
- *         usage error)
- */
-dsl::ParamOverrides
-singleKernelOverrides(const Options &opts)
-{
-    dsl::ParamOverrides ov;
-    for (const auto &[name, value] : opts.kernelParams) {
-        double v = 0.0;
-        if (!parseParamValue(value, v))
-            throw dsl::DslError(
-                0, 0,
-                "bad --kernel-param value '" + value + "' for '" +
-                    name +
-                    "' (one number; comma lists are ablate-dsl grid "
-                    "axes)");
-        ov.emplace_back(name, v);
-    }
-    return ov;
-}
-
-/** One ablate-dsl sweep axis: a param name and its grid values. */
-struct KernelAxis
-{
-    std::string name;
-    std::vector<double> values;
-};
-
-/**
- * The --kernel-param flags as sweep axes, in flag order.
- *
- * @throws dsl::DslError on a malformed value
- */
-std::vector<KernelAxis>
-kernelAxes(const Options &opts)
-{
-    std::vector<KernelAxis> axes;
-    for (const auto &[name, value] : opts.kernelParams) {
-        KernelAxis axis;
-        axis.name = name;
-        for (const auto &part : splitCommas(value)) {
-            double v = 0.0;
-            if (!parseParamValue(part, v))
-                throw dsl::DslError(0, 0,
-                                    "bad --kernel-param value '" +
-                                        part + "' for '" + name + "'");
-            axis.values.push_back(v);
-        }
-        if (axis.values.empty())
-            throw dsl::DslError(0, 0,
-                                "empty --kernel-param value for '" +
-                                    name + "'");
-        axes.push_back(std::move(axis));
-    }
-    return axes;
 }
 
 /** One SimConfig override knob: apply a string value to a config. */
@@ -293,1038 +189,6 @@ knobs()
          }}},
     };
     return k;
-}
-
-std::string
-fmt(double v, int precision = 4)
-{
-    return TextTable::fmt(v, precision);
-}
-
-/** opts.insts when given, else the experiment's instsBudget default. */
-std::uint64_t
-budget(const Options &opts, std::uint64_t fallback)
-{
-    return opts.insts > 0 ? opts.insts : instsBudget(fallback);
-}
-
-/** The paper machine with the CLI's scaling choice and overrides. */
-SimConfig
-makeCfg(const Options &opts, std::uint32_t threads, bool decoupled,
-        std::uint32_t l2_latency)
-{
-    SimConfig cfg = paperConfig(threads, decoupled, l2_latency,
-                                opts.scaleQueues);
-    std::string error;
-    if (!applyOverrides(cfg, opts, error))
-        MTDAE_FATAL("bad override: ", error);
-    return cfg;
-}
-
-/**
- * Aggregate per-stage profile of the current experiment's sweeps,
- * summed across jobs. File-scope so the fifteen experiment builders
- * need no signature change to feed it; runExperiment() resets it
- * before dispatch and moves it onto the ResultSet afterwards.
- */
-StageProfile g_profile;
-bool g_profiled = false;
-
-/**
- * Execute @p spec on the worker pool selected by --jobs, echoing each
- * job's label to @p err as it starts (unless --quiet). The returned
- * results are in grid order, so the experiment formatters below walk
- * them with the same nested loops that built the spec. Under
- * --profile every job collects its per-stage breakdown, summed into
- * g_profile; the result rows themselves are unaffected.
- */
-std::vector<RunResult>
-runSweep(SweepSpec &spec, const Options &opts, std::ostream &err)
-{
-    spec.setProfile(opts.profile);
-    const JobRunner runner(opts.jobs, opts.warmStart);
-    JobRunner::Progress on_start;
-    if (!opts.quiet)
-        on_start = [&err](const SimJob &job) {
-            err << "  running " << job.label << "\n";
-        };
-    std::vector<RunResult> results = runner.run(spec, on_start);
-    if (opts.profile) {
-        for (const RunResult &r : results) {
-            if (!r.profile.enabled)
-                continue;
-            for (std::size_t s = 0; s < kNumStages; ++s)
-                g_profile.ns[s] += r.profile.ns[s];
-            g_profile.totalNs += r.profile.totalNs;
-            g_profile.cycles += r.profile.cycles;
-            g_profile.enabled = true;
-            g_profiled = true;
-        }
-    }
-    return results;
-}
-
-std::vector<std::uint32_t>
-sweepOr(const std::vector<std::uint32_t> &user,
-        std::vector<std::uint32_t> fallback)
-{
-    return user.empty() ? fallback : user;
-}
-
-// --- Experiment implementations ---------------------------------------
-
-ResultSet
-expRun(const Options &opts, std::ostream &err)
-{
-    ResultSet rs;
-    rs.name = "run";
-    rs.header = {"benchmark", "threads",     "decoupled", "l2_latency",
-                 "cycles",    "insts",       "ipc",       "perceived_fp",
-                 "perceived_int", "perceived_all", "load_miss",
-                 "store_miss", "delayed_hit", "bus_util",  "mispredict",
-                 "ap_useful", "ep_useful",   "cycles_skipped",
-                 "skip_events"};
-    const std::uint64_t insts = budget(opts, 300000);
-    std::vector<std::string> benches = opts.benchmarks;
-    if (benches.empty())
-        benches = {"suite-mix"};
-    const auto threads = sweepOr(opts.threads, {1});
-    const auto lats = sweepOr(opts.latencies, {16});
-    // The DSL workload is compiled once here so a bad kernel file
-    // fails before any job is queued (runCli reports the DslError).
-    std::string dsl_text;
-    dsl::ParamOverrides dsl_params;
-    if (std::find(benches.begin(), benches.end(), "dsl") !=
-        benches.end()) {
-        dsl_text = dsl::readKernelFile(opts.kernelFile);
-        dsl_params = singleKernelOverrides(opts);
-        (void)dsl::compileKernel(dsl_text, dsl_params);
-    }
-    SweepSpec spec;
-    for (const auto &bench : benches) {
-        for (const std::uint32_t n : threads) {
-            for (const std::uint32_t lat : lats) {
-                const SimConfig cfg = makeCfg(opts, n, true, lat);
-                const std::string label = bench + " " +
-                                          std::to_string(n) + "T L2=" +
-                                          std::to_string(lat);
-                if (bench == "suite-mix")
-                    spec.addSuiteMix(cfg, insts * n, label);
-                else if (bench == "dsl")
-                    spec.addDsl(cfg, dsl_text, dsl_params, insts * n,
-                                label);
-                else
-                    spec.addBenchmark(cfg, bench, insts * n, label);
-            }
-        }
-    }
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const auto &bench : benches) {
-        for (std::size_t i = 0; i < threads.size() * lats.size(); ++i) {
-            const SimConfig &cfg = spec.jobs()[k].cfg;
-            const RunResult &r = results[k];
-            ++k;
-            rs.rows.push_back(
-                {bench, std::to_string(cfg.numThreads),
-                 cfg.decoupled ? "1" : "0",
-                 std::to_string(cfg.l2Latency),
-                 std::to_string(r.cycles), std::to_string(r.insts),
-                 fmt(r.ipc), fmt(r.perceivedFp), fmt(r.perceivedInt),
-                 fmt(r.perceivedAll), fmt(r.loadMissRatio),
-                 fmt(r.storeMissRatio), fmt(r.mergedRatio),
-                 fmt(r.busUtilization), fmt(r.mispredictRate),
-                 fmt(r.ap.fraction(SlotUse::Useful)),
-                 fmt(r.ep.fraction(SlotUse::Useful)),
-                 std::to_string(r.cyclesSkipped),
-                 std::to_string(r.skipEvents)});
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
-}
-
-ResultSet
-expFig1(const Options &opts, std::ostream &err)
-{
-    ResultSet rs;
-    rs.name = "fig1";
-    rs.header = {"benchmark",   "l2_latency", "ipc",
-                 "ipc_loss_pct", "perceived_fp", "perceived_int",
-                 "load_miss",   "store_miss", "delayed_hit"};
-    const std::uint64_t insts = budget(opts, 250000);
-    const auto benches =
-        opts.benchmarks.empty() ? specFp95Names() : opts.benchmarks;
-    const auto lats = sweepOr(opts.latencies, paperLatencies());
-    SweepSpec spec;
-    for (const auto &bench : benches)
-        for (const std::uint32_t lat : lats)
-            spec.addBenchmark(makeCfg(opts, 1, true, lat), bench, insts,
-                              bench + " L2=" + std::to_string(lat));
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const auto &bench : benches) {
-        double base_ipc = 0.0;
-        for (const std::uint32_t lat : lats) {
-            const RunResult &r = results.at(k++);
-            if (base_ipc == 0.0)
-                base_ipc = r.ipc;
-            const double loss =
-                base_ipc > 0 ? 100.0 * (1.0 - r.ipc / base_ipc) : 0.0;
-            rs.rows.push_back({bench, std::to_string(lat), fmt(r.ipc),
-                               fmt(loss, 2), fmt(r.perceivedFp, 2),
-                               fmt(r.perceivedInt, 2),
-                               fmt(r.loadMissRatio),
-                               fmt(r.storeMissRatio),
-                               fmt(r.mergedRatio)});
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
-}
-
-ResultSet
-expFig3(const Options &opts, std::ostream &err)
-{
-    ResultSet rs;
-    rs.name = "fig3";
-    rs.header = {"threads", "ipc",  "unit", "useful", "wait_mem",
-                 "wait_fu", "idle", "other"};
-    const std::uint64_t insts = budget(opts, 300000);
-    const auto threads = sweepOr(opts.threads, {1, 2, 3, 4, 5, 6});
-    const std::uint32_t lat =
-        opts.latencies.empty() ? 16 : opts.latencies.front();
-    SweepSpec spec;
-    for (const std::uint32_t n : threads)
-        spec.addSuiteMix(makeCfg(opts, n, true, lat), insts * n,
-                         std::to_string(n) + "T suite mix");
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const std::uint32_t n : threads) {
-        const RunResult &r = results.at(k++);
-        for (const bool is_ap : {true, false}) {
-            const SlotBreakdown &bd = is_ap ? r.ap : r.ep;
-            rs.rows.push_back({std::to_string(n), fmt(r.ipc),
-                               is_ap ? "AP" : "EP",
-                               fmt(bd.fraction(SlotUse::Useful)),
-                               fmt(bd.fraction(SlotUse::WaitMem)),
-                               fmt(bd.fraction(SlotUse::WaitFu)),
-                               fmt(bd.fraction(SlotUse::Idle)),
-                               fmt(bd.fraction(SlotUse::Other))});
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
-}
-
-ResultSet
-expFig4(const Options &opts, std::ostream &err)
-{
-    ResultSet rs;
-    rs.name = "fig4";
-    rs.header = {"threads",       "decoupled", "l2_latency",
-                 "ipc",           "ipc_loss_pct", "perceived_all"};
-    const std::uint64_t insts = budget(opts, 300000);
-    const auto threads = sweepOr(opts.threads, {1, 2, 3, 4});
-    const auto lats = sweepOr(opts.latencies, paperLatencies());
-    SweepSpec spec;
-    for (const std::uint32_t n : threads)
-        for (const bool dec : {true, false})
-            for (const std::uint32_t lat : lats)
-                spec.addSuiteMix(makeCfg(opts, n, dec, lat), insts * n,
-                                 std::to_string(n) + "T " +
-                                     (dec ? "decoupled"
-                                          : "non-decoupled") +
-                                     " L2=" + std::to_string(lat));
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const std::uint32_t n : threads) {
-        for (const bool dec : {true, false}) {
-            double base_ipc = 0.0;
-            for (const std::uint32_t lat : lats) {
-                const RunResult &r = results.at(k++);
-                if (base_ipc == 0.0)
-                    base_ipc = r.ipc;
-                const double loss =
-                    base_ipc > 0 ? 100.0 * (1.0 - r.ipc / base_ipc)
-                                 : 0.0;
-                rs.rows.push_back({std::to_string(n), dec ? "1" : "0",
-                                   std::to_string(lat), fmt(r.ipc),
-                                   fmt(loss, 2), fmt(r.perceivedAll, 2)});
-            }
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
-}
-
-ResultSet
-expFig5(const Options &opts, std::ostream &err)
-{
-    ResultSet rs;
-    rs.name = "fig5";
-    rs.header = {"l2_latency", "threads", "decoupled", "ipc",
-                 "bus_util"};
-    const std::uint64_t insts = budget(opts, 200000);
-    // Default: the paper's two sweeps — L2=16 to 7T, L2=64 to 16T.
-    std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>>
-        sweeps;
-    if (opts.latencies.empty() && opts.threads.empty()) {
-        sweeps.push_back({16, {1, 2, 3, 4, 5, 6, 7}});
-        sweeps.push_back(
-            {64, {1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16}});
-    } else {
-        const auto lats = sweepOr(opts.latencies, {16, 64});
-        const auto threads =
-            sweepOr(opts.threads, {1, 2, 3, 4, 5, 6, 7, 8});
-        for (const std::uint32_t lat : lats)
-            sweeps.push_back({lat, threads});
-    }
-    SweepSpec spec;
-    for (const auto &[lat, threads] : sweeps)
-        for (const std::uint32_t n : threads)
-            for (const bool dec : {true, false})
-                spec.addSuiteMix(makeCfg(opts, n, dec, lat), insts * n,
-                                 std::to_string(n) + "T " +
-                                     (dec ? "decoupled"
-                                          : "non-decoupled") +
-                                     " L2=" + std::to_string(lat));
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const auto &[lat, threads] : sweeps) {
-        for (const std::uint32_t n : threads) {
-            for (const bool dec : {true, false}) {
-                const RunResult &r = results.at(k++);
-                rs.rows.push_back({std::to_string(lat),
-                                   std::to_string(n), dec ? "1" : "0",
-                                   fmt(r.ipc), fmt(r.busUtilization)});
-            }
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
-}
-
-ResultSet
-expAblateWidth(const Options &opts, std::ostream &err)
-{
-    ResultSet rs;
-    rs.name = "ablate_width";
-    rs.header = {"ap_units", "ep_units", "ipc", "ap_useful",
-                 "ep_useful"};
-    const std::uint64_t insts = budget(opts, 200000);
-    const std::uint32_t n =
-        opts.threads.empty() ? 4 : opts.threads.front();
-    const std::uint32_t lat =
-        opts.latencies.empty() ? 16 : opts.latencies.front();
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>> splits =
-        {{2, 6}, {3, 5}, {4, 4}, {5, 3}, {6, 2}};
-    SweepSpec spec;
-    for (const auto &[ap, ep] : splits) {
-        SimConfig cfg = makeCfg(opts, n, true, lat);
-        cfg.apUnits = ap;
-        cfg.epUnits = ep;
-        spec.addSuiteMix(cfg, insts * n,
-                         std::to_string(ap) + "+" + std::to_string(ep) +
-                             " units");
-    }
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const auto &[ap, ep] : splits) {
-        const RunResult &r = results.at(k++);
-        rs.rows.push_back({std::to_string(ap), std::to_string(ep),
-                           fmt(r.ipc),
-                           fmt(r.ap.fraction(SlotUse::Useful)),
-                           fmt(r.ep.fraction(SlotUse::Useful))});
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
-}
-
-ResultSet
-expAblatePredictor(const Options &opts, std::ostream &err)
-{
-    ResultSet rs;
-    rs.name = "ablate_predictor";
-    rs.header = {"predictor", "max_branches", "ipc", "mispredict",
-                 "ap_idle"};
-    const std::uint64_t insts = budget(opts, 200000);
-    const std::uint32_t n =
-        opts.threads.empty() ? 4 : opts.threads.front();
-    const std::uint32_t lat =
-        opts.latencies.empty() ? 16 : opts.latencies.front();
-    SweepSpec spec;
-    for (const auto kind : {SimConfig::PredictorKind::Bimodal,
-                            SimConfig::PredictorKind::Gshare}) {
-        for (const std::uint32_t depth : {1u, 4u, 16u}) {
-            const char *name =
-                kind == SimConfig::PredictorKind::Bimodal ? "bimodal"
-                                                          : "gshare";
-            SimConfig cfg = makeCfg(opts, n, true, lat);
-            cfg.predictor = kind;
-            cfg.maxUnresolvedBranches = depth;
-            spec.addSuiteMix(cfg, insts * n,
-                             std::string(name) + " depth " +
-                                 std::to_string(depth));
-        }
-    }
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const auto kind : {SimConfig::PredictorKind::Bimodal,
-                            SimConfig::PredictorKind::Gshare}) {
-        for (const std::uint32_t depth : {1u, 4u, 16u}) {
-            const char *name =
-                kind == SimConfig::PredictorKind::Bimodal ? "bimodal"
-                                                          : "gshare";
-            const RunResult &r = results.at(k++);
-            rs.rows.push_back({name, std::to_string(depth), fmt(r.ipc),
-                               fmt(r.mispredictRate),
-                               fmt(r.ap.fraction(SlotUse::Idle))});
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
-}
-
-ResultSet
-expAblateMshrs(const Options &opts, std::ostream &err)
-{
-    ResultSet rs;
-    rs.name = "ablate_mshrs";
-    rs.header = {"mshrs", "threads", "ipc", "bus_util"};
-    const std::uint64_t insts = budget(opts, 120000);
-    const std::uint32_t lat =
-        opts.latencies.empty() ? 64 : opts.latencies.front();
-    const auto threads = sweepOr(opts.threads, {1, 4});
-    SweepSpec spec;
-    for (const std::uint32_t m : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
-        for (const std::uint32_t n : threads) {
-            SimConfig cfg = makeCfg(opts, n, true, lat);
-            cfg.mshrs = m;
-            spec.addSuiteMix(cfg, insts * n,
-                             std::to_string(m) + " MSHRs " +
-                                 std::to_string(n) + "T");
-        }
-    }
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const std::uint32_t m : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
-        for (const std::uint32_t n : threads) {
-            const RunResult &r = results.at(k++);
-            rs.rows.push_back({std::to_string(m), std::to_string(n),
-                               fmt(r.ipc), fmt(r.busUtilization)});
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
-}
-
-ResultSet
-expAblatePorts(const Options &opts, std::ostream &err)
-{
-    ResultSet rs;
-    rs.name = "ablate_ports";
-    rs.header = {"ports", "threads", "ipc"};
-    const std::uint64_t insts = budget(opts, 120000);
-    const std::uint32_t lat =
-        opts.latencies.empty() ? 64 : opts.latencies.front();
-    const auto threads = sweepOr(opts.threads, {1, 4});
-    SweepSpec spec;
-    for (const std::uint32_t p : {1u, 2u, 4u, 8u}) {
-        for (const std::uint32_t n : threads) {
-            SimConfig cfg = makeCfg(opts, n, true, lat);
-            cfg.l1Ports = p;
-            spec.addSuiteMix(cfg, insts * n,
-                             std::to_string(p) + " ports " +
-                                 std::to_string(n) + "T");
-        }
-    }
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const std::uint32_t p : {1u, 2u, 4u, 8u}) {
-        for (const std::uint32_t n : threads) {
-            const RunResult &r = results.at(k++);
-            rs.rows.push_back(
-                {std::to_string(p), std::to_string(n), fmt(r.ipc)});
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
-}
-
-ResultSet
-expAblateIq(const Options &opts, std::ostream &err)
-{
-    ResultSet rs;
-    rs.name = "ablate_iq";
-    rs.header = {"iq_entries", "threads", "ipc", "perceived"};
-    const std::uint64_t insts = budget(opts, 120000);
-    const std::uint32_t lat =
-        opts.latencies.empty() ? 64 : opts.latencies.front();
-    const auto threads = sweepOr(opts.threads, {1, 4});
-    SweepSpec spec;
-    for (const std::uint32_t depth :
-         {1u, 2u, 4u, 8u, 16u, 32u, 48u, 96u, 192u, 384u}) {
-        for (const std::uint32_t n : threads) {
-            SimConfig cfg = makeCfg(opts, n, true, lat);
-            cfg.iqEntries = depth;
-            spec.addSuiteMix(cfg, insts * n,
-                             "IQ " + std::to_string(depth) + " " +
-                                 std::to_string(n) + "T");
-        }
-    }
-    // iq_entries = 0 marks the non-decoupled reference machine.
-    for (const std::uint32_t n : threads)
-        spec.addSuiteMix(makeCfg(opts, n, false, lat), insts * n,
-                         "non-decoupled " + std::to_string(n) + "T");
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const std::uint32_t depth :
-         {1u, 2u, 4u, 8u, 16u, 32u, 48u, 96u, 192u, 384u}) {
-        for (const std::uint32_t n : threads) {
-            const RunResult &r = results.at(k++);
-            rs.rows.push_back({std::to_string(depth), std::to_string(n),
-                               fmt(r.ipc), fmt(r.perceivedAll)});
-        }
-    }
-    for (const std::uint32_t n : threads) {
-        const RunResult &r = results.at(k++);
-        rs.rows.push_back({"0", std::to_string(n), fmt(r.ipc),
-                           fmt(r.perceivedAll)});
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
-}
-
-ResultSet
-expAblateL2(const Options &opts, std::ostream &err)
-{
-    ResultSet rs;
-    rs.name = "ablate_l2";
-    rs.header = {"l2_kb",    "threads",      "ipc",
-                 "l1_miss",  "l2_miss",      "avg_fill",
-                 "dram_row_hit", "dram_bus_util"};
-    const std::uint64_t insts = budget(opts, 120000);
-    const std::uint32_t lat =
-        opts.latencies.empty() ? 16 : opts.latencies.front();
-    const auto threads = sweepOr(opts.threads, {1, 4});
-    const std::vector<std::uint32_t> sizes_kb = {64,  128,  256,
-                                                 512, 1024, 2048};
-    SweepSpec spec;
-    for (const std::uint32_t kb : sizes_kb) {
-        for (const std::uint32_t n : threads) {
-            // Real backend by default, but user overrides still win
-            // (--perfect-l2 turns the sweep into its reference run);
-            // only the swept knob itself is pinned afterwards.
-            SimConfig cfg = paperConfig(n, true, lat, opts.scaleQueues);
-            cfg.perfectL2 = false;
-            std::string error;
-            if (!applyOverrides(cfg, opts, error))
-                MTDAE_FATAL("bad override: ", error);
-            cfg.l2Bytes = kb * 1024;
-            spec.addSuiteMix(cfg, insts * n,
-                             "L2 " + std::to_string(kb) + "KB " +
-                                 std::to_string(n) + "T");
-        }
-    }
-    // l2_kb = 0 marks the paper's perfect-L2 reference machine: the
-    // gap against it is the cost of a real memory system.
-    for (const std::uint32_t n : threads)
-        spec.addSuiteMix(makeCfg(opts, n, true, lat), insts * n,
-                         "perfect L2 " + std::to_string(n) + "T");
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const std::uint32_t kb : sizes_kb) {
-        for (const std::uint32_t n : threads) {
-            const RunResult &r = results.at(k++);
-            rs.rows.push_back({std::to_string(kb), std::to_string(n),
-                               fmt(r.ipc), fmt(r.missRatio),
-                               fmt(r.l2MissRatio),
-                               fmt(r.avgFillLatency, 1),
-                               fmt(r.dramRowHitRatio),
-                               fmt(r.dramBusUtilization)});
-        }
-    }
-    for (const std::uint32_t n : threads) {
-        const RunResult &r = results.at(k++);
-        rs.rows.push_back({"0", std::to_string(n), fmt(r.ipc),
-                           fmt(r.missRatio), fmt(r.l2MissRatio),
-                           fmt(r.avgFillLatency, 1),
-                           fmt(r.dramRowHitRatio),
-                           fmt(r.dramBusUtilization)});
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
-}
-
-/**
- * The fig4 latency-tolerance sweep against the real backend: instead of
- * dialling an abstract L2 latency, successive points slow the *DRAM*
- * down (CAS/RAS/precharge scaled by dram_scale), and the tolerated
- * latency is the emergent avg_fill the machine actually experienced.
- * Structures scale with the backend slowdown exactly as the paper
- * scales them with L2 latency (factor dram_scale, unless --no-scale).
- */
-ResultSet
-expFig4Dram(const Options &opts, std::ostream &err)
-{
-    ResultSet rs;
-    rs.name = "fig4_dram";
-    rs.header = {"threads",    "decoupled",    "dram_scale",
-                 "ipc",        "ipc_loss_pct", "avg_fill",
-                 "perceived_all", "l2_miss",   "dram_bus_util"};
-    const std::uint64_t insts = budget(opts, 300000);
-    const auto threads = sweepOr(opts.threads, {1, 2, 3, 4});
-    // --latencies overrides the DRAM slowdown factors, not L2 cycles.
-    const auto scales = sweepOr(opts.latencies, {1, 2, 4, 8});
-    SweepSpec spec;
-    for (const std::uint32_t n : threads) {
-        for (const bool dec : {true, false}) {
-            for (const std::uint32_t s : scales) {
-                SimConfig cfg =
-                    paperConfig(n, dec, 16 * s, opts.scaleQueues);
-                cfg.l2Latency = 16;  // the real L2 hit cost stays put
-                cfg.perfectL2 = false;
-                std::string error;
-                if (!applyOverrides(cfg, opts, error))
-                    MTDAE_FATAL("bad override: ", error);
-                // The swept slowdown scales the (possibly overridden)
-                // base DRAM timings last.
-                cfg.dramCas *= s;
-                cfg.dramRas *= s;
-                cfg.dramPrecharge *= s;
-                spec.addSuiteMix(cfg, insts * n,
-                                 std::to_string(n) + "T " +
-                                     (dec ? "decoupled"
-                                          : "non-decoupled") +
-                                     " DRAMx" + std::to_string(s));
-            }
-        }
-    }
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const std::uint32_t n : threads) {
-        for (const bool dec : {true, false}) {
-            double base_ipc = 0.0;
-            for (const std::uint32_t s : scales) {
-                const RunResult &r = results.at(k++);
-                if (base_ipc == 0.0)
-                    base_ipc = r.ipc;
-                const double loss =
-                    base_ipc > 0 ? 100.0 * (1.0 - r.ipc / base_ipc)
-                                 : 0.0;
-                rs.rows.push_back(
-                    {std::to_string(n), dec ? "1" : "0",
-                     std::to_string(s), fmt(r.ipc), fmt(loss, 2),
-                     fmt(r.avgFillLatency, 1), fmt(r.perceivedAll, 2),
-                     fmt(r.l2MissRatio), fmt(r.dramBusUtilization)});
-            }
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
-}
-
-/**
- * The thread-arbitration policy grid: every fetch policy crossed with
- * every dispatch/issue policy, at each swept thread count. The
- * icount/round-robin row is the paper's machine; the spread across the
- * other rows is what the scheduler choice is worth. Policies matter
- * most when threads compete for long-latency memory, so the default
- * point is the L2=64 machine.
- */
-ResultSet
-expAblatePolicy(const Options &opts, std::ostream &err)
-{
-    ResultSet rs;
-    rs.name = "ablate_policy";
-    rs.header = {"fetch_policy", "issue_policy", "threads",
-                 "ipc",          "perceived_all", "mispredict",
-                 "ap_useful",    "ep_useful"};
-    const std::uint64_t insts = budget(opts, 120000);
-    const std::uint32_t lat =
-        opts.latencies.empty() ? 64 : opts.latencies.front();
-    const auto threads = sweepOr(opts.threads, {1, 4});
-    SweepSpec spec;
-    for (const PolicyKind fp : fetchPolicies()) {
-        for (const PolicyKind ip : issuePolicies()) {
-            for (const std::uint32_t n : threads) {
-                SimConfig cfg = makeCfg(opts, n, true, lat);
-                // The policy pair is the swept knob: it wins over any
-                // --fetch-policy/--issue-policy override.
-                cfg.fetchPolicy = fp;
-                cfg.issuePolicy = ip;
-                spec.addSuiteMix(cfg, insts * n,
-                                 std::string(policyName(fp)) + "/" +
-                                     policyName(ip) + " " +
-                                     std::to_string(n) + "T");
-            }
-        }
-    }
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const PolicyKind fp : fetchPolicies()) {
-        for (const PolicyKind ip : issuePolicies()) {
-            for (const std::uint32_t n : threads) {
-                const RunResult &r = results.at(k++);
-                rs.rows.push_back(
-                    {policyName(fp), policyName(ip), std::to_string(n),
-                     fmt(r.ipc), fmt(r.perceivedAll, 2),
-                     fmt(r.mispredictRate),
-                     fmt(r.ap.fraction(SlotUse::Useful)),
-                     fmt(r.ep.fraction(SlotUse::Useful))});
-            }
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
-}
-
-/**
- * The fetch-gating grid: the STALL/FLUSH gating policies against the
- * plain ICOUNT baseline, crossed with L2 size and thread count, on the
- * finite L2 + DRAM backend — the regime where miss pressure is real
- * and gating the AP's runahead has something to trade. `--latencies`
- * overrides the swept L2 sizes (in KiB), mirroring fig4-dram's reuse
- * of the flag for its swept axis.
- */
-ResultSet
-expAblateGating(const Options &opts, std::ostream &err)
-{
-    ResultSet rs;
-    rs.name = "ablate_gating";
-    rs.header = {"fetch_policy", "l2_kb",    "threads",
-                 "ipc",          "perceived_all", "l1_miss",
-                 "l2_miss",      "avg_fill"};
-    const std::uint64_t insts = budget(opts, 120000);
-    const std::vector<PolicyKind> gating = {
-        PolicyKind::Icount, PolicyKind::Stall, PolicyKind::Flush};
-    const auto sizes_kb = sweepOr(opts.latencies, {64, 256, 1024});
-    const auto threads = sweepOr(opts.threads, {2, 4});
-    SweepSpec spec;
-    for (const PolicyKind fp : gating) {
-        for (const std::uint32_t kb : sizes_kb) {
-            for (const std::uint32_t n : threads) {
-                // Real backend by default; user overrides still win,
-                // then the swept knobs are pinned (the ablate-l2
-                // pattern).
-                SimConfig cfg = paperConfig(n, true, 16,
-                                            opts.scaleQueues);
-                cfg.perfectL2 = false;
-                std::string error;
-                if (!applyOverrides(cfg, opts, error))
-                    MTDAE_FATAL("bad override: ", error);
-                cfg.l2Bytes = kb * 1024;
-                cfg.fetchPolicy = fp;
-                spec.addSuiteMix(cfg, insts * n,
-                                 std::string(policyName(fp)) + " L2 " +
-                                     std::to_string(kb) + "KB " +
-                                     std::to_string(n) + "T");
-            }
-        }
-    }
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const PolicyKind fp : gating) {
-        for (const std::uint32_t kb : sizes_kb) {
-            for (const std::uint32_t n : threads) {
-                const RunResult &r = results.at(k++);
-                rs.rows.push_back({policyName(fp), std::to_string(kb),
-                                   std::to_string(n), fmt(r.ipc),
-                                   fmt(r.perceivedAll, 2),
-                                   fmt(r.missRatio), fmt(r.l2MissRatio),
-                                   fmt(r.avgFillLatency, 1)});
-            }
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
-}
-
-/**
- * The QoS grid: thread-weight vectors crossed with arbitration-policy
- * pairs and L2 size on the finite L2 + DRAM backend, reporting the
- * fairness metrics (weighted speedup, harmonic-mean and max-min
- * fairness, per-thread slowdowns) alongside raw throughput — the
- * evidence for whether a weighted or adaptive policy actually converts
- * priority into proportional progress. `--latencies` overrides the
- * swept L2 sizes in KiB (the ablate-gating convention); `--threads`
- * overrides the thread count (first value only; the weight vectors
- * tile across it).
- */
-ResultSet
-expAblateQos(const Options &opts, std::ostream &err)
-{
-    ResultSet rs;
-    rs.name = "ablate_qos";
-    rs.header = {"weights",    "fetch_policy", "issue_policy",
-                 "l2_kb",      "ipc",          "wspeedup",
-                 "fair_hmean", "fair_maxmin",  "slow_t0",
-                 "slow_max"};
-    const std::uint64_t insts = budget(opts, 60000);
-    const std::uint32_t n =
-        opts.threads.empty() ? 4 : opts.threads.front();
-    const std::vector<std::vector<std::uint32_t>> weight_vectors = {
-        {1, 1}, {4, 1}, {16, 1}};
-    const std::vector<std::pair<PolicyKind, PolicyKind>> pairs = {
-        {PolicyKind::Icount, PolicyKind::RoundRobin},
-        {PolicyKind::Weighted, PolicyKind::Weighted},
-        {PolicyKind::Adaptive, PolicyKind::RoundRobin},
-        {PolicyKind::Adaptive, PolicyKind::Weighted},
-    };
-    const auto sizes_kb = sweepOr(opts.latencies, {256, 1024});
-    // ':'-separated so the label survives the CSV untouched.
-    const auto wlabel = [](const std::vector<std::uint32_t> &ws) {
-        std::string s;
-        for (std::size_t i = 0; i < ws.size(); ++i) {
-            if (i)
-                s += ':';
-            s += std::to_string(ws[i]);
-        }
-        return s;
-    };
-    SweepSpec spec;
-    for (const auto &ws : weight_vectors) {
-        for (const auto &[fp, ip] : pairs) {
-            for (const std::uint32_t kb : sizes_kb) {
-                SimConfig cfg = paperConfig(n, true, 16,
-                                            opts.scaleQueues);
-                cfg.perfectL2 = false;
-                std::string error;
-                if (!applyOverrides(cfg, opts, error))
-                    MTDAE_FATAL("bad override: ", error);
-                cfg.l2Bytes = kb * 1024;
-                cfg.fetchPolicy = fp;
-                cfg.issuePolicy = ip;
-                cfg.threadWeights = ws;
-                spec.addSuiteMix(cfg, insts * n,
-                                 wlabel(ws) + " " +
-                                     std::string(policyName(fp)) + "/" +
-                                     policyName(ip) + " L2 " +
-                                     std::to_string(kb) + "KB");
-            }
-        }
-    }
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const auto &ws : weight_vectors) {
-        for (const auto &[fp, ip] : pairs) {
-            for (const std::uint32_t kb : sizes_kb) {
-                const RunResult &r = results.at(k++);
-                double slow_max = 0.0;
-                for (const double s : r.threadSlowdown)
-                    if (s > slow_max)
-                        slow_max = s;
-                rs.rows.push_back(
-                    {wlabel(ws), policyName(fp), policyName(ip),
-                     std::to_string(kb), fmt(r.ipc),
-                     fmt(r.weightedSpeedup), fmt(r.fairnessHmean),
-                     fmt(r.fairnessMaxMin),
-                     fmt(r.threadSlowdown.empty()
-                             ? 0.0
-                             : r.threadSlowdown.front()),
-                     fmt(slow_max)});
-            }
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
-}
-
-/**
- * The warm-start fan-out grid: per thread count, three points that
- * differ only in measure budget, all on one explicit seed stream so
- * the group shares a warmup prefix (SimJob::prefixKey()). With
- * --warm-start=1 (the default) each group simulates its warmup once
- * and fans the checkpoint out; with --warm-start=0 every point runs
- * cold. The rows are byte-identical either way — that contract is
- * what scripts/bench_checkpoint.sh times and verifies.
- */
-ResultSet
-expAblateCheckpoint(const Options &opts, std::ostream &err)
-{
-    ResultSet rs;
-    rs.name = "ablate_checkpoint";
-    rs.header = {"threads", "measure_x", "ipc", "cycles", "insts"};
-    const std::uint64_t insts = budget(opts, 60000);
-    const std::uint32_t lat =
-        opts.latencies.empty() ? 16 : opts.latencies.front();
-    const auto threads = sweepOr(opts.threads, {1, 2, 4});
-    const std::vector<std::uint64_t> mults = {1, 2, 4};
-    SweepSpec spec;
-    std::uint64_t stream = 0;
-    for (const std::uint32_t n : threads) {
-        const SimConfig cfg = makeCfg(opts, n, true, lat);
-        for (const std::uint64_t m : mults)
-            spec.addSuiteMix(cfg, insts * n * m,
-                             std::to_string(n) + "T x" +
-                                 std::to_string(m),
-                             stream);
-        ++stream;
-    }
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const std::uint32_t n : threads) {
-        for (const std::uint64_t m : mults) {
-            const RunResult &r = results.at(k++);
-            rs.rows.push_back({std::to_string(n), std::to_string(m),
-                               fmt(r.ipc), std::to_string(r.cycles),
-                               std::to_string(r.insts)});
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
-}
-
-/**
- * ablate-dsl: a DSL kernel file as a first-class sweep axis. Every
- * comma-listed --kernel-param becomes a grid dimension (crossed in flag
- * order, first flag outermost), swept against the thread counts; the
- * kernel is recompiled per point with that point's param values, so the
- * text file plays the role the ten C++ benchmark models play in the
- * figure sweeps.
- */
-ResultSet
-expAblateDsl(const Options &opts, std::ostream &err)
-{
-    ResultSet rs;
-    rs.name = "ablate_dsl";
-    const std::string text = dsl::readKernelFile(opts.kernelFile);
-    const std::string kname = dsl::compileKernel(text).name;
-    const auto axes = kernelAxes(opts);
-    const auto threads = sweepOr(opts.threads, {1, 4});
-    const std::uint32_t lat =
-        opts.latencies.empty() ? 16 : opts.latencies.front();
-    const std::uint64_t insts = budget(opts, 150000);
-
-    rs.header = {"kernel"};
-    for (const auto &axis : axes)
-        rs.header.push_back(axis.name);
-    for (const char *h : {"threads", "l2_latency", "ipc",
-                          "perceived_fp", "perceived_int", "load_miss",
-                          "bus_util", "cycles", "insts"})
-        rs.header.push_back(h);
-
-    // The full cross product of the param axes, first flag outermost:
-    // the row order is the nested-loop order, like every other sweep.
-    std::vector<std::vector<double>> combos = {{}};
-    for (const auto &axis : axes) {
-        std::vector<std::vector<double>> next;
-        for (const auto &combo : combos) {
-            for (const double v : axis.values) {
-                next.push_back(combo);
-                next.back().push_back(v);
-            }
-        }
-        combos = std::move(next);
-    }
-
-    SweepSpec spec;
-    for (const auto &combo : combos) {
-        dsl::ParamOverrides params;
-        std::string point = kname;
-        for (std::size_t i = 0; i < axes.size(); ++i) {
-            params.emplace_back(axes[i].name, combo[i]);
-            point += " " + axes[i].name + "=" + paramText(combo[i]);
-        }
-        for (const std::uint32_t n : threads) {
-            const SimConfig cfg = makeCfg(opts, n, true, lat);
-            spec.addDsl(cfg, text, params, insts * n,
-                        point + " " + std::to_string(n) + "T");
-        }
-    }
-    const auto results = runSweep(spec, opts, err);
-    std::size_t k = 0;
-    for (const auto &combo : combos) {
-        for (const std::uint32_t n : threads) {
-            const RunResult &r = results.at(k++);
-            std::vector<std::string> row = {kname};
-            for (const double v : combo)
-                row.push_back(paramText(v));
-            const std::string tail[] = {
-                std::to_string(n), std::to_string(lat), fmt(r.ipc),
-                fmt(r.perceivedFp), fmt(r.perceivedInt),
-                fmt(r.loadMissRatio), fmt(r.busUtilization),
-                std::to_string(r.cycles), std::to_string(r.insts)};
-            for (const std::string &cell : tail)
-                row.push_back(cell);
-            rs.rows.push_back(std::move(row));
-        }
-    }
-    MTDAE_ASSERT(k == results.size(),
-                 "row formatter out of sync with the sweep grid");
-    return rs;
-}
-
-using ExperimentFn = ResultSet (*)(const Options &, std::ostream &);
-
-struct Entry
-{
-    Experiment info;
-    ExperimentFn fn;
-};
-
-const std::vector<Entry> &
-registry()
-{
-    static const std::vector<Entry> entries = {
-        {{"run", "single configuration run (suite mix or --bench=...)"},
-         expRun},
-        {{"fig1", "latency hiding, 1T decoupled, per-benchmark L2 sweep"},
-         expFig1},
-        {{"fig3", "AP/EP issue-slot breakdown vs. hardware contexts"},
-         expFig3},
-        {{"fig4", "latency tolerance of 1-4T (non-)decoupled machines"},
-         expFig4},
-        {{"fig5", "IPC vs. contexts at L2=16/64 with bus utilisation"},
-         expFig5},
-        {{"fig4-dram",
-          "latency tolerance against the finite L2 + DRAM backend"},
-         expFig4Dram},
-        {{"ablate-width", "AP/EP issue-width split at total width 8"},
-         expAblateWidth},
-        {{"ablate-predictor",
-          "bimodal vs. gshare and speculation depth"},
-         expAblatePredictor},
-        {{"ablate-mshrs", "MSHR count sweep (lockup-free-ness)"},
-         expAblateMshrs},
-        {{"ablate-ports", "L1 data-cache port sweep"}, expAblatePorts},
-        {{"ablate-iq", "EP instruction-queue depth sweep"}, expAblateIq},
-        {{"ablate-l2", "L2 size sweep on the DRAM backend"},
-         expAblateL2},
-        {{"ablate-policy",
-          "fetch x issue thread-arbitration policy grid"},
-         expAblatePolicy},
-        {{"ablate-gating",
-          "fetch gating (stall/flush) x L2 size on the DRAM backend"},
-         expAblateGating},
-        {{"ablate-qos",
-          "thread-weight x policy x L2 fairness grid (QoS metrics)"},
-         expAblateQos},
-        {{"ablate-checkpoint",
-          "warm-start fan-out grid (shared warmup checkpoints)"},
-         expAblateCheckpoint},
-        {{"ablate-dsl",
-          "DSL kernel-file param grid (--kernel-file, --kernel-param)"},
-         expAblateDsl},
-    };
-    return entries;
 }
 
 /** mkdir -p: create every component of @p path; true when it exists. */
@@ -1518,42 +382,6 @@ parseArgs(const std::vector<std::string> &args, Options &opts,
     return true;
 }
 
-const std::vector<Experiment> &
-experiments()
-{
-    static const std::vector<Experiment> infos = [] {
-        std::vector<Experiment> v;
-        for (const auto &e : registry())
-            v.push_back(e.info);
-        return v;
-    }();
-    return infos;
-}
-
-bool
-isExperiment(const std::string &name)
-{
-    for (const auto &e : registry())
-        if (e.info.name == name)
-            return true;
-    return false;
-}
-
-ResultSet
-runExperiment(const Options &opts, std::ostream &err)
-{
-    for (const auto &e : registry()) {
-        if (e.info.name != opts.experiment)
-            continue;
-        g_profile.reset();
-        g_profiled = false;
-        ResultSet rs = e.fn(opts, err);
-        rs.profile = g_profile;
-        rs.profiled = g_profiled;
-        return rs;
-    }
-    MTDAE_FATAL("unknown experiment '", opts.experiment, "'");
-}
 
 void
 writeJson(const ResultSet &rs, std::ostream &os)
@@ -1793,6 +621,9 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
     ResultSet rs;
     try {
         rs = runExperiment(opts, err);
+    } catch (const ConfigError &e) {
+        err << "mtdae: " << e.what() << "\n";
+        return 2;
     } catch (const dsl::DslError &e) {
         // A kernel file that fails to read or compile is user input,
         // not a simulator fault: report the position and exit as a
@@ -1837,7 +668,7 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
                           double(rs.profile.totalNs)
                     : 0.0;
             err << "  " << stageName(Stage(s)) << ": "
-                << rs.profile.ns[s] << " ns (" << fmt(pct, 1)
+                << rs.profile.ns[s] << " ns (" << TextTable::fmt(pct, 1)
                 << "%)\n";
         }
     }

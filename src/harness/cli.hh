@@ -1,9 +1,10 @@
 /**
  * @file
- * The unified experiment CLI: subcommand registry, option parsing and
- * result emission behind the `mtdae` driver binary. Lives in the
- * harness so the argument-parsing and experiment-dispatch logic is unit
- * testable without spawning a process.
+ * The unified experiment CLI behind the `mtdae` binary: option parsing
+ * and result emission (cli.cc) and the experiment table
+ * (experiment_table.cc). Lives in the harness so the argument-parsing
+ * and experiment-dispatch logic is unit testable without spawning a
+ * process.
  */
 
 #ifndef MTDAE_HARNESS_CLI_HH
@@ -156,8 +157,11 @@ struct ResultSet
 
 /**
  * Run experiment @p opts.experiment and return its rows.
- * Requires isExperiment(opts.experiment); fatal() otherwise.
+ * Requires isExperiment(opts.experiment); panics otherwise.
  * Progress lines go to @p err unless opts.quiet.
+ *
+ * @throws ConfigError when an override yields an invalid machine
+ * @throws dsl::DslError when a kernel file cannot be read or compiled
  */
 ResultSet runExperiment(const Options &opts, std::ostream &err);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <map>
 #include <mutex>
@@ -58,9 +57,8 @@ SweepSpec::add(const SimConfig &cfg,
                std::uint64_t measure_insts, std::string label,
                std::uint64_t seed_stream)
 {
-    // Validate here, on the caller's thread: a bad configuration must
-    // fatal() before the pool starts, not from inside a worker racing
-    // std::exit() against in-flight jobs.
+    // Validate here, on the caller's thread: a bad configuration throws
+    // ConfigError before the pool starts, not from inside a worker.
     cfg.validate();
     SimJob job;
     job.index = jobs_.size();
@@ -225,32 +223,6 @@ defaultJobs()
 {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
-}
-
-std::uint32_t
-envJobs()
-{
-    if (const char *env = std::getenv("MTDAE_JOBS")) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v >= 1 && v <= 0xffffffffUL)
-            return std::uint32_t(v);
-        warn("ignoring bad MTDAE_JOBS value '", env, "'");
-    }
-    return defaultJobs();
-}
-
-std::uint64_t
-envSeed()
-{
-    if (const char *env = std::getenv("MTDAE_SEED")) {
-        char *end = nullptr;
-        const unsigned long long v = std::strtoull(env, &end, 10);
-        if (end != env && *end == '\0')
-            return v;
-        warn("ignoring bad MTDAE_SEED value '", env, "'");
-    }
-    return SimConfig().seed;
 }
 
 } // namespace mtdae

@@ -162,7 +162,8 @@ class SweepSpec
      * rewritten to deriveSeed(base, seed_stream) on the stored job
      * (stream = the job's grid index under the kSeedFromIndex
      * default); the configuration is validated here, on the caller's
-     * thread, so a bad point fatal()s before any worker starts.
+     * thread, so a bad point throws ConfigError before any worker
+     * starts.
      *
      * @return the stored job; the reference is invalidated by the
      *         next add*() call (it points into the grid vector)
@@ -270,18 +271,6 @@ class JobRunner
 
 /** Worker count matching the hardware: hardware_concurrency, >= 1. */
 std::uint32_t defaultJobs();
-
-/**
- * Worker count for flag-less drivers (bench binaries, examples):
- * the MTDAE_JOBS environment variable when set, else defaultJobs().
- */
-std::uint32_t envJobs();
-
-/**
- * Base seed for flag-less drivers: the MTDAE_SEED environment variable
- * when set, else SimConfig's default seed.
- */
-std::uint64_t envSeed();
 
 } // namespace mtdae
 

@@ -149,6 +149,24 @@ TEST(CliDriver, PerfectL2FlagReproducesFixedLatencyModelByteForByte)
     EXPECT_FALSE(out1.str().empty());
 }
 
+TEST(CliDriver, ExplicitDefaultPoliciesReproduceTheDefaultsByteForByte)
+{
+    // icount/round-robin are the paper's machine: naming them must not
+    // change a byte of the default output.
+    const std::vector<std::string> common = {
+        "fig4",  "--insts=800", "--warmup=200", "--quiet",
+        "--json", "--threads-list=1,2", "--latencies=1,64"};
+    std::ostringstream out1, err1, out2, err2;
+    ASSERT_EQ(cli::runCli(common, out1, err1), 0);
+    auto explicit_flags = common;
+    explicit_flags.insert(explicit_flags.end(),
+                          {"--fetch-policy=icount",
+                           "--issue-policy=round-robin"});
+    ASSERT_EQ(cli::runCli(explicit_flags, out2, err2), 0);
+    EXPECT_EQ(out1.str(), out2.str());
+    EXPECT_FALSE(out1.str().empty());
+}
+
 TEST(CliDriver, BarePerfectL2FlagParses)
 {
     cli::Options opts;
@@ -257,6 +275,28 @@ TEST(CliDriver, BadFlagFails)
     std::ostringstream out, err;
     EXPECT_EQ(cli::runCli({"fig1", "--threads=NaN"}, out, err), 2);
     EXPECT_NE(err.str().find("NaN"), std::string::npos);
+}
+
+TEST(CliDriver, InvalidMachineIsAUsageError)
+{
+    // Overrides that parse but describe no buildable machine are
+    // rejected by SimConfig::validate() before any job runs; runCli
+    // reports the message and returns 2 instead of exiting the process.
+    const std::vector<std::pair<std::vector<std::string>, std::string>>
+        cases = {
+            {{"fig4", "--iq-entries=0"},
+             "queues must have at least one entry"},
+            {{"fig4", "--threads=0"}, "numThreads must be >= 1"},
+            {{"ablate-l2", "--l2-size=1000"},
+             "l2Bytes must be a multiple of l1LineBytes * l2Assoc"},
+        };
+    for (auto [args, message] : cases) {
+        args.insert(args.end(), {"--insts=100", "--quiet", "--json"});
+        std::ostringstream out, err;
+        EXPECT_EQ(cli::runCli(args, out, err), 2) << args[0];
+        EXPECT_EQ(err.str(), "mtdae: " + message + "\n");
+        EXPECT_TRUE(out.str().empty());
+    }
 }
 
 TEST(CliDriver, NoArgsPrintsUsage)

@@ -14,6 +14,7 @@
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "test_util.hh"
 
 using namespace mtdae;
 
@@ -217,24 +218,26 @@ INSTANTIATE_TEST_SUITE_P(PaperLatencies, ScaledConfigTest,
 
 TEST(SimConfig, ValidateRejectsBadConfigs)
 {
+    // A bad config is a typed, catchable error: the caller reports it as
+    // a usage error instead of the library exiting the process.
     SimConfig cfg;
+    const auto validate = [&cfg] { cfg.validate(); };
     cfg.numThreads = 0;
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), "numThreads");
+    EXPECT_THROW(test::withMessage(validate, "numThreads"), ConfigError);
 
     cfg = SimConfig{};
     cfg.l1LineBytes = 24;  // not a power of two
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1),
-                "l1LineBytes");
+    EXPECT_THROW(test::withMessage(validate, "l1LineBytes"), ConfigError);
 
     cfg = SimConfig{};
     cfg.apPhysRegs = 32;  // no rename headroom
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), "apPhysRegs");
+    EXPECT_THROW(test::withMessage(validate, "apPhysRegs"), ConfigError);
 
     cfg = SimConfig{};
     cfg.mshrs = 0;
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), "MSHR");
+    EXPECT_THROW(test::withMessage(validate, "MSHR"), ConfigError);
 
     cfg = SimConfig{};
     cfg.bhtEntries = 1000;  // not a power of two
-    EXPECT_EXIT(cfg.validate(), ::testing::ExitedWithCode(1), "bht");
+    EXPECT_THROW(test::withMessage(validate, "bht"), ConfigError);
 }

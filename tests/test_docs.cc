@@ -156,15 +156,16 @@ TEST(DocDrift, ReadmeDocumentsTheGatingLayer)
 TEST(DocDrift, ReadmeDocumentsTheQosLayer)
 {
     // The QoS tentpole's user surface: the weight and threshold flags,
-    // the policy names, and the benchmark script. (ablate-qos itself
-    // is locked by the registry <-> experiment-table tests above.)
+    // the policy names, and the benchmark that measures their cost.
+    // (ablate-qos itself is locked by the registry <-> experiment-table
+    // tests above.)
     const std::string text = readmeText();
     EXPECT_NE(text.find("--thread-weights"), std::string::npos);
     EXPECT_NE(text.find("--adaptive-threshold"), std::string::npos);
     EXPECT_NE(text.find("`weighted`"), std::string::npos);
     EXPECT_NE(text.find("`adaptive`"), std::string::npos);
     EXPECT_NE(text.find("fair_hmean"), std::string::npos);
-    EXPECT_NE(text.find("bench_qos.sh"), std::string::npos);
+    EXPECT_NE(text.find("perfbench/run.py"), std::string::npos);
 }
 
 TEST(DocDrift, PoliciesDocCoversTheQosAndStabilityContract)

@@ -98,10 +98,14 @@ TEST(PolicyNames, ValidateRejectsWrongSeamAssignment)
 {
     SimConfig bad_issue;
     bad_issue.issuePolicy = PolicyKind::Stall;
-    EXPECT_DEATH(bad_issue.validate(), "not a dispatch/issue policy");
+    EXPECT_THROW(test::withMessage([&] { bad_issue.validate(); },
+                                   "not a dispatch/issue policy"),
+                 ConfigError);
     SimConfig bad_fetch;
     bad_fetch.fetchPolicy = PolicyKind::Split;
-    EXPECT_DEATH(bad_fetch.validate(), "not a fetch policy");
+    EXPECT_THROW(test::withMessage([&] { bad_fetch.validate(); },
+                                   "not a fetch policy"),
+                 ConfigError);
 }
 
 TEST(FetchPolicyTest, RoundRobinRotatesOneStepPerCycle)

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -31,6 +32,24 @@ cli(const std::vector<std::string> &args, std::string &out)
     const int rc = mtdae::cli::runCli(args, os, es);
     out = os.str();
     return rc;
+}
+
+/**
+ * Call @p fn; when it throws, EXPECT the message to contain @p text and
+ * rethrow, so EXPECT_THROW(test::withMessage(fn, text), Type) checks
+ * both the exception type and its message.
+ */
+template <typename Fn>
+void
+withMessage(Fn fn, const std::string &text)
+{
+    try {
+        fn();
+    } catch (const std::exception &e) {
+        EXPECT_NE(std::string(e.what()).find(text), std::string::npos)
+            << "message: " << e.what();
+        throw;
+    }
 }
 
 /** Read a whole file as bytes (EXPECT-fails when it cannot open). */
