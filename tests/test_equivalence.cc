@@ -173,6 +173,46 @@ INSTANTIATE_TEST_SUITE_P(
         return csvName(info.param.name);
     });
 
+/**
+ * Wide machines: 16 and 64 contexts sharing one L1, the regime where
+ * most cycles find every MSHR busy and a ROB-head store is refused.
+ * No default-grid golden goes above 4 contexts.
+ */
+TEST(EquivalenceWide, SixteenAndSixtyFourContextsMatchTheirGoldens)
+{
+    struct Case
+    {
+        std::string name;
+        std::string golden;
+        std::vector<std::string> args;
+    };
+    const std::vector<Case> cases = {
+        {"ablate-checkpoint", "ablate_checkpoint_wide",
+         {"--threads-list=16,64", "--latencies=16", "--insts=250",
+          "--warmup=2000"}},
+        {"ablate-policy", "ablate_policy_wide",
+         {"--threads-list=16", "--insts=1000", "--warmup=200"}},
+    };
+    const std::vector<std::vector<std::string>> flag_sets = {
+        {}, {"--cycle-skip=off", "--warm-start=0"}};
+    for (const Case &c : cases) {
+        const std::string want =
+            test::slurp(sourcePath("tests/golden/" + c.golden + ".csv"));
+        ASSERT_FALSE(want.empty()) << c.golden;
+        for (std::size_t i = 0; i < flag_sets.size(); ++i) {
+            std::vector<std::string> args = {c.name};
+            args.insert(args.end(), c.args.begin(), c.args.end());
+            args.insert(args.end(), {"--jobs=1", "--quiet"});
+            args.insert(args.end(), flag_sets[i].begin(), flag_sets[i].end());
+            EXPECT_EQ(runCsv(c.name, args,
+                             ::testing::TempDir() + "mtdae_equiv_" +
+                                 c.golden + std::to_string(i)),
+                      want)
+                << c.golden << " drifted (flag set " << i << ")";
+        }
+    }
+}
+
 TEST(EquivalenceSpelling, WarmupInstsAliasReproducesTheFigureGoldens)
 {
     // --warmup-insts is the checkpoint docs' spelling of --warmup.
