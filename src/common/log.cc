@@ -48,13 +48,6 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-fatalImpl(const char *file, int line, const std::string &msg)
-{
-    emit("fatal: ", file, line, msg);
-    std::exit(1);
-}
-
-void
 warnImpl(const std::string &msg)
 {
     emit("warn: ", msg);

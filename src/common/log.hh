@@ -1,10 +1,12 @@
 /**
  * @file
- * Status and error reporting, following the gem5 fatal/panic convention.
+ * Status and error reporting, following the gem5 panic convention.
  *
  * panic(): an internal simulator invariant was violated (a bug); aborts.
- * fatal(): the user asked for something impossible (bad config); exits.
  * warn()/inform(): advisory messages that never stop the simulation.
+ * Invalid input (a configuration, benchmark name, kernel or checkpoint)
+ * is not reported here: it throws a typed error (ConfigError, DslError,
+ * SnapshotError) that the caller maps to a usage error.
  *
  * All helpers are safe to call from concurrent sweep workers: each
  * message is formatted off-lock and written to the sink as one guarded
@@ -33,8 +35,6 @@ concat(Args &&...args)
 
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 
@@ -43,11 +43,6 @@ void informImpl(const std::string &msg);
 /** Abort with a message: an internal invariant was violated. */
 #define MTDAE_PANIC(...) \
     ::mtdae::detail::panicImpl(__FILE__, __LINE__, \
-                               ::mtdae::detail::concat(__VA_ARGS__))
-
-/** Exit with a message: the configuration or input is invalid. */
-#define MTDAE_FATAL(...) \
-    ::mtdae::detail::fatalImpl(__FILE__, __LINE__, \
                                ::mtdae::detail::concat(__VA_ARGS__))
 
 /** Assert an invariant; panics with the stringified condition on failure. */

@@ -42,7 +42,8 @@ class TextTable
 class CsvWriter
 {
   public:
-    /** Open @p path for writing; fatal() on failure unless path empty. */
+    /** Open @p path for writing; on failure warn and write nothing
+     *  (as for an empty path). */
     explicit CsvWriter(const std::string &path);
     ~CsvWriter();
 

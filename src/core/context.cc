@@ -198,15 +198,10 @@ void
 Context::sampleWindows()
 {
     std::uint32_t &slot = iqSamples[iqSampleAt];
-    const std::uint32_t evicted = slot;
     iqWindowSum -= slot;
     slot = std::uint32_t(iq.size());
     iqWindowSum += slot;
     iqSampleAt = (iqSampleAt + 1) % kIqWindow;
-    // The windows feed ThreadState::iqOccupancyWindow / ::missWindow;
-    // an unchanged sum keeps the cached snapshot valid.
-    if (slot != evicted)
-        policyDirty = true;
 
     const std::uint32_t cur = perceived.outstanding();
     if (cur != missCountedFor) {
@@ -218,19 +213,15 @@ Context::sampleWindows()
         for (const std::uint32_t s : missSamples)
             if (s == cur)
                 ++missSlotsAtCur;
-        policyDirty = true;
     }
     std::uint32_t &mslot = missSamples[missSampleAt];
-    const std::uint32_t mevicted = mslot;
     missWindowSum -= mslot;
-    if (mevicted == cur)
+    if (mslot == cur)
         --missSlotsAtCur;
     mslot = cur;
     ++missSlotsAtCur;
     missWindowSum += mslot;
     missSampleAt = (missSampleAt + 1) % kIqWindow;
-    if (mslot != mevicted)
-        policyDirty = true;
 }
 
 void
@@ -240,12 +231,7 @@ Context::advanceWindows(std::uint64_t n)
     const std::uint32_t m = perceived.outstanding();
     if (n >= kIqWindow) {
         // Every ring slot is overwritten at least once: the windows
-        // saturate at n samples of the constant values. The fill can
-        // make a mixed-but-equal-sum miss ring uniform, so the
-        // uniformity tracker must invalidate the cache too.
-        if (iqWindowSum != v * kIqWindow || missWindowSum != m * kIqWindow ||
-            missSlotsAtCur != kIqWindow || missCountedFor != m)
-            policyDirty = true;
+        // saturate at n samples of the constant values.
         iqSamples.fill(v);
         iqWindowSum = v * kIqWindow;
         missSamples.fill(m);
@@ -259,14 +245,12 @@ Context::advanceWindows(std::uint64_t n)
             for (const std::uint32_t s : missSamples)
                 if (s == m)
                     ++missSlotsAtCur;
-            policyDirty = true;
         }
         for (std::uint64_t i = 0; i < n; ++i) {
             std::uint32_t &slot = iqSamples[iqSampleAt];
             if (slot != v) {
                 iqWindowSum += v - slot;
                 slot = v;
-                policyDirty = true;
             }
             iqSampleAt = (iqSampleAt + 1) % kIqWindow;
             std::uint32_t &mslot = missSamples[missSampleAt];
@@ -274,7 +258,6 @@ Context::advanceWindows(std::uint64_t n)
                 missWindowSum += m - mslot;
                 mslot = m;
                 ++missSlotsAtCur;
-                policyDirty = true;
             }
             missSampleAt = (missSampleAt + 1) % kIqWindow;
         }
@@ -287,6 +270,7 @@ Context::advanceWindows(std::uint64_t n)
 ThreadState
 Context::policyState(const SimConfig &cfg, Cycle now) const
 {
+    (void)now;
     ThreadState s;
     s.tid = tid;
     s.fetchBufOccupancy = std::uint32_t(fetchBuf.size());
@@ -294,6 +278,14 @@ Context::policyState(const SimConfig &cfg, Cycle now) const
     s.iqOccupancy = std::uint32_t(iq.size());
     s.robOccupancy = std::uint32_t(rob.size());
     s.unresolvedBranches = unresolvedBranches;
+    missAndWindowKeys(s);
+    s.weight = cfg.threadWeight(tid);
+    return s;
+}
+
+void
+Context::missAndWindowKeys(ThreadState &s) const
+{
     s.outstandingMisses = perceived.outstanding();
     s.iqOccupancyWindow = iqWindowSum;
     s.missWindow = missWindowSum;
@@ -302,11 +294,6 @@ Context::policyState(const SimConfig &cfg, Cycle now) const
     // which is always a safe (conservative) answer.
     s.missWindowUniform = missCountedFor == s.outstandingMisses &&
                           missSlotsAtCur == kIqWindow;
-    s.weight = cfg.threadWeight(tid);
-    s.fetchEligible = !fetchBlocked && now >= fetchResumeAt &&
-                      (!replayQ.empty() || !traceDone || hasPending) &&
-                      fetchBuf.size() < cfg.fetchBufferSize;
-    return s;
 }
 
 void
@@ -499,8 +486,6 @@ Context::restore(ByteReader &r)
     for (const std::uint32_t s : missSamples)
         if (s == missCountedFor)
             ++missSlotsAtCur;
-
-    policyDirty = true;
 }
 
 bool

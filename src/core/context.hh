@@ -202,14 +202,6 @@ struct Context
      */
     std::uint64_t graduatedBase = 0;
 
-    /**
-     * Invalidation flag for the simulator's cached ThreadState
-     * (Simulator::snapshotThreads). Set by every mutation of a field
-     * policyState() reads; cleared when the cache recomputes. Derived
-     * state: never serialized — Context::restore() just sets it.
-     */
-    bool policyDirty = true;
-
     /** Cycles in the trailing statistic windows (the split policy's
      *  EP drain-rate key and the adaptive policy's phase key;
      *  ThreadState::iqOccupancyWindow / ::missWindow). */
@@ -317,14 +309,35 @@ struct Context
     }
 
     /**
-     * Snapshot the occupancy/blocked state the arbitration policies
-     * are allowed to see (src/policy/policy.hh). Taken at the start of
-     * each consulting pipeline stage.
+     * Recompute, from scratch, the keys the arbitration policies see
+     * (src/policy/policy.hh). The Simulator keeps the same keys live
+     * instead; this is their oracle.
      *
-     * @param cfg the configuration in force (fetch-buffer capacity)
-     * @param now current cycle (redirect-gate check)
+     * @param cfg the configuration in force (the thread's weight)
+     * @param now unused: no key depends on the cycle
      */
     ThreadState policyState(const SimConfig &cfg, Cycle now) const;
+
+    /**
+     * Write the keys that follow the outstanding-miss count and the
+     * trailing windows into @p s: outstandingMisses, iqOccupancyWindow,
+     * missWindow and missWindowUniform. Called after every miss open
+     * or close and every window sample.
+     */
+    void missAndWindowKeys(ThreadState &s) const;
+
+    /**
+     * May the thread fetch at cycle @p now: not gated on a mispredicted
+     * branch or a redirect, instructions remain (trace not exhausted,
+     * or flushed instructions awaiting replay), fetch buffer not full.
+     */
+    bool
+    fetchEligible(const SimConfig &cfg, Cycle now) const
+    {
+        return !fetchBlocked && now >= fetchResumeAt &&
+               (!replayQ.empty() || !traceDone || hasPending) &&
+               fetchBuf.size() < cfg.fetchBufferSize;
+    }
 
     /**
      * Serialize the context's complete mutable state. The apQ/iq/saq

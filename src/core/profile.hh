@@ -9,10 +9,10 @@
  *
  * The accounting invariant: every nanosecond of a profiled step() lands
  * in exactly one stage bucket, so the buckets sum to totalNs exactly
- * (tests/test_profile.cc asserts this). Time spent rebuilding
- * ThreadState snapshots is carved out of whichever stage triggered the
- * rebuild and credited to Stage::Snapshot, making the cost the
- * incremental-snapshot cache avoids directly visible.
+ * (tests/test_profile.cc asserts this). The policy-ranking calls (the
+ * issue, dispatch and fetch orders) are marked apart from the stages
+ * that walk those orders and credited to Stage::Snapshot, whose name
+ * predates the live policy keys.
  *
  * The profile is wall-clock measurement state, not simulated state: it
  * is excluded from checkpoints (snapshot.cc) and from every byte-
@@ -35,11 +35,11 @@ namespace mtdae {
 /** One bucket per pipeline stage of Simulator::step(). */
 enum class Stage : std::uint8_t {
     Complete,  ///< memory beginCycle + completion-event drain
-    Issue,     ///< issue arbitration + unit issue on both clusters
+    Issue,     ///< unit issue on both clusters + slot accounting
     Dispatch,  ///< rename/dispatch from the fetch buffers
-    Fetch,     ///< flush checks + fetch arbitration + predictor
+    Fetch,     ///< flush checks + fetch walk + predictor
     Graduate,  ///< in-order retirement from the ROBs
-    Snapshot,  ///< ThreadState rebuilds for the policy layer
+    Snapshot,  ///< policy ranking: issue, dispatch and fetch orders
     Other,     ///< IQ-window sampling, policy endCycle, loop overhead
     Skipped,   ///< fast-forwarded quiescent spans (trySkipIdle)
 };

@@ -17,65 +17,14 @@ Simulator::Simulator(const SimConfig &cfg,
     MTDAE_ASSERT(sources.size() == cfg_.numThreads,
                  "need exactly one trace source per hardware context (",
                  sources.size(), " given, ", cfg_.numThreads, " threads)");
-    for (ThreadId t = 0; t < cfg_.numThreads; ++t)
+    keys_.reserve(cfg_.numThreads);
+    for (ThreadId t = 0; t < cfg_.numThreads; ++t) {
         contexts_.push_back(
             std::make_unique<Context>(t, cfg_, std::move(sources[t])));
-    threadStates_.resize(cfg_.numThreads);
-    threadStateAt_.resize(cfg_.numThreads, 0);
+        keys_.push_back(contexts_.back()->policyState(cfg_, now_));
+    }
+    parkedUntil_.assign(cfg_.numThreads, 0);
     reasonsScratch_.reserve(cfg_.numThreads);
-}
-
-void
-Simulator::refreshThreadStates()
-{
-    for (ThreadId t = 0; t < cfg_.numThreads; ++t) {
-        Context &ctx = *contexts_[t];
-        // A clean entry is reusable when it was stamped this very cycle
-        // or when its only time-dependent input — the fetch-redirect
-        // gate `now >= fetchResumeAt` — was already open at stamp time
-        // (it can then never close without a field mutation, which
-        // would have set policyDirty).
-        if (!ctx.policyDirty && (threadStateAt_[t] == now_ ||
-                                 ctx.fetchResumeAt <= threadStateAt_[t]))
-            continue;
-        threadStates_[t] = ctx.policyState(cfg_, now_);
-        threadStateAt_[t] = now_;
-        ctx.policyDirty = false;
-    }
-}
-
-const std::vector<ThreadState> &
-Simulator::snapshotThreads()
-{
-#if MTDAE_PROFILE
-    if (profileEnabled_) {
-        const auto t0 = std::chrono::steady_clock::now();
-        refreshThreadStates();
-        snapNs_ += std::uint64_t(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
-        return threadStates_;
-    }
-#endif
-    refreshThreadStates();
-    return threadStates_;
-}
-
-bool
-Simulator::threadStateCacheCoherent() const
-{
-    for (ThreadId t = 0; t < cfg_.numThreads; ++t) {
-        const Context &ctx = *contexts_[t];
-        if (ctx.policyDirty)
-            continue;  // would recompute: nothing cached to check
-        if (threadStateAt_[t] != now_ &&
-            ctx.fetchResumeAt > threadStateAt_[t])
-            continue;  // would recompute (redirect gate may reopen)
-        if (!(threadStates_[t] == ctx.policyState(cfg_, now_)))
-            return false;
-    }
-    return true;
 }
 
 // ---------------------------------------------------------------------
@@ -100,19 +49,19 @@ Simulator::processCompletions()
 
         if (di->loadMissed) {
             ctx.perceived.close(di->missToken);
-            ctx.policyDirty = true;  // outstandingMisses changed
+            ctx.missAndWindowKeys(keys_[ev.tid]);
         }
 
         if (di->isCondBr()) {
             MTDAE_ASSERT(ctx.unresolvedBranches > 0,
                          "branch resolution underflow");
             ctx.unresolvedBranches -= 1;
+            keys_[ev.tid].unresolvedBranches = ctx.unresolvedBranches;
             if (di->mispredicted && ctx.fetchBlocked &&
                 ctx.blockingBranchSeq == di->seq) {
                 ctx.fetchBlocked = false;
                 ctx.fetchResumeAt = now_ + cfg_.redirectPenalty;
             }
-            ctx.policyDirty = true;  // branch count / fetch gate changed
         }
     }
 }
@@ -157,7 +106,7 @@ Simulator::tryIssue(Context &ctx, DynInst &di)
                     ctx.perceived.open(di.ti.op == Opcode::LdI);
                 ctx.file(di.ti.dst.cls).producer(di.physDst).missToken =
                     di.missToken;
-                ctx.policyDirty = true;  // outstandingMisses changed
+                ctx.missAndWindowKeys(keys_[ctx.tid]);
             }
         }
     } else if (di.isStoreOp) {
@@ -190,14 +139,19 @@ Simulator::issueUnit(Unit unit, const std::vector<ThreadId> &order,
 {
     std::uint32_t issued = 0;
     for (std::size_t i = 0; i < order.size() && slots > 0; ++i) {
+        ThreadState &key = keys_[order[i]];
+        std::uint32_t &queued =
+            unit == Unit::AP ? key.apQueueOccupancy : key.iqOccupancy;
+        if (queued == 0)
+            continue;
         Context &ctx = *contexts_[order[i]];
         auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
-        while (slots > 0 && !queue.empty()) {
+        while (slots > 0 && queued > 0) {
             DynInst *di = queue.front();
             if (!tryIssue(ctx, *di))
                 break;
             queue.pop_front();
-            ctx.policyDirty = true;  // unit-queue occupancy changed
+            queued -= 1;
             slots -= 1;
             issued += 1;
         }
@@ -229,14 +183,16 @@ Simulator::accountSlots(Unit unit, const std::vector<ThreadId> &order,
     std::vector<SlotUse> &reasons = reasonsScratch_;
     reasons.clear();
     for (const ThreadId t : order) {
-        Context &ctx = *contexts_[t];
-        auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
-        if (queue.empty()) {
+        const ThreadState &key = keys_[t];
+        const std::uint32_t queued =
+            unit == Unit::AP ? key.apQueueOccupancy : key.iqOccupancy;
+        if (queued == 0) {
             // Nothing available: an idle or wrong-path-gated front end.
             reasons.push_back(SlotUse::Idle);
             continue;
         }
-        DynInst *di = queue.front();
+        Context &ctx = *contexts_[t];
+        DynInst *di = unit == Unit::AP ? ctx.apQ.front() : ctx.iq.front();
         if (!cfg_.decoupled && di->seq != ctx.nextIssueSeq) {
             // Gated by program order (the other unit holds the oldest).
             reasons.push_back(SlotUse::Other);
@@ -265,18 +221,18 @@ Simulator::accountSlots(Unit unit, const std::vector<ThreadId> &order,
 void
 Simulator::issueStage()
 {
-    // Both units' visit orders come from one pre-stage snapshot and
-    // hold for the whole cycle (both passes and the slot accounting).
-    const auto &threads = snapshotThreads();
-    issuePolicy_->issueOrder(Unit::AP, threads, orderAp_);
-    issuePolicy_->issueOrder(Unit::EP, threads, orderEp_);
-
+    // Both units' visit orders hold for the whole cycle (both passes
+    // and the slot accounting).
     std::uint32_t slots_ap = cfg_.apUnits;
     std::uint32_t slots_ep = cfg_.epUnits;
     // Two passes so that, in non-decoupled mode, an AP instruction
     // unblocked by an EP issue this cycle (or vice versa) can still
-    // dual-issue, as an in-order superscalar would.
-    for (int pass = 0; pass < 2; ++pass) {
+    // dual-issue, as an in-order superscalar would. Decoupled, nothing
+    // an issue does can unblock another head within the cycle (ready
+    // bits change at completion; ports and MSHRs only fill up), so a
+    // second pass would find every head as the first left it.
+    const int passes = cfg_.decoupled ? 1 : 2;
+    for (int pass = 0; pass < passes; ++pass) {
         std::uint32_t issued = 0;
         issued += issueUnit(Unit::AP, orderAp_, slots_ap);
         issued += issueUnit(Unit::EP, orderEp_, slots_ep);
@@ -292,9 +248,8 @@ Simulator::issueStage()
 // ---------------------------------------------------------------------
 
 bool
-Simulator::tryDispatch(Context &ctx)
+Simulator::canDispatch(const Context &ctx) const
 {
-    MTDAE_ASSERT(!ctx.fetchBuf.empty(), "dispatch from an empty buffer");
     const FetchedInst &fi = ctx.fetchBuf.front();
     const TraceInst &ti = fi.ti;
     const Unit unit = ti.unit();
@@ -302,18 +257,32 @@ Simulator::tryDispatch(Context &ctx)
     if (ctx.rob.size() >= cfg_.robEntries)
         return false;
     if (ti.op != Opcode::Nop) {
-        auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
+        const auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
         const std::size_t cap =
             unit == Unit::AP ? cfg_.apQueueEntries : cfg_.iqEntries;
         if (queue.size() >= cap)
             return false;
     }
-    const bool is_store = isStore(ti.op);
-    if (is_store && ctx.saq.size() >= cfg_.saqEntries)
+    if (isStore(ti.op) && ctx.saq.size() >= cfg_.saqEntries)
         return false;
     if (ti.dst.valid() && !ctx.file(ti.dst.cls).hasFree())
         return false;
+    return true;
+}
 
+bool
+Simulator::tryDispatch(Context &ctx)
+{
+    MTDAE_ASSERT(!ctx.fetchBuf.empty(), "dispatch from an empty buffer");
+    if (!canDispatch(ctx))
+        return false;
+    const FetchedInst &fi = ctx.fetchBuf.front();
+    const TraceInst &ti = fi.ti;
+    const Unit unit = ti.unit();
+    const bool is_store = isStore(ti.op);
+
+    ThreadState &key = keys_[ctx.tid];
+    key.robOccupancy += 1;
     ctx.rob.emplace_back();
     DynInst &di = ctx.rob.back();
     di.ti = ti;
@@ -339,8 +308,13 @@ Simulator::tryDispatch(Context &ctx)
         // Nops retire without issuing.
         di.state = InstState::Completed;
     } else {
-        auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
-        queue.push_back(&di);
+        if (unit == Unit::AP) {
+            ctx.apQ.push_back(&di);
+            key.apQueueOccupancy += 1;
+        } else {
+            ctx.iq.push_back(&di);
+            key.iqOccupancy += 1;
+        }
         if (is_store) {
             // Deque references are stable under push_back/pop_front, so
             // the store can keep a direct pointer to its entry for the
@@ -351,19 +325,23 @@ Simulator::tryDispatch(Context &ctx)
     }
 
     ctx.fetchBuf.pop_front();
-    ctx.policyDirty = true;  // fetch-buffer / queue / ROB occupancy
+    key.fetchBufOccupancy -= 1;
     return true;
 }
 
 void
 Simulator::dispatchStage()
 {
-    issuePolicy_->dispatchOrder(snapshotThreads(), orderDispatch_);
     std::uint32_t budget = cfg_.dispatchWidth;
     for (std::size_t i = 0; i < orderDispatch_.size() && budget > 0;
          ++i) {
+        const ThreadState &key = keys_[orderDispatch_[i]];
+        // tryDispatch refuses a full ROB first, whatever the buffer
+        // holds, so such a thread is skipped without a Context access.
+        if (key.fetchBufOccupancy == 0 || key.robOccupancy >= cfg_.robEntries)
+            continue;
         Context &ctx = *contexts_[orderDispatch_[i]];
-        while (budget > 0 && !ctx.fetchBuf.empty()) {
+        while (budget > 0 && key.fetchBufOccupancy > 0) {
             if (!tryDispatch(ctx))
                 break;
             budget -= 1;
@@ -436,16 +414,14 @@ Simulator::flushFetchBuffer(Context &ctx)
     // Replayed instructions get fresh sequence numbers; nothing
     // younger than the squashed block was ever fetched.
     ctx.nextSeq = first;
-    ctx.policyDirty = true;  // buffer emptied, branch count unwound
+    ThreadState &key = keys_[ctx.tid];
+    key.fetchBufOccupancy = 0;
+    key.unresolvedBranches = ctx.unresolvedBranches;
 }
 
 void
 Simulator::fetchThread(Context &ctx)
 {
-    // Conservative: fetching mutates the buffer, branch counts, gate
-    // bits and the trace lookahead, and even a zero-instruction walk
-    // can discover trace exhaustion (ensurePending sets traceDone).
-    ctx.policyDirty = true;
     std::uint32_t count = 0;
     while (count < cfg_.fetchWidth &&
            ctx.fetchBuf.size() < cfg_.fetchBufferSize) {
@@ -490,40 +466,41 @@ Simulator::fetchThread(Context &ctx)
         if (stop)
             break;
     }
+    ThreadState &key = keys_[ctx.tid];
+    key.fetchBufOccupancy = std::uint32_t(ctx.fetchBuf.size());
+    key.unresolvedBranches = ctx.unresolvedBranches;
+}
+
+void
+Simulator::flushStage()
+{
+    // Gating pass, before the fetch ranking: a flush-style policy
+    // squashes the pressured threads' not-yet-dispatched buffers,
+    // handing their dispatch slots to the other threads.
+    for (const ThreadState &key : keys_)
+        if (key.fetchBufOccupancy > 0 && fetchPolicy_->shouldFlush(key))
+            flushFetchBuffer(*contexts_[key.tid]);
 }
 
 void
 Simulator::fetchStage()
 {
-    // Gating pass, before any ordering: a flush-style policy squashes
-    // the pressured threads' not-yet-dispatched buffers, handing their
-    // dispatch slots to the other threads.
-    bool flushed = false;
-    for (const ThreadState &t : snapshotThreads()) {
-        if (!contexts_[t.tid]->fetchBuf.empty() &&
-            fetchPolicy_->shouldFlush(t)) {
-            flushFetchBuffer(*contexts_[t.tid]);
-            flushed = true;
-        }
-    }
-    if (flushed)
-        snapshotThreads();  // the squash changed the occupancies
-
-    // The policy ranks every thread (ICOUNT by default: fewest
+    // The policy ranked every thread (ICOUNT by default: fewest
     // pending-dispatch instructions first over a round-robin base);
     // the first fetchThreadsPerCycle *eligible, non-vetoed* threads in
     // that order get the I-cache ports. A vetoed (gated) thread does
     // not consume a port.
-    const auto &threads = threadStates_;
-    fetchPolicy_->fetchOrder(threads, orderFetch_);
     std::uint32_t ports = cfg_.fetchThreadsPerCycle;
     for (const ThreadId t : orderFetch_) {
         if (ports == 0)
             break;
-        if (!threads[t].fetchEligible ||
-            !fetchPolicy_->mayFetch(threads[t]))
+        const ThreadState &key = keys_[t];
+        if (key.fetchBufOccupancy >= cfg_.fetchBufferSize)
+            continue;  // ineligible: full buffer
+        Context &ctx = *contexts_[t];
+        if (!ctx.fetchEligible(cfg_, now_) || !fetchPolicy_->mayFetch(key))
             continue;
-        fetchThread(*contexts_[t]);
+        fetchThread(ctx);
         ports -= 1;
     }
 }
@@ -535,8 +512,10 @@ Simulator::fetchStage()
 void
 Simulator::graduateStage()
 {
-    for (auto &ctxp : contexts_) {
-        Context &ctx = *ctxp;
+    for (ThreadId t = 0; t < cfg_.numThreads; ++t) {
+        if (keys_[t].robOccupancy == 0 || now_ < parkedUntil_[t])
+            continue;
+        Context &ctx = *contexts_[t];
         std::uint32_t width = cfg_.graduateWidth;
         while (width > 0 && !ctx.rob.empty()) {
             DynInst &di = ctx.rob.front();
@@ -548,8 +527,15 @@ Simulator::graduateStage()
                 if (!ctx.storeDataReady(di))
                     break;
                 const MemResult r = mem_.store(di.ti.addr, now_);
-                if (!r.accepted)
-                    break;  // port/MSHR pressure: retry next cycle
+                if (!r.accepted) {
+                    // No free MSHR, or its frame filling another line:
+                    // only a landing fill frees either, so the store
+                    // would be refused, side-effect free, every cycle
+                    // until the next one. Port pressure: next cycle.
+                    if (r.reject != MemReject::NoPort)
+                        parkedUntil_[t] = mem_.nextFillCycle();
+                    break;
+                }
                 MTDAE_ASSERT(!ctx.saq.empty() &&
                              ctx.saq.front().inst == &di &&
                              ctx.saq.front().addrValid,
@@ -562,41 +548,27 @@ Simulator::graduateStage()
                 ctx.file(di.ti.dst.cls).release(di.oldPhysDst);
             di.state = InstState::Graduated;
             ctx.rob.pop_front();
-            ctx.policyDirty = true;  // ROB occupancy changed
             ctx.graduated += 1;
             totalGraduated_ += 1;
             lastGraduation_ = now_;
             width -= 1;
         }
+        keys_[t].robOccupancy = std::uint32_t(ctx.rob.size());
+    }
+}
+
+void
+Simulator::sampleWindows()
+{
+    for (auto &ctxp : contexts_) {
+        ctxp->sampleWindows();
+        ctxp->missAndWindowKeys(keys_[ctxp->tid]);
     }
 }
 
 // ---------------------------------------------------------------------
 // Idle fast-forward
 // ---------------------------------------------------------------------
-
-bool
-Simulator::canDispatch(const Context &ctx) const
-{
-    const FetchedInst &fi = ctx.fetchBuf.front();
-    const TraceInst &ti = fi.ti;
-    const Unit unit = ti.unit();
-
-    if (ctx.rob.size() >= cfg_.robEntries)
-        return false;
-    if (ti.op != Opcode::Nop) {
-        const auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
-        const std::size_t cap =
-            unit == Unit::AP ? cfg_.apQueueEntries : cfg_.iqEntries;
-        if (queue.size() >= cap)
-            return false;
-    }
-    if (isStore(ti.op) && ctx.saq.size() >= cfg_.saqEntries)
-        return false;
-    if (ti.dst.valid() && !ctx.file(ti.dst.cls).hasFree())
-        return false;
-    return true;
-}
 
 bool
 Simulator::quiescent()
@@ -609,8 +581,10 @@ Simulator::quiescent()
         const Context &ctx = *ctxp;
 
         // Graduation: a Completed ROB head would graduate this cycle.
-        // Even a store whose cache write would be *rejected* breaks
-        // quiescence, because the attempt mutates the reject counters.
+        // Even a store whose cache write the L1 would refuse breaks
+        // quiescence: the refused attempt has no side effect, but
+        // counting the head as idle would move the skipped spans, and
+        // with them the skip counters `run` reports.
         if (!ctx.rob.empty()) {
             const DynInst &head = ctx.rob.front();
             if (head.state == InstState::Completed &&
@@ -619,8 +593,8 @@ Simulator::quiescent()
         }
 
         // Issue: a unit-queue head passing its gates would issue — or,
-        // for a load denied a port/MSHR, at least attempt an access and
-        // mutate the memory statistics. Only the heads matter:
+        // for a load denied a port/MSHR, at least attempt an access.
+        // Only the heads matter:
         // issueUnit stops a thread's unit at the first non-issuable
         // instruction, and with both heads stuck neither two-pass round
         // can unblock the other unit.
@@ -636,8 +610,8 @@ Simulator::quiescent()
             return false;
     }
 
-    // Front end, consulted on the same ThreadStates the real stages
-    // would see. An eligible thread *vetoed* by a gating policy does
+    // Front end, consulted on the same live keys the real stages would
+    // see. An eligible thread *vetoed* by a gating policy does
     // not break quiescence — but only while the veto is *stable*
     // (FetchPolicy::vetoStable): occupancies and outstandingMisses are
     // frozen across an idle span, but the trailing windows keep
@@ -650,18 +624,17 @@ Simulator::quiescent()
     // stepping fetch stage never consults the trace of a vetoed
     // thread, and nextInst's lookahead caching would desynchronize the
     // trace-source state from the stepped run's.
-    const auto &threads = snapshotThreads();
-    for (const ThreadState &t : threads) {
-        Context &ctx = *contexts_[t.tid];
-        if (!ctx.fetchBuf.empty()) {
-            if (fetchPolicy_->shouldFlush(t))
+    for (const ThreadState &key : keys_) {
+        Context &ctx = *contexts_[key.tid];
+        if (key.fetchBufOccupancy > 0) {
+            if (fetchPolicy_->shouldFlush(key))
                 return false;
             if (canDispatch(ctx))
                 return false;
         }
-        if (t.fetchEligible) {
-            if (!fetchPolicy_->mayFetch(t)) {
-                if (!fetchPolicy_->vetoStable(t))
+        if (ctx.fetchEligible(cfg_, now_)) {
+            if (!fetchPolicy_->mayFetch(key)) {
+                if (!fetchPolicy_->vetoStable(key))
                     return false;
                 continue;
             }
@@ -696,15 +669,10 @@ Simulator::nextWakeCycle() const
     // gating policy would still veto wakes us only into a re-check and
     // re-skip, which conservatism permits.
     for (const auto &ctxp : contexts_) {
-        const Context &ctx = *ctxp;
-        if (ctx.fetchBlocked || ctx.fetchResumeAt <= now_)
-            continue;
-        if (ctx.replayQ.empty() && ctx.traceDone && !ctx.hasPending)
-            continue;
-        if (ctx.fetchBuf.size() >= cfg_.fetchBufferSize)
-            continue;
-        if (ctx.fetchResumeAt < wake)
-            wake = ctx.fetchResumeAt;
+        const Cycle resume = ctxp->fetchResumeAt;
+        if (resume > now_ && resume < wake &&
+            ctxp->fetchEligible(cfg_, resume))
+            wake = resume;
     }
     return wake;
 }
@@ -714,16 +682,14 @@ Simulator::idleStepStats()
 {
     MTDAE_ASSERT(events_.empty() || events_.top().at > now_,
                  "completion event fired inside a fast-forwarded span");
-    const auto &threads = snapshotThreads();
-    issuePolicy_->issueOrder(Unit::AP, threads, orderAp_);
-    issuePolicy_->issueOrder(Unit::EP, threads, orderEp_);
+    issuePolicy_->issueOrder(Unit::AP, keys_, orderAp_);
+    issuePolicy_->issueOrder(Unit::EP, keys_, orderEp_);
     // Nothing issues, so every slot is free: accountSlots classifies
     // the stalled heads and charges the perceived-latency stalls,
     // exactly as the stepped issue stage would.
     accountSlots(Unit::AP, orderAp_, cfg_.apUnits);
     accountSlots(Unit::EP, orderEp_, cfg_.epUnits);
-    for (auto &ctxp : contexts_)
-        ctxp->sampleWindows();
+    sampleWindows();
     fetchPolicy_->endCycle();
     issuePolicy_->endCycle();
     now_ += 1;
@@ -809,8 +775,10 @@ Simulator::trySkipIdle(std::uint64_t max_cycles)
                         ctx.perceived.stall(tok, bulk);
                 }
             }
-            for (auto &ctxp : contexts_)
+            for (auto &ctxp : contexts_) {
                 ctxp->advanceWindows(bulk);
+                ctxp->missAndWindowKeys(keys_[ctxp->tid]);
+            }
             fetchPolicy_->skipCycles(bulk);
             issuePolicy_->skipCycles(bulk);
             now_ += bulk;
@@ -854,16 +822,12 @@ void
 Simulator::stepImpl()
 {
     // Profiled accounting: consecutive steady_clock marks tile the
-    // whole step, so the stage buckets sum to totalNs exactly. Time
-    // snapshotThreads spent rebuilding ThreadStates inside a stage
-    // (accumulated in snapNs_) is carved out of that stage's delta and
-    // credited to Stage::Snapshot.
+    // whole step, so the stage buckets sum to totalNs exactly. The
+    // policy-ranking calls are marked apart from the stages that walk
+    // their orders and credited to Stage::Snapshot.
     std::chrono::steady_clock::time_point prev;
-    std::uint64_t snap_seen = 0;
-    if constexpr (Profiled) {
+    if constexpr (Profiled)
         prev = std::chrono::steady_clock::now();
-        snapNs_ = 0;
-    }
     const auto mark = [&](Stage s) {
         if constexpr (Profiled) {
             const auto t = std::chrono::steady_clock::now();
@@ -871,12 +835,7 @@ Simulator::stepImpl()
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
                     t - prev)
                     .count());
-            const std::uint64_t snap_delta = snapNs_ - snap_seen;
-            snap_seen = snapNs_;
-            const std::uint64_t snap_credit =
-                snap_delta < d ? snap_delta : d;
-            profile_.ns[std::size_t(s)] += d - snap_credit;
-            profile_.ns[std::size_t(Stage::Snapshot)] += snap_credit;
+            profile_.ns[std::size_t(s)] += d;
             profile_.totalNs += d;
             prev = t;
         } else {
@@ -887,18 +846,26 @@ Simulator::stepImpl()
     mem_.beginCycle(now_);
     processCompletions();
     mark(Stage::Complete);
+    issuePolicy_->issueOrder(Unit::AP, keys_, orderAp_);
+    issuePolicy_->issueOrder(Unit::EP, keys_, orderEp_);
+    mark(Stage::Snapshot);
     issueStage();
     mark(Stage::Issue);
+    issuePolicy_->dispatchOrder(keys_, orderDispatch_);
+    mark(Stage::Snapshot);
     dispatchStage();
     mark(Stage::Dispatch);
+    flushStage();
+    mark(Stage::Fetch);
+    fetchPolicy_->fetchOrder(keys_, orderFetch_);
+    mark(Stage::Snapshot);
     fetchStage();
     mark(Stage::Fetch);
     graduateStage();
     mark(Stage::Graduate);
     // One windowed-statistics sample per cycle, after every stage, so
     // all of next cycle's policy consultations see the same windows.
-    for (auto &ctxp : contexts_)
-        ctxp->sampleWindows();
+    sampleWindows();
     // One rotation step per cycle, matching the historical rrIssue_/
     // rrDispatch_/rrFetch_ counters this layer replaced.
     fetchPolicy_->endCycle();
@@ -960,9 +927,6 @@ Simulator::resetStats()
         ctxp->graduatedBase = ctxp->graduated;
         ctxp->perceived.resetStats();
         ctxp->predictor->resetStats();
-        // Interval boundary: conservatively invalidate the cached
-        // ThreadStates rather than reason about resetStats side effects.
-        ctxp->policyDirty = true;
     }
     profile_.reset();
     lastGraduation_ = now_;

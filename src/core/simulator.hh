@@ -20,11 +20,15 @@
  *      here first: FetchPolicy::shouldFlush() squashes a thread's
  *      not-yet-dispatched buffer for later replay, and
  *      FetchPolicy::mayFetch() vetoes threads from the ranked walk)
- *   6. graduate (in-order retirement; stores write the cache here)
+ *   6. graduate (in-order retirement; stores write the cache here; a
+ *      thread whose head store the L1 refuses for want of an MSHR or a
+ *      frame is parked until the next fill lands)
  *
- * Thread arbitration is pluggable (src/policy/policy.hh): the policies
- * are consulted once per cycle with read-only per-context snapshots,
- * selected by SimConfig::fetchPolicy / SimConfig::issuePolicy.
+ * Thread arbitration is pluggable (src/policy/policy.hh), selected by
+ * SimConfig::fetchPolicy / SimConfig::issuePolicy. Each seam ranks the
+ * threads once per cycle over the per-context keys the stages keep
+ * live (Simulator::policyKeys), and the stages consult those keys
+ * before touching a Context, so an idle thread costs no Context access.
  */
 
 #ifndef MTDAE_CORE_SIMULATOR_HH
@@ -200,12 +204,11 @@ class Simulator
     bool profilingEnabled() const { return profileEnabled_; }
 
     /**
-     * Coherence check for the incremental ThreadState cache (test
-     * hook): every cached snapshot the next snapshotThreads() would
-     * serve without recomputing must equal a fresh
-     * Context::policyState(). O(threads); call it between step()s.
+     * The live policy keys, indexed by tid: what the policies are
+     * handed. Each equals Context::policyState() of its context
+     * between step()s (the property tests' oracle).
      */
-    bool threadStateCacheCoherent() const;
+    const std::vector<ThreadState> &policyKeys() const { return keys_; }
 
     /** Current cycle. */
     Cycle now() const { return now_; }
@@ -270,6 +273,7 @@ class Simulator
     };
 
     void processCompletions();
+    /** Issue over this cycle's orderAp_/orderEp_, then slot accounting. */
     void issueStage();
     /** @return instructions issued; decrements @p slots. */
     std::uint32_t issueUnit(Unit unit, const std::vector<ThreadId> &order,
@@ -277,8 +281,15 @@ class Simulator
     bool tryIssue(Context &ctx, DynInst &di);
     void accountSlots(Unit unit, const std::vector<ThreadId> &order,
                       std::uint32_t free_slots);
+    /** Dispatch in this cycle's orderDispatch_. */
     void dispatchStage();
     bool tryDispatch(Context &ctx);
+    /** Room for the fetch-buffer head: ROB, unit queue, SAQ, rename
+     *  register (tryDispatch's checks, side-effect free). */
+    bool canDispatch(const Context &ctx) const;
+    /** The fetch gating pass: FetchPolicy::shouldFlush per thread. */
+    void flushStage();
+    /** Fetch in this cycle's orderFetch_. */
     void fetchStage();
     void fetchThread(Context &ctx);
     bool ensurePending(Context &ctx);
@@ -296,6 +307,8 @@ class Simulator
      */
     void flushFetchBuffer(Context &ctx);
     void graduateStage();
+    /** One trailing-window sample per context, mirrored into keys_. */
+    void sampleWindows();
 
     /** step() body; Profiled selects the timing instrumentation. */
     template <bool Profiled> void stepImpl();
@@ -310,8 +323,6 @@ class Simulator
      * false and the cycle is stepped normally.
      */
     bool quiescent();
-    /** Side-effect-free mirror of tryDispatch's resource checks. */
-    bool canDispatch(const Context &ctx) const;
     /**
      * Earliest cycle after now_ at which quiescence could end: the
      * completion-event head, the memory system's next event, and every
@@ -348,17 +359,6 @@ class Simulator
         return cfg_.cycleSkip && now_ >= lastGraduation_ + 2;
     }
 
-    /**
-     * Hand the policy layer its per-context snapshots, recomputing only
-     * threads whose Context::policyDirty flag is set (or whose cached
-     * fetch-redirect gate could have reopened since it was stamped);
-     * every other thread's entry is served from threadStates_ as-is.
-     */
-    const std::vector<ThreadState> &snapshotThreads();
-
-    /** The recompute loop of snapshotThreads (un-instrumented). */
-    void refreshThreadStates();
-
     SimConfig cfg_;
     MemorySystem mem_;
     std::vector<std::unique_ptr<Context>> contexts_;
@@ -366,14 +366,28 @@ class Simulator
 
     Cycle now_ = 0;
 
-    // Thread arbitration (src/policy/policy.hh) and its per-stage
-    // scratch: the state snapshots handed to the policies and the
-    // visit orders they produce (reused to avoid per-cycle allocation).
+    // Thread arbitration (src/policy/policy.hh): the policies, the keys
+    // they rank by and the visit orders they produce (reused to avoid
+    // per-cycle allocation).
     std::unique_ptr<FetchPolicy> fetchPolicy_;
     std::unique_ptr<ArbitrationPolicy> issuePolicy_;
-    std::vector<ThreadState> threadStates_;
-    /** Cycle each threadStates_ entry was computed at (cache stamps). */
-    std::vector<Cycle> threadStateAt_;
+    /**
+     * The policy keys of every context, indexed by tid, updated in
+     * place wherever the Context state they mirror changes (fetch,
+     * dispatch, issue, completion, miss open/close, flush, graduation,
+     * window sampling). Derived state: rebuilt from
+     * Context::policyState() on restore, never serialized.
+     */
+    std::vector<ThreadState> keys_;
+    /**
+     * Per thread, the cycle before which its ROB-head store is known to
+     * be refused by the L1: graduation skips the thread until then. Set
+     * when the store is refused for want of an MSHR or by a frame
+     * conflict, to MemorySystem::nextFillCycle(), since only a landing
+     * fill frees either. Derived state: cleared on restore, never
+     * serialized (a restored run re-attempts once and parks again).
+     */
+    std::vector<Cycle> parkedUntil_;
     std::vector<ThreadId> orderAp_;
     std::vector<ThreadId> orderEp_;
     std::vector<ThreadId> orderDispatch_;
@@ -384,9 +398,6 @@ class Simulator
     // Per-stage wall-clock profiling (core/profile.hh).
     bool profileEnabled_ = false;
     StageProfile profile_;
-    /** Nanoseconds snapshotThreads spent within the current stage
-     *  interval; stepImpl<true> carves it out into Stage::Snapshot. */
-    std::uint64_t snapNs_ = 0;
 
     // Statistics for the current interval.
     SlotBreakdown slotsAp_;

@@ -200,6 +200,13 @@ Simulator::restoreSnapshot(const Snapshot &snap)
 
     if (!r.atEnd())
         throw SnapshotError("trailing bytes in snapshot payload");
+
+    // Derived state: the live policy keys follow the restored contexts,
+    // and no thread is parked (a parked store re-attempts once, is
+    // refused without side effects, and parks again).
+    for (ThreadId t = 0; t < cfg_.numThreads; ++t)
+        keys_[t] = contexts_[t]->policyState(cfg_, now_);
+    parkedUntil_.assign(cfg_.numThreads, 0);
 }
 
 } // namespace mtdae

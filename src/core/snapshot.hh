@@ -48,7 +48,7 @@ namespace mtdae {
 inline constexpr std::uint32_t kSnapshotMagic = 0x4d545353u;
 
 /** Payload-encoding version; bump on any serialized-format change. */
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /**
  * A captured simulator state: the config fingerprint it belongs to and

@@ -61,15 +61,20 @@ MemorySystem::beginCycle(Cycle now)
 MemorySystem::Mshr *
 MemorySystem::findMshr(std::uint64_t line)
 {
-    for (auto &m : mshrs_)
-        if (m.valid && m.lineAddr == line)
-            return &m;
-    return nullptr;
+    // An MSHR fills exactly one frame and a frame has at most one
+    // filling MSHR, so the frame's pending index finds it in O(1).
+    const Line &l = lines_[frameOf(line)];
+    if (l.pendingMshr < 0)
+        return nullptr;
+    Mshr &m = mshrs_[std::size_t(l.pendingMshr)];
+    return m.lineAddr == line ? &m : nullptr;
 }
 
 MemorySystem::Mshr *
 MemorySystem::allocMshr()
 {
+    if (mshrsInUse_ == mshrs_.size())
+        return nullptr;
     for (auto &m : mshrs_)
         if (!m.valid)
             return &m;
@@ -81,11 +86,9 @@ MemorySystem::access(Addr addr, bool is_store, Cycle now)
 {
     MTDAE_ASSERT(now == currentCycle_, "access outside beginCycle interval");
     MemResult res;
-    lastReject_ = MemReject::None;
 
     if (portsUsed_ >= ports_) {
-        lastReject_ = MemReject::NoPort;
-        stats_.rejects += 1;
+        res.reject = MemReject::NoPort;
         return res;
     }
 
@@ -129,16 +132,14 @@ MemorySystem::access(Addr addr, bool is_store, Cycle now)
     // A different line is being filled into this frame: the frame is
     // busy until the fill lands; retry later.
     if (l1.pendingMshr >= 0) {
-        lastReject_ = MemReject::Conflict;
-        stats_.rejects += 1;
+        res.reject = MemReject::Conflict;
         return res;
     }
 
     // Primary miss: needs a free MSHR.
     Mshr *m = allocMshr();
     if (!m) {
-        lastReject_ = MemReject::NoMshr;
-        stats_.rejects += 1;
+        res.reject = MemReject::NoMshr;
         return res;
     }
 
@@ -242,9 +243,7 @@ MemorySystem::save(ByteWriter &w) const
     w.u64(stats_.storeMiss.den);
     w.u64(stats_.mergedMisses);
     w.u64(stats_.writebacks);
-    w.u64(stats_.rejects);
     w.u64(stats_.fillLatencySum);
-    w.u8(std::uint8_t(lastReject_));
 }
 
 void
@@ -270,6 +269,24 @@ MemorySystem::restore(ByteReader &r)
     mshrsInUse_ = r.u32();
     portsUsed_ = r.u32();
     currentCycle_ = r.u64();
+    // findMshr, allocMshr and the fill recycle rely on the MSHRs, their
+    // frames and the in-use count agreeing.
+    std::uint32_t valid = 0;
+    for (std::size_t i = 0; i < mshrs_.size(); ++i) {
+        if (!mshrs_[i].valid)
+            continue;
+        ++valid;
+        if (mshrs_[i].frame >= lines_.size() ||
+            lines_[mshrs_[i].frame].pendingMshr != std::int32_t(i))
+            throw SnapshotError("L1 MSHRs and frames disagree in snapshot");
+    }
+    for (const Line &l : lines_)
+        if (l.pendingMshr >= 0 &&
+            (std::size_t(l.pendingMshr) >= mshrs_.size() ||
+             !mshrs_[std::size_t(l.pendingMshr)].valid))
+            throw SnapshotError("L1 MSHRs and frames disagree in snapshot");
+    if (valid != mshrsInUse_)
+        throw SnapshotError("L1 MSHR count disagrees in snapshot");
     // Rebuild the derived earliest-fill watermark from the MSHR state.
     nextFillAt_ = kNoCycle;
     for (const Mshr &m : mshrs_)
@@ -284,9 +301,7 @@ MemorySystem::restore(ByteReader &r)
     stats_.storeMiss.den = r.u64();
     stats_.mergedMisses = r.u64();
     stats_.writebacks = r.u64();
-    stats_.rejects = r.u64();
     stats_.fillLatencySum = r.u64();
-    lastReject_ = MemReject(r.u8());
 }
 
 } // namespace mtdae

@@ -31,8 +31,17 @@
 
 namespace mtdae {
 
+/** Why an access was not accepted this cycle. */
+enum class MemReject : std::uint8_t {
+    None,     ///< Accepted.
+    NoPort,   ///< All L1 ports used this cycle.
+    NoMshr,   ///< Lockup-free miss capacity exhausted.
+    Conflict, ///< Line frame busy with a pending fill of another tag.
+};
+
 /**
- * Outcome of one L1 access attempt.
+ * Outcome of one L1 access attempt. A refused attempt changes no state
+ * and no statistic, so retrying it costs only the lookup.
  */
 struct MemResult
 {
@@ -40,17 +49,10 @@ struct MemResult
     bool hit = false;       ///< Valid when accepted.
     bool merged = false;    ///< Secondary miss merged into a pending fill.
     Cycle readyAt = 0;      ///< Cycle the data is available (loads).
+    MemReject reject = MemReject::None;  ///< Why it was not accepted.
 
     /** Accepted and missed in the L1 (primary or merged). */
     bool miss() const { return accepted && !hit; }
-};
-
-/** Why an access was not accepted this cycle. */
-enum class MemReject : std::uint8_t {
-    None,     ///< Accepted.
-    NoPort,   ///< All L1 ports used this cycle.
-    NoMshr,   ///< Lockup-free miss capacity exhausted.
-    Conflict, ///< Line frame busy with a pending fill of another tag.
 };
 
 /**
@@ -65,7 +67,6 @@ struct MemStats
     RatioStat storeMiss;   ///< num = store misses, den = store accesses.
     std::uint64_t mergedMisses = 0;  ///< Secondary misses merged in MSHRs.
     std::uint64_t writebacks = 0;    ///< Dirty lines written to L2.
-    std::uint64_t rejects = 0;       ///< Structural rejections (retries).
     /** Sum over primary misses of (fill completion - access cycle):
      *  the emergent end-to-end miss latency numerator. */
     std::uint64_t fillLatencySum = 0;
@@ -93,7 +94,6 @@ struct MemStats
         storeMiss.reset();
         mergedMisses = 0;
         writebacks = 0;
-        rejects = 0;
         fillLatencySum = 0;
     }
 };
@@ -116,9 +116,6 @@ class MemorySystem
 
     /** Attempt a store at cycle @p now (write-allocate). */
     MemResult store(Addr addr, Cycle now) { return access(addr, true, now); }
-
-    /** Reason the most recent non-accepted access was rejected. */
-    MemReject lastReject() const { return lastReject_; }
 
     /** Number of MSHRs currently in flight. */
     std::uint32_t mshrsInUse() const { return mshrsInUse_; }
@@ -161,6 +158,14 @@ class MemorySystem
      * re-check.
      */
     Cycle nextEventCycle(Cycle now) const;
+
+    /**
+     * Cycle the earliest in-flight L1 fill lands (kNoCycle when none).
+     * Only a landing fill frees an MSHR or a line frame, so an access
+     * refused with MemReject::NoMshr or MemReject::Conflict is refused
+     * again at every cycle before this one.
+     */
+    Cycle nextFillCycle() const { return nextFillAt_; }
 
     /** Serialize the entire hierarchy's mutable state. */
     void save(ByteWriter &w) const;
@@ -224,7 +229,6 @@ class MemorySystem
     Dram dram_;
     L2Cache l2_;
     MemStats stats_;
-    MemReject lastReject_ = MemReject::None;
 };
 
 } // namespace mtdae

@@ -1,6 +1,8 @@
 #include "policy/policy.hh"
 
 #include <algorithm>
+#include <numeric>
+#include <utility>
 
 #include "common/log.hh"
 #include "common/serialize.hh"
@@ -11,10 +13,15 @@ namespace {
 
 /**
  * Shared mechanics of every standard policy: a round-robin rotation
- * advanced one step per cycle, optionally refined by a stable sort on
- * a per-thread key. With a stable sort, filtering ineligible threads
- * before or after the sort yields the same relative order, which is
- * what lets the Simulator apply eligibility after the policy ran.
+ * advanced one step per cycle, optionally refined by a per-thread key
+ * with ties broken by rotation position. Because ties never depend on
+ * the sort algorithm, filtering ineligible threads before or after
+ * ranking yields the same relative order, which is what lets the
+ * Simulator apply eligibility after the policy ran.
+ *
+ * Ranking is allocation-free after its first call: each scratch array
+ * is sized to the thread count when first used, so a pure rotation
+ * allocates nothing at all.
  */
 class RotatingOrder
 {
@@ -25,33 +32,53 @@ class RotatingOrder
     void
     rotation(std::vector<ThreadId> &out) const
     {
-        out.clear();
-        if (nthreads_ == 1) {
-            // Single-thread machines dominate sweep grids; skip the
-            // modular walk (and the callers' stable_sort) outright.
-            out.push_back(0);
-            return;
-        }
-        out.reserve(nthreads_);
-        for (std::uint32_t i = 0; i < nthreads_; ++i)
-            out.push_back((rr_ + i) % nthreads_);
+        out.resize(nthreads_);
+        std::iota(out.begin(), out.end() - rr_, rr_);
+        std::iota(out.end() - rr_, out.end(), 0u);
     }
 
     /**
-     * Rotation refined by @p key: fewest-first, ties keep rotation
-     * order (the ICOUNT shape — RR-2.8 in the SMT fetch literature).
+     * Rotation refined by @p key: fewest-first, ties in rotation order
+     * (the ICOUNT shape — RR-2.8 in the SMT fetch literature). Keys
+     * below the bucket count (occupancies, branch and miss counts) go
+     * through a counting sort over the rotation; wider keys (the
+     * 64-cycle window sums) through a sort of packed key-and-position
+     * words.
      */
     template <typename KeyFn>
     void
     rotationSortedBy(const std::vector<ThreadState> &threads, KeyFn key,
-                     std::vector<ThreadId> &out) const
+                     std::vector<ThreadId> &out)
     {
         rotation(out);
-        if (out.size() > 1)
-            std::stable_sort(out.begin(), out.end(),
-                             [&](ThreadId a, ThreadId b) {
-                                 return key(threads[a]) < key(threads[b]);
-                             });
+        if (nthreads_ == 1)
+            return;
+        keys_.resize(nthreads_);
+        buckets_.resize(kBucketsPerThread * nthreads_);
+        std::uint32_t top = 0;
+        for (std::uint32_t pos = 0; pos < nthreads_; ++pos) {
+            keys_[pos] = key(threads[out[pos]]);
+            top = std::max(top, keys_[pos]);
+        }
+        if (top < buckets_.size()) {
+            // Bucket starts by prefix sum, then every position lands in
+            // its bucket in rotation order.
+            std::fill_n(buckets_.begin(), top + 1, 0u);
+            for (std::uint32_t pos = 0; pos < nthreads_; ++pos)
+                ++buckets_[keys_[pos]];
+            std::uint32_t start = 0;
+            for (std::uint32_t k = 0; k <= top; ++k)
+                start += std::exchange(buckets_[k], start);
+            for (std::uint32_t pos = 0; pos < nthreads_; ++pos)
+                out[buckets_[keys_[pos]]++] = tidAt(pos);
+            return;
+        }
+        packed_.resize(nthreads_);
+        for (std::uint32_t pos = 0; pos < nthreads_; ++pos)
+            packed_[pos] = std::uint64_t(keys_[pos]) << 32 | pos;
+        std::sort(packed_.begin(), packed_.end());
+        for (std::uint32_t i = 0; i < nthreads_; ++i)
+            out[i] = tidAt(std::uint32_t(packed_[i]));
     }
 
     /**
@@ -61,22 +88,27 @@ class RotatingOrder
      * the u64 products cannot overflow). Ties — including every pair
      * on a uniform-weight machine with equal keys — keep rotation
      * order, so weight vectors of all ones reduce to the unweighted
-     * sort.
+     * ranking.
      */
     template <typename KeyFn>
     void
     rotationSortedWeighted(const std::vector<ThreadState> &threads,
-                           KeyFn key, std::vector<ThreadId> &out) const
+                           KeyFn key, std::vector<ThreadId> &out)
     {
-        rotation(out);
-        if (out.size() > 1)
-            std::stable_sort(
-                out.begin(), out.end(), [&](ThreadId a, ThreadId b) {
-                    const ThreadState &ta = threads[a];
-                    const ThreadState &tb = threads[b];
-                    return std::uint64_t(key(ta)) * tb.weight <
-                           std::uint64_t(key(tb)) * ta.weight;
-                });
+        ratios_.resize(nthreads_);
+        for (std::uint32_t pos = 0; pos < nthreads_; ++pos) {
+            const ThreadState &t = threads[tidAt(pos)];
+            ratios_[pos] = {key(t), t.weight, pos};
+        }
+        std::sort(ratios_.begin(), ratios_.end(),
+                  [](const Ratio &a, const Ratio &b) {
+                      const std::uint64_t l = std::uint64_t(a.key) * b.weight;
+                      const std::uint64_t r = std::uint64_t(b.key) * a.weight;
+                      return l < r || (l == r && a.pos < b.pos);
+                  });
+        out.resize(nthreads_);
+        for (std::uint32_t i = 0; i < nthreads_; ++i)
+            out[i] = tidAt(ratios_[i].pos);
     }
 
     void advance() { rr_ = (rr_ + 1) % nthreads_; }
@@ -91,8 +123,32 @@ class RotatingOrder
     void setPosition(std::uint32_t rr) { rr_ = rr % nthreads_; }
 
   private:
+    /** Counting-sort buckets per thread: keys below
+     *  kBucketsPerThread * nthreads take the counting path. */
+    static constexpr std::uint32_t kBucketsPerThread = 4;
+
+    /** One weighted key: the rational key / weight and its position. */
+    struct Ratio
+    {
+        std::uint32_t key;
+        std::uint32_t weight;
+        std::uint32_t pos;
+    };
+
+    /** Thread at rotation position @p pos (< nthreads_). */
+    ThreadId
+    tidAt(std::uint32_t pos) const
+    {
+        const std::uint32_t t = rr_ + pos;
+        return t < nthreads_ ? t : t - nthreads_;
+    }
+
     std::uint32_t nthreads_;
     std::uint32_t rr_ = 0;
+    std::vector<std::uint32_t> keys_;     ///< Key per rotation position.
+    std::vector<std::uint32_t> buckets_;  ///< Counting-sort bucket starts.
+    std::vector<std::uint64_t> packed_;   ///< key << 32 | position.
+    std::vector<Ratio> ratios_;           ///< Weighted keys.
 };
 
 /**
@@ -234,7 +290,7 @@ class KeyedArbitrationPolicy final : public ArbitrationPolicy
   private:
     void
     order(const std::vector<ThreadState> &threads,
-          std::vector<ThreadId> &out) const
+          std::vector<ThreadId> &out)
     {
         if (key_)
             rot_.rotationSortedBy(threads, key_, out);
@@ -249,7 +305,7 @@ class KeyedArbitrationPolicy final : public ArbitrationPolicy
 
 /**
  * The STALL / FLUSH fetch-gating schemes: ICOUNT ordering (rotation
- * stably sorted by fetch-buffer occupancy), but a thread with an
+ * ranked by fetch-buffer occupancy), but a thread with an
  * outstanding L1 load miss may not fetch at all. FLUSH additionally
  * asks the Simulator to squash the gated thread's not-yet-dispatched
  * fetch buffer, handing its dispatch slots to the other threads; the

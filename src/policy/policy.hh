@@ -23,13 +23,13 @@
  *
  * Determinism contract: a policy may keep private per-cycle state (the
  * round-robin rotation), but its output must be a pure function of that
- * state and of the ThreadState snapshots it is handed — never of wall
+ * state and of the ThreadState keys it is handed — never of wall
  * clock, allocation addresses or scheduling. This is what keeps every
  * sweep byte-identical at any --jobs count.
  *
- * Policies see the machine only through ThreadState: a per-context
- * occupancy/blocked snapshot taken at the start of the consulting
- * stage. They never touch Context or Simulator internals.
+ * Policies see the machine only through ThreadState: the per-context
+ * keys the Simulator keeps live as the pipeline runs. They never touch
+ * Context or Simulator internals.
  */
 
 #ifndef MTDAE_POLICY_POLICY_HH
@@ -60,13 +60,13 @@ class ByteReader;
 inline constexpr std::uint32_t kPolicyWindowCycles = 64;
 
 /**
- * Read-only per-context snapshot handed to policies — the only state a
- * policy may base its ordering or gating on. Built by
- * Context::policyState() at the start of each consulting pipeline
- * stage (issue, dispatch, fetch), so within one stage every policy
- * call sees the same values; a later stage of the same cycle sees the
- * effects of the earlier stages. Each field below names the machine
- * state it mirrors and the pipeline point that updates that state.
+ * The per-context keys handed to policies — the only state a policy may
+ * base its ordering or gating on. The Simulator owns one ThreadState
+ * per context and updates each field in place at the pipeline point
+ * that changes the machine state it mirrors (named per field below), so
+ * a policy consulted mid-cycle sees the effects of the stages that
+ * already ran. Context::policyState() recomputes the same keys from
+ * scratch (the test oracle).
  */
 struct ThreadState
 {
@@ -126,7 +126,8 @@ struct ThreadState
      * coincidentally sum to outstandingMisses * kPolicyWindowCycles
      * and still decay as it slides), so policies whose vetoStable()
      * reasons about window freezing must consult this flag, never the
-     * sum.
+     * sum. Re-evaluated whenever outstandingMisses changes and at every
+     * window sample.
      */
     bool missWindowUniform = false;
     /**
@@ -137,15 +138,6 @@ struct ThreadState
      */
     std::uint32_t weight = 1;
 
-    /**
-     * True when the thread may fetch this cycle: not gated on a
-     * mispredicted branch or redirect, instructions remain (trace not
-     * exhausted, or flushed instructions awaiting replay), fetch
-     * buffer not full. Computed by the Simulator; fetch policies
-     * may use it but the Simulator re-checks it regardless.
-     */
-    bool fetchEligible = false;
-
     /** Occupancy of everything fetched but not yet issued. */
     std::uint32_t
     frontEndOccupancy() const
@@ -153,7 +145,7 @@ struct ThreadState
         return fetchBufOccupancy + apQueueOccupancy + iqOccupancy;
     }
 
-    /** Field-wise equality (the snapshot-cache coherence check). */
+    /** Field-wise equality (the live-key oracle). */
     bool operator==(const ThreadState &) const = default;
 };
 
@@ -183,8 +175,9 @@ class FetchPolicy
      * by the Simulator for every thread before the ranked walk hands
      * out I-cache ports; a vetoed thread neither fetches nor consumes
      * a port (ordering policies rank it, but the walk skips it — with
-     * a stable-sorted order that is equivalent to excluding it before
-     * ranking). Must be a pure function of @p t. Default: never veto.
+     * ties broken by rotation position, that is equivalent to
+     * excluding it before ranking). Must be a pure function of @p t.
+     * Default: never veto.
      */
     virtual bool
     mayFetch(const ThreadState &t) const
@@ -251,8 +244,9 @@ class FetchPolicy
 
 /**
  * Decides the thread visit order of the shared back-end stages:
- * dispatch, and issue per unit. Both orders are computed once per
- * cycle from the same pre-stage snapshot.
+ * dispatch, and issue per unit. Each order is computed once per cycle,
+ * the issue orders before the issue stage and the dispatch order after
+ * it, each from the live keys of that moment.
  */
 class ArbitrationPolicy
 {

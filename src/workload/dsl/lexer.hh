@@ -17,7 +17,7 @@ namespace mtdae::dsl {
 
 /**
  * A diagnostic from any stage of the DSL front end (lexer, parser,
- * interpreter). Unlike the simulator's MTDAE_FATAL/PANIC paths, DSL
+ * interpreter). Unlike the simulator's MTDAE_PANIC paths, DSL
  * errors are recoverable — a bad kernel file is user input, and the
  * tests (and fuzzer) assert messages without dying — so they travel as
  * exceptions. what() renders as "line:col: message".

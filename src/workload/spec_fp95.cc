@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/config.hh"
 #include "common/log.hh"
 
 namespace mtdae {
@@ -453,7 +454,7 @@ buildSpecFp95(const std::string &name)
     if (name == "apsi")    return buildApsi();
     if (name == "fpppp")   return buildFpppp();
     if (name == "wave5")   return buildWave5();
-    MTDAE_FATAL("unknown SPEC FP95 model: ", name);
+    throw ConfigError("unknown SPEC FP95 model: " + name);
 }
 
 std::unique_ptr<KernelTraceSource>
@@ -491,11 +492,11 @@ class BenchmarkFactory : public TraceSourceFactory
         : bench_(std::move(bench))
     {
         // Reject unknown names at construction, not inside a worker;
-        // a bad name is a user error, so fatal() rather than panic.
+        // a bad name is a user error, so a ConfigError, not a panic.
         const auto &names = specFp95Names();
         if (std::find(names.begin(), names.end(), bench_) ==
             names.end())
-            MTDAE_FATAL("unknown benchmark '", bench_, "'");
+            throw ConfigError("unknown benchmark '" + bench_ + "'");
     }
 
     std::vector<std::unique_ptr<TraceSource>>

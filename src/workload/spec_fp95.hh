@@ -57,7 +57,8 @@ Addr workloadPcBase(std::size_t slot);
 std::uint64_t workloadSourceSeed(std::uint64_t seed, ThreadId thread,
                                  std::size_t slot);
 
-/** Build the kernel model for @p name; fatal() on an unknown name. */
+/** Build the kernel model for @p name; throws ConfigError on an
+ *  unknown name. */
 Kernel buildSpecFp95(const std::string &name);
 
 /**
@@ -89,7 +90,8 @@ makeSuiteMixSource(ThreadId thread, std::uint64_t seed,
 /**
  * Factory binding a single benchmark to every hardware context (the
  * Figure 1 workload shape): thread t runs @p name on its own memory
- * region, seeded from the run seed. fatal() on an unknown name.
+ * region, seeded from the run seed. Throws ConfigError on an unknown
+ * name.
  */
 std::unique_ptr<TraceSourceFactory>
 makeBenchmarkFactory(const std::string &name);

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/test_util.hh"
 #include "workload/kernel.hh"
 #include "workload/spec_fp95.hh"
 
@@ -294,8 +295,14 @@ TEST(SpecFp95, Hydro2dUsesLineSizedStrides)
     EXPECT_GE(line_strided, 1);
 }
 
-TEST(SpecFp95, UnknownBenchmarkIsFatal)
+TEST(SpecFp95, UnknownBenchmarkThrowsConfigError)
 {
-    EXPECT_EXIT(buildSpecFp95("nonexistent"),
-                ::testing::ExitedWithCode(1), "unknown");
+    // A bad name is user input: a typed error the caller can report,
+    // never an exit() from inside the workload library.
+    EXPECT_THROW(test::withMessage([] { buildSpecFp95("nonexistent"); },
+                                   "unknown SPEC FP95 model: nonexistent"),
+                 ConfigError);
+    EXPECT_THROW(test::withMessage([] { makeBenchmarkFactory("bogus"); },
+                                   "unknown benchmark 'bogus'"),
+                 ConfigError);
 }

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "common/config.hh"
+#include "common/rng.hh"
+#include "common/serialize.hh"
 #include "memory/bus.hh"
 #include "memory/memory_system.hh"
 
@@ -105,7 +109,7 @@ TEST(MemorySystem, PortLimitRejectsFifthAccess)
         EXPECT_TRUE(mem.load(0x4000 + 64 * i, 0).accepted);
     const MemResult r = mem.load(0x8000, 0);
     EXPECT_FALSE(r.accepted);
-    EXPECT_EQ(mem.lastReject(), MemReject::NoPort);
+    EXPECT_EQ(r.reject, MemReject::NoPort);
     // Ports recycle the next cycle.
     mem.beginCycle(1);
     EXPECT_TRUE(mem.load(0x8000, 1).accepted);
@@ -124,7 +128,7 @@ TEST(MemorySystem, MshrExhaustionRejects)
     EXPECT_TRUE(mem.load(0x20040, 0).miss());
     const MemResult r = mem.load(0x30080, 0);
     EXPECT_FALSE(r.accepted);
-    EXPECT_EQ(mem.lastReject(), MemReject::NoMshr);
+    EXPECT_EQ(r.reject, MemReject::NoMshr);
     EXPECT_EQ(mem.mshrsInUse(), 2u);
     // After the fills land, MSHRs recycle.
     advanceTo(mem, 1, 30);
@@ -140,7 +144,7 @@ TEST(MemorySystem, FrameConflictDuringPendingFill)
     mem.beginCycle(1);
     const MemResult r = mem.load(0x10000, 1);
     EXPECT_FALSE(r.accepted);
-    EXPECT_EQ(mem.lastReject(), MemReject::Conflict);
+    EXPECT_EQ(r.reject, MemReject::Conflict);
     // Once the fill lands, the conflicting line can replace it.
     advanceTo(mem, 2, 19);
     EXPECT_TRUE(mem.load(0x10000, 19).miss());
@@ -270,3 +274,123 @@ TEST(MemorySystem, MissRatioCombinesLoadsAndStores)
     EXPECT_NEAR(mem.stats().loadMiss.value(), 0.5, 1e-9);
     EXPECT_NEAR(mem.stats().storeMiss.value(), 0.5, 1e-9);
 }
+
+namespace {
+
+/** The hierarchy's complete serialized state. */
+std::vector<std::uint8_t>
+stateOf(const MemorySystem &mem)
+{
+    ByteWriter w;
+    mem.save(w);
+    return w.take();
+}
+
+} // namespace
+
+TEST(MemorySystem, RestoreRejectsMshrsAndFramesThatDisagree)
+{
+    // The merge lookup goes through a frame's pending-MSHR index, so a
+    // snapshot whose frames and MSHRs disagree must be refused.
+    MemorySystem mem(memConfig());
+    mem.beginCycle(0);
+    ASSERT_TRUE(mem.load(0x40, 0).miss());  // line 2: frame 2, MSHR 0
+    const std::vector<std::uint8_t> good = stateOf(mem);
+    {
+        MemorySystem fresh(memConfig());
+        ByteReader r(good);
+        fresh.restore(r);
+        EXPECT_EQ(stateOf(fresh), good);
+    }
+    // Frame records are u64 tag, valid, dirty, i32 pendingMshr after
+    // the u64 frame count: clear frame 2's link to MSHR 0.
+    std::vector<std::uint8_t> bad = good;
+    const std::size_t pending = 8 + 2 * 14 + 10;
+    ASSERT_EQ(bad[pending], 0u);
+    for (std::size_t i = 0; i < 4; ++i)
+        bad[pending + i] = 0xff;
+    MemorySystem fresh(memConfig());
+    ByteReader r(bad);
+    EXPECT_THROW(fresh.restore(r), SnapshotError);
+}
+
+class RefusalFuzzTest
+    : public ::testing::TestWithParam<std::tuple<bool, std::uint64_t>>
+{
+};
+
+TEST_P(RefusalFuzzTest, RefusedUntilTheNextFillWithoutSideEffects)
+{
+    // Only a landing fill frees an MSHR or a line frame, so an access
+    // refused with NoMshr or Conflict at cycle c must be refused again
+    // at every cycle before the nextFillCycle() read at c, whatever
+    // other accesses come in between; and a refusal changes no state.
+    // The simulator's graduation stage parks refused stores on exactly
+    // this contract.
+    const auto [perfect, seed] = GetParam();
+    Rng rng(deriveSeed(0x72656675, seed));
+    SimConfig cfg = memConfig();
+    cfg.perfectL2 = perfect;
+    cfg.l1Bytes = 2048;  // 64 frames: frame conflicts are common
+    cfg.l2Bytes = 32 * 1024;  // small: keeps the state compare cheap
+    cfg.mshrs = 1 + std::uint32_t(rng.uniform(6));
+    cfg.l1Ports = 1 + std::uint32_t(rng.uniform(4));
+    cfg.validate();
+    MemorySystem mem(cfg);
+
+    struct Refused
+    {
+        Addr addr;
+        Cycle at;
+        Cycle until;
+        MemReject why;
+    };
+    std::vector<Refused> open;
+    std::uint64_t parked = 0, retried = 0;
+    for (Cycle now = 0; now < 3000; ++now) {
+        mem.beginCycle(now);
+        std::erase_if(open, [&](const Refused &f) { return now >= f.until; });
+        const std::uint64_t n = rng.uniform(7);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            const bool store = rng.bernoulli(0.3);
+            if (!open.empty() && rng.bernoulli(0.4)) {
+                const Refused &f = open[rng.uniform(open.size())];
+                const MemResult r =
+                    store ? mem.store(f.addr, now) : mem.load(f.addr, now);
+                ASSERT_FALSE(r.accepted)
+                    << "address " << f.addr << " refused ("
+                    << int(f.why) << ") at " << f.at << ", accepted at "
+                    << now << " before the fill due at " << f.until;
+                ++retried;
+                continue;
+            }
+            const Addr addr = rng.uniform(1 << 15) * 8;  // 256 KB
+            const bool check = rng.bernoulli(0.1);
+            const std::vector<std::uint8_t> before =
+                check ? stateOf(mem) : std::vector<std::uint8_t>{};
+            const MemResult r =
+                store ? mem.store(addr, now) : mem.load(addr, now);
+            if (r.accepted)
+                continue;
+            if (check) {
+                ASSERT_EQ(stateOf(mem), before)
+                    << "a refused access changed the hierarchy";
+            }
+            if (r.reject == MemReject::NoMshr ||
+                r.reject == MemReject::Conflict) {
+                ASSERT_GT(mem.nextFillCycle(), now);
+                open.push_back({addr, now, mem.nextFillCycle(), r.reject});
+                ++parked;
+            } else {
+                ASSERT_EQ(r.reject, MemReject::NoPort);
+            }
+        }
+    }
+    EXPECT_GT(parked, 0u);
+    EXPECT_GT(retried, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, RefusalFuzzTest,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Range(std::uint64_t(1), std::uint64_t(9))));

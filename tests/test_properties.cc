@@ -272,42 +272,49 @@ TEST_P(PortSweepTest, RunsCorrectlyWithAnyPortCount)
 INSTANTIATE_TEST_SUITE_P(Ports, PortSweepTest,
                          ::testing::Values(1, 2, 4, 8));
 
-class SnapshotCacheFuzzTest
-    : public ::testing::TestWithParam<std::uint64_t>
+class LiveKeyFuzzTest : public ::testing::TestWithParam<std::uint64_t>
 {
 };
 
-TEST_P(SnapshotCacheFuzzTest, CachedThreadStatesMatchRecomputation)
+TEST_P(LiveKeyFuzzTest, LiveKeysMatchRecomputation)
 {
-    // Fuzz the incremental ThreadState cache (Simulator::
-    // refreshThreadStates): on a random kernel and machine — gating
-    // policies included, since flush mutates fetch state outside the
-    // normal stages — every cached snapshot a policy could be served
-    // must equal a from-scratch recomputation, every single cycle.
-    // Also cross-checks the SAQ word index against the reference
-    // linear walk it replaced in the issue stage.
+    // Fuzz the live policy keys (Simulator::policyKeys): on a random
+    // kernel and machine, under every fetch and issue policy — gating
+    // included, since flush mutates fetch state outside the normal
+    // stages — each key the stages keep in place must equal a
+    // from-scratch Context::policyState(), every single cycle. Also
+    // cross-checks the SAQ word index against the reference linear
+    // walk it replaced in the issue stage.
     const std::uint64_t seed = GetParam();
     Rng rng(deriveSeed(0x73636163, seed));
     const Kernel k = randomKernel(seed);
 
-    SimConfig cfg = testConfig(1 + rng.uniform(3));
+    SimConfig cfg = testConfig(1 + rng.uniform(4));
     cfg.decoupled = rng.bernoulli(0.7);
     cfg.l2Latency = rng.bernoulli(0.5) ? 64 : 16;
-    cfg.fetchPolicy =
-        fetchPolicies()[rng.uniform(fetchPolicies().size())];
+    cfg.perfectL2 = rng.bernoulli(0.7);
+    cfg.mshrs = 1 + std::uint32_t(rng.uniform(8));
+    cfg.fetchPolicy = fetchPolicies()[seed % fetchPolicies().size()];
     cfg.issuePolicy =
-        issuePolicies()[rng.uniform(issuePolicies().size())];
+        issuePolicies()[(seed / fetchPolicies().size()) %
+                        issuePolicies().size()];
+    if (rng.bernoulli(0.5))
+        for (ThreadId t = 0; t < cfg.numThreads; ++t)
+            cfg.threadWeights.push_back(1 + std::uint32_t(rng.uniform(4)));
     cfg.warmupInsts = 0;
+    cfg.validate();
 
     Simulator sim = makeSim(cfg, k, 200);
     std::uint64_t steps = 0;
     while (!sim.allDone()) {
         sim.step();
         ASSERT_LT(++steps, 4000000u) << "deadlock in " << k.name;
-        ASSERT_TRUE(sim.threadStateCacheCoherent())
-            << k.name << " at cycle " << sim.now();
+        ASSERT_EQ(sim.policyKeys().size(), cfg.numThreads);
         for (ThreadId t = 0; t < cfg.numThreads; ++t) {
             const Context &ctx = sim.context(t);
+            ASSERT_TRUE(sim.policyKeys()[t] ==
+                        ctx.policyState(cfg, sim.now()))
+                << k.name << " t" << t << " at cycle " << sim.now();
             // A probe seq newer than everything in flight makes the
             // reference walk answer the same question as the index.
             const InstSeq probe = ctx.nextSeq + 1;
@@ -325,9 +332,10 @@ TEST_P(SnapshotCacheFuzzTest, CachedThreadStatesMatchRecomputation)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotCacheFuzzTest,
-                         ::testing::Range(std::uint64_t(1),
-                                          std::uint64_t(21)));
+// One seed per fetch x issue policy pair.
+INSTANTIATE_TEST_SUITE_P(Seeds, LiveKeyFuzzTest,
+                         ::testing::Range(std::uint64_t(0),
+                                          std::uint64_t(48)));
 
 class WindowOracleTest : public ::testing::TestWithParam<std::uint64_t>
 {
