@@ -213,6 +213,39 @@ TEST(EquivalenceWide, SixteenAndSixtyFourContextsMatchTheirGoldens)
     }
 }
 
+/**
+ * A machine whose skips fire: the pointer chase on the finite L2+DRAM
+ * backend spends most cycles waiting on memory, so `run` reports
+ * non-zero skip counters (every other golden's are zero). Pins where
+ * the skip engine wakes; with skipping off only those two columns may
+ * differ.
+ */
+TEST(EquivalenceSkips, PointerChaseOnDramMatchesItsGolden)
+{
+    const std::string want =
+        test::slurp(sourcePath("tests/golden/run_dram.csv"));
+    ASSERT_FALSE(want.empty());
+    const std::vector<std::string> base = {
+        "run", "--bench=dsl",
+        "--kernel-file=" + sourcePath("examples/kernels/pointer_chase.mk"),
+        "--kernel-param=footprint=2M", "--perfect-l2=0",
+        "--threads-list=1,4", "--insts=2000", "--warmup=500", "--jobs=1",
+        "--quiet"};
+    EXPECT_EQ(runCsv("run", base,
+                     ::testing::TempDir() + "mtdae_equiv_run_dram0"),
+              want);
+
+    std::vector<std::string> stepped = base;
+    stepped.insert(stepped.end(), {"--cycle-skip=off", "--warm-start=0"});
+    const std::vector<std::string> skip_cols = {"cycles_skipped",
+                                                "skip_events"};
+    EXPECT_EQ(dropColumns(runCsv("run", stepped,
+                                 ::testing::TempDir() +
+                                     "mtdae_equiv_run_dram1"),
+                          skip_cols),
+              dropColumns(want, skip_cols));
+}
+
 TEST(EquivalenceSpelling, WarmupInstsAliasReproducesTheFigureGoldens)
 {
     // --warmup-insts is the checkpoint docs' spelling of --warmup.
