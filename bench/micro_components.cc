@@ -106,7 +106,7 @@ BM_SimulatorCycles(benchmark::State &state)
         double(sim.totalGraduated() - insts_before) /
         double(state.iterations()));
 }
-BENCHMARK(BM_SimulatorCycles)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_SimulatorCycles)->Arg(1)->Arg(4)->Arg(8)->Arg(64);
 
 // --- Hot-loop micros (docs/PERFORMANCE.md) ----------------------------
 

@@ -164,6 +164,33 @@ Context::storeDataReady(const DynInst &di) const
     return file(di.ti.src[1].cls).ready(di.physSrc[1]);
 }
 
+StallClass
+Context::stallClass(Unit unit, const SimConfig &cfg) const
+{
+    const auto &queue = unit == Unit::AP ? apQ : iq;
+    if (queue.empty()) {
+        // Nothing available: an idle or wrong-path-gated front end.
+        return {SlotUse::Idle};
+    }
+    const DynInst &di = *queue.front();
+    if (!cfg.decoupled && di.seq != nextIssueSeq) {
+        // Gated by program order (the other unit holds the oldest).
+        return {SlotUse::Other};
+    }
+    std::uint32_t tok = PerceivedTracker::kNoToken;
+    switch (stallSource(di, tok)) {
+      case Producer::Kind::Load:
+        return {SlotUse::WaitMem, tok};
+      case Producer::Kind::Fu:
+        return {SlotUse::WaitFu};
+      case Producer::Kind::None:
+        break;
+    }
+    // Operands ready but not issued: structural (cache port, MSHR,
+    // frame conflict) or same-cycle dependence.
+    return {SlotUse::Other};
+}
+
 Producer::Kind
 Context::stallSource(const DynInst &di, std::uint32_t &tok) const
 {
@@ -192,36 +219,6 @@ Context::stallSource(const DynInst &di, std::uint32_t &tok) const
         }
     }
     return kind;
-}
-
-void
-Context::sampleWindows()
-{
-    std::uint32_t &slot = iqSamples[iqSampleAt];
-    iqWindowSum -= slot;
-    slot = std::uint32_t(iq.size());
-    iqWindowSum += slot;
-    iqSampleAt = (iqSampleAt + 1) % kIqWindow;
-
-    const std::uint32_t cur = perceived.outstanding();
-    if (cur != missCountedFor) {
-        // Outstanding changed since the count was last taken: recount
-        // the slots equal to the new value. The recount can flip the
-        // uniformity observable even when no slot is rewritten.
-        missCountedFor = cur;
-        missSlotsAtCur = 0;
-        for (const std::uint32_t s : missSamples)
-            if (s == cur)
-                ++missSlotsAtCur;
-    }
-    std::uint32_t &mslot = missSamples[missSampleAt];
-    missWindowSum -= mslot;
-    if (mslot == cur)
-        --missSlotsAtCur;
-    mslot = cur;
-    ++missSlotsAtCur;
-    missWindowSum += mslot;
-    missSampleAt = (missSampleAt + 1) % kIqWindow;
 }
 
 void
@@ -270,7 +267,6 @@ Context::advanceWindows(std::uint64_t n)
 ThreadState
 Context::policyState(const SimConfig &cfg, Cycle now) const
 {
-    (void)now;
     ThreadState s;
     s.tid = tid;
     s.fetchBufOccupancy = std::uint32_t(fetchBuf.size());
@@ -278,7 +274,21 @@ Context::policyState(const SimConfig &cfg, Cycle now) const
     s.iqOccupancy = std::uint32_t(iq.size());
     s.robOccupancy = std::uint32_t(rob.size());
     s.unresolvedBranches = unresolvedBranches;
-    missAndWindowKeys(s);
+    s.outstandingMisses = perceived.outstanding();
+    // The windows as of @p now: the `fresh` oldest ring slots would be
+    // overwritten by samples of the current values, the rest stay.
+    const std::uint64_t behind = now - windowsAt;
+    const std::uint32_t fresh =
+        behind < kIqWindow ? std::uint32_t(behind) : kIqWindow;
+    s.iqOccupancyWindow = fresh * std::uint32_t(iq.size());
+    s.missWindow = fresh * s.outstandingMisses;
+    s.missWindowUniform = true;
+    for (std::uint32_t age = fresh; age < kIqWindow; ++age) {
+        s.iqOccupancyWindow += iqSamples[(iqSampleAt + age) % kIqWindow];
+        const std::uint32_t m = missSamples[(missSampleAt + age) % kIqWindow];
+        s.missWindow += m;
+        s.missWindowUniform &= m == s.outstandingMisses;
+    }
     s.weight = cfg.threadWeight(tid);
     return s;
 }
@@ -289,7 +299,7 @@ Context::missAndWindowKeys(ThreadState &s) const
     s.outstandingMisses = perceived.outstanding();
     s.iqOccupancyWindow = iqWindowSum;
     s.missWindow = missWindowSum;
-    // The count is synced lazily at the next sample, so guard on the
+    // The count is retaken at the next window sync, so guard on the
     // value it was taken against; a stale count reads as non-uniform,
     // which is always a safe (conservative) answer.
     s.missWindowUniform = missCountedFor == s.outstandingMisses &&
@@ -478,9 +488,8 @@ Context::restore(ByteReader &r)
     graduatedBase = r.u64();
 
     // Rebuild the derived miss-window uniformity count. Snapshots are
-    // taken at cycle boundaries, where sampleWindows() has just synced
-    // the count to perceived.outstanding(), so the recount reproduces
-    // the continued run's tracker exactly.
+    // saved with the windows synced to their cycle, so the recount
+    // reproduces the continued run's tracker exactly.
     missCountedFor = perceived.outstanding();
     missSlotsAtCur = 0;
     for (const std::uint32_t s : missSamples)

@@ -21,6 +21,7 @@
 #include "common/types.hh"
 #include "core/dyn_inst.hh"
 #include "core/perceived.hh"
+#include "core/slot_stats.hh"
 #include "isa/reg.hh"
 #include "policy/policy.hh"
 #include "workload/trace_source.hh"
@@ -117,6 +118,19 @@ struct SaqEntry
 };
 
 /**
+ * How a unit-queue head uses a free issue slot (paper Figure 3), and the
+ * perceived-latency token its stall is charged to.
+ */
+struct StallClass
+{
+    SlotUse reason = SlotUse::Idle;
+    /** The open miss a WaitMem head waits on; kNoToken otherwise. */
+    std::uint32_t token = PerceivedTracker::kNoToken;
+
+    bool operator==(const StallClass &) const = default;
+};
+
+/**
  * A fetched instruction awaiting dispatch. The sequence number is
  * assigned at fetch (nothing is ever squashed in trace-driven mode, so
  * fetch order is program order).
@@ -204,7 +218,10 @@ struct Context
 
     /** Cycles in the trailing statistic windows (the split policy's
      *  EP drain-rate key and the adaptive policy's phase key;
-     *  ThreadState::iqOccupancyWindow / ::missWindow). */
+     *  ThreadState::iqOccupancyWindow / ::missWindow). The rings hold
+     *  one sample per cycle of iq.size() and perceived.outstanding()
+     *  as they stood at the end of that cycle, and are filled lazily
+     *  (syncWindows). */
     static constexpr std::uint32_t kIqWindow = kPolicyWindowCycles;
     std::array<std::uint32_t, kIqWindow> iqSamples{};  ///< Ring buffer.
     std::uint32_t iqSampleAt = 0;   ///< Next ring slot to overwrite.
@@ -219,7 +236,7 @@ struct Context
     /**
      * Uniformity tracker for the miss window
      * (ThreadState::missWindowUniform): missSlotsAtCur counts the ring
-     * slots equal to missCountedFor, which sampleWindows() keeps
+     * slots equal to missCountedFor, which advanceWindows() keeps
      * synced to perceived.outstanding(). The sum alone cannot prove
      * the window is frozen — a mixed ring can coincidentally sum to
      * outstanding * kIqWindow and still decay as it slides — so the
@@ -230,21 +247,37 @@ struct Context
     std::uint32_t missCountedFor = 0;
 
     /**
-     * Record this cycle's IQ-occupancy and outstanding-miss samples
-     * into the trailing windows. Called exactly once per cycle, at the
-     * end of Simulator::step(), so every policy consultation within a
-     * cycle sees the same window values.
+     * The windows hold the samples of every cycle before this one.
+     * Derived state: never serialized; a snapshot is saved with the
+     * windows synced to its cycle, and restore sets it to that cycle.
      */
-    void sampleWindows();
+    Cycle windowsAt = 0;
 
     /**
-     * Advance both trailing windows by @p n cycles in O(min(n, 64)):
-     * byte-identical to calling sampleWindows() n times with an
-     * unchanging iq.size() and outstanding-miss count — which is
-     * exactly the situation during a quiescent fast-forwarded span (no
-     * dispatch, no issue, no fill landing).
+     * Advance both trailing windows by @p n cycles in O(min(n, 64)),
+     * recording n samples of the current iq.size() and outstanding-
+     * miss count.
      */
     void advanceWindows(std::uint64_t n);
+
+    /**
+     * Record the samples of cycles windowsAt .. @p now - 1. Exact as
+     * long as the Simulator calls it before every change to iq.size()
+     * or the outstanding-miss count: the values have then held since
+     * windowsAt, so they are the end-of-cycle value of every cycle
+     * recorded.
+     *
+     * @return true when samples were recorded
+     */
+    bool
+    syncWindows(Cycle now)
+    {
+        if (windowsAt == now)
+            return false;
+        advanceWindows(now - windowsAt);
+        windowsAt = now;
+        return true;
+    }
 
     /** Register file holding registers of @p cls. */
     RegFile &file(RegClass cls)
@@ -273,6 +306,16 @@ struct Context
      * @return Producer::Kind::Fu or Load; Kind::None when all ready
      */
     Producer::Kind stallSource(const DynInst &di, std::uint32_t &tok) const;
+
+    /**
+     * Classify, from scratch, why @p unit's queue head is not issuing:
+     * Idle when the queue is empty, Other when the head is gated by
+     * program order (@p cfg not decoupled) or only structurally
+     * blocked, else the stallSource() category and miss token. The
+     * Simulator caches the result between the events that can change
+     * it; this is the reference the cache is tested against.
+     */
+    StallClass stallClass(Unit unit, const SimConfig &cfg) const;
 
     /**
      * Search the SAQ for the youngest older store writing the same
@@ -314,15 +357,18 @@ struct Context
      * instead; this is their oracle.
      *
      * @param cfg the configuration in force (the thread's weight)
-     * @param now unused: no key depends on the cycle
+     * @param now the cycle the window keys are reported at: the rings
+     *            plus the samples syncWindows(@p now) would record,
+     *            summed directly rather than through the running sums
      */
     ThreadState policyState(const SimConfig &cfg, Cycle now) const;
 
     /**
      * Write the keys that follow the outstanding-miss count and the
      * trailing windows into @p s: outstandingMisses, iqOccupancyWindow,
-     * missWindow and missWindowUniform. Called after every miss open
-     * or close and every window sample.
+     * missWindow and missWindowUniform, with the windows as of
+     * windowsAt. Called after every miss open or close and every
+     * window sync.
      */
     void missAndWindowKeys(ThreadState &s) const;
 

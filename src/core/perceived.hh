@@ -49,24 +49,15 @@ class PerceivedTracker
         return tok;
     }
 
-    /** Attribute one stall cycle to the miss behind @p token. */
-    void
-    stall(std::uint32_t token)
-    {
-        MTDAE_ASSERT(token < slots_.size() && slots_[token].active,
-                     "stall on a closed perceived-latency token");
-        slots_[token].stalls += 1;
-    }
-
     /**
      * Attribute @p n stall cycles to the miss behind @p token in one
-     * step. Used by the idle fast-forward engine: per-cycle stall
-     * attribution is order-independent (every stalled issue head gets
-     * exactly one stall per unit per cycle), so a quiescent span of n
-     * cycles adds exactly n per {unit, head} pair.
+     * step. Per-cycle stall attribution is order-independent (every
+     * stalled issue head gets exactly one stall per unit per cycle
+     * with a free slot), so the Simulator charges a head's cycles in
+     * bulk when its stall class changes.
      */
     void
-    stall(std::uint32_t token, std::uint64_t n)
+    stall(std::uint32_t token, std::uint64_t n = 1)
     {
         MTDAE_ASSERT(token < slots_.size() && slots_[token].active,
                      "stall on a closed perceived-latency token");

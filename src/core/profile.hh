@@ -14,6 +14,10 @@
  * that walk those orders and credited to Stage::Snapshot, whose name
  * predates the live policy keys.
  *
+ * Next to the stage buckets, the profile counts the outcome of every
+ * idle-skip probe of the run loop (SkipProbe): why a cycle was stepped
+ * rather than fast-forwarded.
+ *
  * The profile is wall-clock measurement state, not simulated state: it
  * is excluded from checkpoints (snapshot.cc) and from every byte-
  * identity contract.
@@ -40,7 +44,8 @@ enum class Stage : std::uint8_t {
     Fetch,     ///< flush checks + fetch walk + predictor
     Graduate,  ///< in-order retirement from the ROBs
     Snapshot,  ///< policy ranking: issue, dispatch and fetch orders
-    Other,     ///< IQ-window sampling, policy endCycle, loop overhead
+    Other,     ///< policy endCycle, the per-cycle window sync of a
+               ///< policy that reads the windows, loop overhead
     Skipped,   ///< fast-forwarded quiescent spans (trySkipIdle)
 };
 
@@ -63,6 +68,44 @@ stageName(Stage s)
     return "?";
 }
 
+/**
+ * Outcome of one idle-skip probe (Simulator::trySkipIdle), made once
+ * per run-loop iteration while cycle skip is on. Every outcome but
+ * Skipped means the cycle was stepped; the blocking ones name the
+ * first quiescence condition that failed, in the order checked.
+ */
+enum class SkipProbe : std::uint8_t {
+    NotDue,         ///< a graduation in the last two cycles
+    CompletionDue,  ///< a completion event due this cycle
+    Graduable,      ///< a ROB head that would graduate
+    Issuable,       ///< a unit-queue head that would issue
+    FrontEnd,       ///< a fetch buffer to flush or to dispatch from
+    UnstableVeto,   ///< a fetch veto that reads the moving windows
+    Fetchable,      ///< a thread that would fetch
+    ShortSpan,      ///< the next wake less than two cycles away
+    Skipped,        ///< a quiescent span fast-forwarded
+};
+
+inline constexpr std::size_t kNumSkipProbes = 9;
+
+/** Stable lowercase outcome name (CLI/JSON output). */
+inline const char *
+skipProbeName(SkipProbe p)
+{
+    switch (p) {
+    case SkipProbe::NotDue: return "not-due";
+    case SkipProbe::CompletionDue: return "completion-due";
+    case SkipProbe::Graduable: return "graduable";
+    case SkipProbe::Issuable: return "issuable";
+    case SkipProbe::FrontEnd: return "front-end";
+    case SkipProbe::UnstableVeto: return "unstable-veto";
+    case SkipProbe::Fetchable: return "fetchable";
+    case SkipProbe::ShortSpan: return "short-span";
+    case SkipProbe::Skipped: return "skipped";
+    }
+    return "?";
+}
+
 /** True when the instrumentation is compiled into this build. */
 inline constexpr bool kProfileBuilt = MTDAE_PROFILE != 0;
 
@@ -75,6 +118,8 @@ struct StageProfile {
     std::array<std::uint64_t, kNumStages> ns{};  ///< per-stage wall ns
     std::uint64_t totalNs = 0;  ///< sum of ns[] (the whole stepped loop)
     std::uint64_t cycles = 0;   ///< profiled cycles
+    /** Idle-skip probes by outcome (indexed by SkipProbe). */
+    std::array<std::uint64_t, kNumSkipProbes> skipProbes{};
     bool enabled = false;       ///< was profiling on for this run?
 
     void
@@ -83,6 +128,19 @@ struct StageProfile {
         ns.fill(0);
         totalNs = 0;
         cycles = 0;
+        skipProbes.fill(0);
+    }
+
+    /** Add @p o's buckets and counts (summing a sweep's profiles). */
+    void
+    add(const StageProfile &o)
+    {
+        for (std::size_t s = 0; s < kNumStages; ++s)
+            ns[s] += o.ns[s];
+        totalNs += o.totalNs;
+        cycles += o.cycles;
+        for (std::size_t p = 0; p < kNumSkipProbes; ++p)
+            skipProbes[p] += o.skipProbes[p];
     }
 
     std::uint64_t

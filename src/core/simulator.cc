@@ -1,6 +1,7 @@
 #include "core/simulator.hh"
 
 #include <chrono>
+#include <numeric>
 
 #include "common/log.hh"
 
@@ -11,20 +12,109 @@ Simulator::Simulator(const SimConfig &cfg,
     : cfg_(cfg),
       mem_(cfg),
       fetchPolicy_(makeFetchPolicy(cfg)),
-      issuePolicy_(makeArbitrationPolicy(cfg))
+      issuePolicy_(makeArbitrationPolicy(cfg)),
+      windowsRead_(fetchPolicy_->readsWindows() ||
+                   issuePolicy_->readsWindows())
 {
     cfg_.validate();
     MTDAE_ASSERT(sources.size() == cfg_.numThreads,
                  "need exactly one trace source per hardware context (",
                  sources.size(), " given, ", cfg_.numThreads, " threads)");
-    keys_.reserve(cfg_.numThreads);
-    for (ThreadId t = 0; t < cfg_.numThreads; ++t) {
+    for (ThreadId t = 0; t < cfg_.numThreads; ++t)
         contexts_.push_back(
             std::make_unique<Context>(t, cfg_, std::move(sources[t])));
-        keys_.push_back(contexts_.back()->policyState(cfg_, now_));
+    rebuildDerived();
+}
+
+void
+Simulator::rebuildDerived()
+{
+    keys_.clear();
+    for (auto &ctxp : contexts_) {
+        ctxp->windowsAt = now_;
+        keys_.push_back(ctxp->policyState(cfg_, now_));
     }
     parkedUntil_.assign(cfg_.numThreads, 0);
-    reasonsScratch_.reserve(cfg_.numThreads);
+    for (std::size_t u = 0; u < heads_.size(); ++u) {
+        heads_[u].assign(cfg_.numThreads, HeadClass{});
+        dirtyHeads_[u].resize(cfg_.numThreads);
+        std::iota(dirtyHeads_[u].begin(), dirtyHeads_[u].end(), 0u);
+        freeSlotCycles_[u] = 0;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Lazily kept per-thread statistics
+// ---------------------------------------------------------------------
+
+void
+Simulator::syncWindows(Context &ctx)
+{
+    if (ctx.syncWindows(now_))
+        ctx.missAndWindowKeys(keys_[ctx.tid]);
+}
+
+void
+Simulator::syncAllWindows()
+{
+    for (auto &ctxp : contexts_)
+        syncWindows(*ctxp);
+}
+
+void
+Simulator::chargeStalls(Unit unit, ThreadId t)
+{
+    const std::size_t u = std::size_t(unit);
+    HeadClass &h = heads_[u][t];
+    const std::uint64_t owed = freeSlotCycles_[u] - h.chargedTo;
+    if (h.cls.token != PerceivedTracker::kNoToken && owed > 0)
+        contexts_[t]->perceived.stall(h.cls.token, owed);
+    h.chargedTo = freeSlotCycles_[u];
+}
+
+void
+Simulator::chargeAllStalls()
+{
+    for (const Unit unit : {Unit::AP, Unit::EP})
+        for (ThreadId t = 0; t < cfg_.numThreads; ++t)
+            if (!heads_[std::size_t(unit)][t].dirty)
+                chargeStalls(unit, t);
+}
+
+void
+Simulator::invalidateHead(Unit unit, ThreadId t)
+{
+    HeadClass &h = heads_[std::size_t(unit)][t];
+    if (h.dirty)
+        return;  // nothing owed since the class was dropped
+    chargeStalls(unit, t);
+    h.dirty = true;
+    dirtyHeads_[std::size_t(unit)].push_back(t);
+}
+
+void
+Simulator::classifyDirtyHeads(Unit unit)
+{
+    const std::size_t u = std::size_t(unit);
+    for (const ThreadId t : dirtyHeads_[u]) {
+        HeadClass &h = heads_[u][t];
+        const Context &ctx = *contexts_[t];
+        const auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
+        h.srcs = queue.empty() ? HeadClass{}.srcs : queue.front()->physSrc;
+        h.cls = ctx.stallClass(unit, cfg_);
+        h.chargedTo = freeSlotCycles_[u];
+        h.dirty = false;
+    }
+    dirtyHeads_[u].clear();
+}
+
+std::optional<StallClass>
+Simulator::cachedStallClass(Unit unit, ThreadId t) const
+{
+    const HeadClass &h = heads_[std::size_t(unit)].at(t);
+    if (h.dirty)
+        return std::nullopt;
+    return h.cls;
 }
 
 // ---------------------------------------------------------------------
@@ -44,10 +134,21 @@ Simulator::processCompletions()
                      "completion of a non-issued instruction");
         di->state = InstState::Completed;
 
-        if (di->ti.dst.valid())
+        if (di->ti.dst.valid()) {
+            // Only a head reading the register can change class, and a
+            // closing miss must first collect the stalls its waiters
+            // are owed.
+            for (const Unit unit : {Unit::AP, Unit::EP}) {
+                const auto &srcs = heads_[std::size_t(unit)][ev.tid].srcs;
+                if (srcs[0] == di->physDst || srcs[1] == di->physDst ||
+                    srcs[2] == di->physDst)
+                    invalidateHead(unit, ev.tid);
+            }
             ctx.file(di->ti.dst.cls).setReady(di->physDst);
+        }
 
         if (di->loadMissed) {
+            syncWindows(ctx);
             ctx.perceived.close(di->missToken);
             ctx.missAndWindowKeys(keys_[ev.tid]);
         }
@@ -101,6 +202,7 @@ Simulator::tryIssue(Context &ctx, DynInst &di)
                 return false;  // no port / no MSHR / frame conflict
             ready_at = r.readyAt;
             if (r.miss()) {
+                syncWindows(ctx);
                 di.loadMissed = true;
                 di.missToken =
                     ctx.perceived.open(di.ti.op == Opcode::LdI);
@@ -150,6 +252,15 @@ Simulator::issueUnit(Unit unit, const std::vector<ThreadId> &order,
             DynInst *di = queue.front();
             if (!tryIssue(ctx, *di))
                 break;
+            // The head moves on. Non-decoupled, the program-order gate
+            // of the other unit's head moves too; a miss hands a token
+            // to whichever head reads the load's register.
+            invalidateHead(unit, ctx.tid);
+            if (!cfg_.decoupled || di->loadMissed)
+                invalidateHead(unit == Unit::AP ? Unit::EP : Unit::AP,
+                               ctx.tid);
+            if (unit == Unit::EP)
+                syncWindows(ctx);
             queue.pop_front();
             queued -= 1;
             slots -= 1;
@@ -176,46 +287,19 @@ Simulator::accountSlots(Unit unit, const std::vector<ThreadId> &order,
     MTDAE_ASSERT(!order.empty(),
                  "slot accounting with an empty policy visit order");
 
-    // Classify each thread's head-of-queue stall, then spread the
-    // unused slots over the classifications (paper Figure 3), walking
-    // the *same* visit order the issue stage just used so the
-    // attribution can never drift from the arbitration.
-    std::vector<SlotUse> &reasons = reasonsScratch_;
-    reasons.clear();
-    for (const ThreadId t : order) {
-        const ThreadState &key = keys_[t];
-        const std::uint32_t queued =
-            unit == Unit::AP ? key.apQueueOccupancy : key.iqOccupancy;
-        if (queued == 0) {
-            // Nothing available: an idle or wrong-path-gated front end.
-            reasons.push_back(SlotUse::Idle);
-            continue;
-        }
-        Context &ctx = *contexts_[t];
-        DynInst *di = unit == Unit::AP ? ctx.apQ.front() : ctx.iq.front();
-        if (!cfg_.decoupled && di->seq != ctx.nextIssueSeq) {
-            // Gated by program order (the other unit holds the oldest).
-            reasons.push_back(SlotUse::Other);
-            continue;
-        }
-        std::uint32_t tok = PerceivedTracker::kNoToken;
-        const Producer::Kind k = ctx.stallSource(*di, tok);
-        if (k == Producer::Kind::Load) {
-            reasons.push_back(SlotUse::WaitMem);
-            // A free slot existed and the head could not issue because
-            // of an outstanding load miss: one perceived stall cycle.
-            if (tok != PerceivedTracker::kNoToken)
-                ctx.perceived.stall(tok);
-        } else if (k == Producer::Kind::Fu) {
-            reasons.push_back(SlotUse::WaitFu);
-        } else {
-            // Operands ready but not issued: structural (cache port,
-            // MSHR, frame conflict) or same-cycle dependence.
-            reasons.push_back(SlotUse::Other);
-        }
-    }
+    // Spread the unused slots over the heads' stall classes (paper
+    // Figure 3), walking the *same* visit order the issue stage just
+    // used so the attribution can never drift from the arbitration:
+    // only its first free_slots positions (wrapping) are read. Only
+    // the classes an event changed are recomputed.
+    classifyDirtyHeads(unit);
+    const std::vector<HeadClass> &heads = heads_[std::size_t(unit)];
     for (std::uint32_t s = 0; s < free_slots; ++s)
-        bd.add(reasons[s % reasons.size()]);
+        bd.add(heads[order[s % order.size()]].cls.reason);
+    // A free slot existed, so every head stalled on an outstanding
+    // load miss perceives one more cycle of it; the class collects
+    // them when it is invalidated (chargeStalls).
+    freeSlotCycles_[std::size_t(unit)] += 1;
 }
 
 void
@@ -308,13 +392,17 @@ Simulator::tryDispatch(Context &ctx)
         // Nops retire without issuing.
         di.state = InstState::Completed;
     } else {
+        std::uint32_t &queued =
+            unit == Unit::AP ? key.apQueueOccupancy : key.iqOccupancy;
+        if (queued == 0)
+            invalidateHead(unit, ctx.tid);  // a new head: no longer Idle
         if (unit == Unit::AP) {
             ctx.apQ.push_back(&di);
-            key.apQueueOccupancy += 1;
         } else {
+            syncWindows(ctx);
             ctx.iq.push_back(&di);
-            key.iqOccupancy += 1;
         }
+        queued += 1;
         if (is_store) {
             // Deque references are stable under push_back/pop_front, so
             // the store can keep a direct pointer to its entry for the
@@ -558,12 +646,17 @@ Simulator::graduateStage()
 }
 
 void
-Simulator::sampleWindows()
+Simulator::finishCycle()
 {
-    for (auto &ctxp : contexts_) {
-        ctxp->sampleWindows();
-        ctxp->missAndWindowKeys(keys_[ctxp->tid]);
-    }
+    // One rotation step per cycle, matching the historical rrIssue_/
+    // rrDispatch_/rrFetch_ counters this layer replaced.
+    fetchPolicy_->endCycle();
+    issuePolicy_->endCycle();
+    now_ += 1;
+    // A policy reading the windows gets this cycle's samples now, so
+    // all of next cycle's consultations see the same windows.
+    if (windowsRead_)
+        syncAllWindows();
 }
 
 // ---------------------------------------------------------------------
@@ -571,11 +664,13 @@ Simulator::sampleWindows()
 // ---------------------------------------------------------------------
 
 bool
-Simulator::quiescent()
+Simulator::quiescent(SkipProbe &blocker)
 {
     // A completion due this cycle wakes the whole pipeline.
-    if (!events_.empty() && events_.top().at <= now_)
+    if (!events_.empty() && events_.top().at <= now_) {
+        blocker = SkipProbe::CompletionDue;
         return false;
+    }
 
     for (const auto &ctxp : contexts_) {
         const Context &ctx = *ctxp;
@@ -588,8 +683,10 @@ Simulator::quiescent()
         if (!ctx.rob.empty()) {
             const DynInst &head = ctx.rob.front();
             if (head.state == InstState::Completed &&
-                (!head.isStoreOp || ctx.storeDataReady(head)))
+                (!head.isStoreOp || ctx.storeDataReady(head))) {
+                blocker = SkipProbe::Graduable;
                 return false;
+            }
         }
 
         // Issue: a unit-queue head passing its gates would issue — or,
@@ -604,10 +701,11 @@ Simulator::quiescent()
             return di->isStoreOp ? ctx.storeAddrReady(*di)
                                  : ctx.operandsReady(*di);
         };
-        if (!ctx.apQ.empty() && head_can_issue(ctx.apQ.front()))
+        if ((!ctx.apQ.empty() && head_can_issue(ctx.apQ.front())) ||
+            (!ctx.iq.empty() && head_can_issue(ctx.iq.front()))) {
+            blocker = SkipProbe::Issuable;
             return false;
-        if (!ctx.iq.empty() && head_can_issue(ctx.iq.front()))
-            return false;
+        }
     }
 
     // Front end, consulted on the same live keys the real stages would
@@ -626,16 +724,17 @@ Simulator::quiescent()
     // trace-source state from the stepped run's.
     for (const ThreadState &key : keys_) {
         Context &ctx = *contexts_[key.tid];
-        if (key.fetchBufOccupancy > 0) {
-            if (fetchPolicy_->shouldFlush(key))
-                return false;
-            if (canDispatch(ctx))
-                return false;
+        if (key.fetchBufOccupancy > 0 &&
+            (fetchPolicy_->shouldFlush(key) || canDispatch(ctx))) {
+            blocker = SkipProbe::FrontEnd;
+            return false;
         }
         if (ctx.fetchEligible(cfg_, now_)) {
             if (!fetchPolicy_->mayFetch(key)) {
-                if (!fetchPolicy_->vetoStable(key))
+                if (!fetchPolicy_->vetoStable(key)) {
+                    blocker = SkipProbe::UnstableVeto;
                     return false;
+                }
                 continue;
             }
             // An eligible thread still fetches nothing when the next
@@ -647,8 +746,10 @@ Simulator::quiescent()
             const TraceInst *tip = nextInst(ctx);
             if (tip &&
                 !(isCondBranch(tip->op) &&
-                  ctx.unresolvedBranches >= cfg_.maxUnresolvedBranches))
+                  ctx.unresolvedBranches >= cfg_.maxUnresolvedBranches)) {
+                blocker = SkipProbe::Fetchable;
                 return false;
+            }
         }
     }
     return true;
@@ -658,10 +759,6 @@ Cycle
 Simulator::nextWakeCycle() const
 {
     Cycle wake = events_.empty() ? kNoCycle : events_.top().at;
-
-    const Cycle mem_next = mem_.nextEventCycle(now_);
-    if (mem_next < wake)
-        wake = mem_next;
 
     // A redirected thread resumes fetching at fetchResumeAt — a wake
     // source when the thread would actually have something to fetch
@@ -684,27 +781,33 @@ Simulator::idleStepStats()
                  "completion event fired inside a fast-forwarded span");
     issuePolicy_->issueOrder(Unit::AP, keys_, orderAp_);
     issuePolicy_->issueOrder(Unit::EP, keys_, orderEp_);
-    // Nothing issues, so every slot is free: accountSlots classifies
-    // the stalled heads and charges the perceived-latency stalls,
+    // Nothing issues, so every slot is free: accountSlots spreads them
+    // over the stalled heads' classes and counts the free-slot cycle,
     // exactly as the stepped issue stage would.
     accountSlots(Unit::AP, orderAp_, cfg_.apUnits);
     accountSlots(Unit::EP, orderEp_, cfg_.epUnits);
-    sampleWindows();
-    fetchPolicy_->endCycle();
-    issuePolicy_->endCycle();
-    now_ += 1;
+    finishCycle();
 }
 
 bool
 Simulator::trySkipIdle(std::uint64_t max_cycles)
 {
+    if (!cfg_.cycleSkip)
+        return false;
+    if (now_ < lastGraduation_ + 2) {
+        noteProbe(SkipProbe::NotDue);
+        return false;
+    }
 #if MTDAE_PROFILE
     std::chrono::steady_clock::time_point t0;
     if (profileEnabled_)
         t0 = std::chrono::steady_clock::now();
 #endif
-    if (!quiescent())
+    SkipProbe blocker = SkipProbe::Skipped;
+    if (!quiescent(blocker)) {
+        noteProbe(blocker);
         return false;
+    }
 
     // Jump to the earliest cycle anything can happen, clamped to the
     // run-loop horizon and to the deadlock guard's firing point so a
@@ -715,8 +818,10 @@ Simulator::trySkipIdle(std::uint64_t max_cycles)
     const Cycle guard_at = lastGraduation_ + 1'000'001;
     if (guard_at < target)
         target = guard_at;
-    if (target < now_ + 2)
-        return false;  // a one-cycle jump is just a step
+    if (target < now_ + 2) {
+        noteProbe(SkipProbe::ShortSpan);  // a one-cycle jump is a step
+        return false;
+    }
 
     MTDAE_ASSERT(events_.empty() || events_.top().at >= target,
                  "fast-forward past a pending completion event");
@@ -724,11 +829,11 @@ Simulator::trySkipIdle(std::uint64_t max_cycles)
     const std::uint64_t total = target - now_;
     std::uint64_t n = total;
 
-    // Phase A: the Split issue policy orders the EP by the windowed IQ
-    // occupancy, which keeps evolving for up to kIqWindow cycles after
-    // the last dispatch; microstep until the window saturates and the
-    // visit orders become purely rotation-periodic.
-    if (cfg_.issuePolicy == PolicyKind::Split) {
+    // Phase A: an issue policy reading the windows (split orders the
+    // EP by the windowed IQ occupancy) sees them evolve for up to
+    // kIqWindow cycles after the last dispatch; microstep until they
+    // saturate and the visit orders become purely rotation-periodic.
+    if (issuePolicy_->readsWindows()) {
         std::uint64_t head =
             n < Context::kIqWindow ? n : Context::kIqWindow;
         for (; head > 0; --head, --n)
@@ -755,34 +860,20 @@ Simulator::trySkipIdle(std::uint64_t max_cycles)
                 slotsAp_.counts[u] += (slotsAp_.counts[u] - ap0[u]) * k;
                 slotsEp_.counts[u] += (slotsEp_.counts[u] - ep0[u]) * k;
             }
-            // Perceived-latency stalls: accountSlots charges each
-            // WaitMem-classified queue head one stall per unit per
-            // cycle, independent of the visit order; the head set is
-            // frozen for the whole span, so bulk cycles multiply out.
-            for (const Unit unit : {Unit::AP, Unit::EP}) {
-                for (auto &ctxp : contexts_) {
-                    Context &ctx = *ctxp;
-                    auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
-                    if (queue.empty())
-                        continue;
-                    const DynInst *di = queue.front();
-                    if (!cfg_.decoupled && di->seq != ctx.nextIssueSeq)
-                        continue;
-                    std::uint32_t tok = PerceivedTracker::kNoToken;
-                    if (ctx.stallSource(*di, tok) ==
-                            Producer::Kind::Load &&
-                        tok != PerceivedTracker::kNoToken)
-                        ctx.perceived.stall(tok, bulk);
-                }
-            }
-            for (auto &ctxp : contexts_) {
-                ctxp->advanceWindows(bulk);
-                ctxp->missAndWindowKeys(keys_[ctxp->tid]);
-            }
+            // Perceived-latency stalls: the microstepped period left
+            // every stall class clean, and the classes hold through the
+            // span, so each bulk cycle is one more free-slot cycle on
+            // both units. The windows sync lazily.
+            MTDAE_ASSERT(dirtyHeads_[0].empty() && dirtyHeads_[1].empty(),
+                         "stall class invalidated inside an idle span");
+            for (std::uint64_t &cycles : freeSlotCycles_)
+                cycles += bulk;
             fetchPolicy_->skipCycles(bulk);
             issuePolicy_->skipCycles(bulk);
             now_ += bulk;
             n -= bulk;
+            if (windowsRead_)
+                syncAllWindows();
         }
     }
 
@@ -799,6 +890,7 @@ Simulator::trySkipIdle(std::uint64_t max_cycles)
 
     cyclesSkipped_ += total;
     skipEvents_ += 1;
+    noteProbe(SkipProbe::Skipped);
 #if MTDAE_PROFILE
     if (profileEnabled_) {
         const std::uint64_t d = std::uint64_t(
@@ -863,14 +955,7 @@ Simulator::stepImpl()
     mark(Stage::Fetch);
     graduateStage();
     mark(Stage::Graduate);
-    // One windowed-statistics sample per cycle, after every stage, so
-    // all of next cycle's policy consultations see the same windows.
-    sampleWindows();
-    // One rotation step per cycle, matching the historical rrIssue_/
-    // rrDispatch_/rrFetch_ counters this layer replaced.
-    fetchPolicy_->endCycle();
-    issuePolicy_->endCycle();
-    now_ += 1;
+    finishCycle();
     mark(Stage::Other);
     if constexpr (Profiled)
         profile_.cycles += 1;
@@ -1066,7 +1151,7 @@ Simulator::runWarmup(std::uint64_t max_cycles)
 {
     while (totalGraduated_ < cfg_.warmupInsts && now_ < max_cycles &&
            !allDone()) {
-        if (!skipProbeDue() || !trySkipIdle(max_cycles))
+        if (!trySkipIdle(max_cycles))
             step();
         guardProgress(now_, lastGraduation_);
     }
@@ -1078,7 +1163,7 @@ Simulator::runMeasure(std::uint64_t measure_insts, std::uint64_t max_cycles)
     resetStats();
     const std::uint64_t target = totalGraduated_ + measure_insts;
     while (totalGraduated_ < target && now_ < max_cycles && !allDone()) {
-        if (!skipProbeDue() || !trySkipIdle(max_cycles))
+        if (!trySkipIdle(max_cycles))
             step();
         guardProgress(now_, lastGraduation_);
     }

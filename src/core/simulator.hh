@@ -9,7 +9,7 @@
  *   3. issue (per unit, in order per thread, across threads in the
  *      ArbitrationPolicy's visit order, full simultaneous issue; slot
  *      accounting — over the same visit order — and perceived-latency
- *      attribution)
+ *      attribution, both from stall classes cached per queue head)
  *   4. dispatch (rename, steer to AP queue / EP Instruction Queue,
  *      allocate ROB and SAQ entries; threads visited in the
  *      ArbitrationPolicy's dispatch order)
@@ -29,12 +29,20 @@
  * threads once per cycle over the per-context keys the stages keep
  * live (Simulator::policyKeys), and the stages consult those keys
  * before touching a Context, so an idle thread costs no Context access.
+ *
+ * The per-thread bookkeeping behind the statistics follows events, not
+ * cycles: the trailing windows are sampled lazily (Context::syncWindows)
+ * and a head's stall class is recomputed only after an event that can
+ * change it, so under policies that do not read the windows no cycle
+ * walks every context for either.
  */
 
 #ifndef MTDAE_CORE_SIMULATOR_HH
 #define MTDAE_CORE_SIMULATOR_HH
 
+#include <array>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <vector>
 
@@ -174,9 +182,12 @@ class Simulator
      * Capture the complete mutable simulator state as a versioned
      * snapshot (src/core/snapshot.hh). Restoring it into a Simulator
      * constructed from the same configuration and workload recipe
-     * resumes the simulation byte-identically.
+     * resumes the simulation byte-identically. Brings the lazily kept
+     * statistics up to date first (the trailing windows and the
+     * perceived stalls owed to cached stall classes), which changes no
+     * result.
      */
-    Snapshot saveSnapshot() const;
+    Snapshot saveSnapshot();
 
     /**
      * Restore state captured by saveSnapshot(). This simulator must
@@ -205,10 +216,24 @@ class Simulator
 
     /**
      * The live policy keys, indexed by tid: what the policies are
-     * handed. Each equals Context::policyState() of its context
+     * handed, with every context's windows first brought up to the
+     * current cycle. Each equals Context::policyState() of its context
      * between step()s (the property tests' oracle).
      */
-    const std::vector<ThreadState> &policyKeys() const { return keys_; }
+    const std::vector<ThreadState> &
+    policyKeys()
+    {
+        syncAllWindows();
+        return keys_;
+    }
+
+    /**
+     * The cached stall class of @p unit's queue head in thread @p t,
+     * or nothing while an event has invalidated it and it awaits
+     * recomputation. A cached class equals Context::stallClass() of
+     * the head (the property tests' oracle).
+     */
+    std::optional<StallClass> cachedStallClass(Unit unit, ThreadId t) const;
 
     /** Current cycle. */
     Cycle now() const { return now_; }
@@ -307,8 +332,33 @@ class Simulator
      */
     void flushFetchBuffer(Context &ctx);
     void graduateStage();
-    /** One trailing-window sample per context, mirrored into keys_. */
-    void sampleWindows();
+    /** Policy endCycle()s, now_ advance, and the window sync of a
+     *  policy that reads the windows (windowsRead_). */
+    void finishCycle();
+
+    // --- Lazily kept per-thread statistics -----------------------------
+    /** Context::syncWindows(now_), mirrored into the context's keys. */
+    void syncWindows(Context &ctx);
+    /** syncWindows() for every context. */
+    void syncAllWindows();
+    /**
+     * Drop the cached stall class of @p unit's head in thread @p t
+     * after charging the stalls it is owed; called before any event
+     * that can change the class (the completion of a register the head
+     * reads, an issue that moves the head or opens a miss, a dispatch
+     * into the empty queue).
+     */
+    void invalidateHead(Unit unit, ThreadId t);
+    /** Charge a clean class's perceived stalls up to this cycle. */
+    void chargeStalls(Unit unit, ThreadId t);
+    /** chargeStalls() on every clean class (before a save). */
+    void chargeAllStalls();
+    /** Recompute the classes of @p unit invalidated since its last
+     *  cycle with a free slot. */
+    void classifyDirtyHeads(Unit unit);
+    /** Rebuild every derived structure from the simulated state at
+     *  now_: keys, parking, window sync points, stall classes. */
+    void rebuildDerived();
 
     /** step() body; Profiled selects the timing instrumentation. */
     template <bool Profiled> void stepImpl();
@@ -320,43 +370,51 @@ class Simulator
      * reproduces: no completion event is due, no ROB head can graduate,
      * no queue head can issue (or attempt a memory access), no thread
      * can dispatch, fetch or flush. Conservative: any doubt returns
-     * false and the cycle is stepped normally.
+     * false, naming the first failed condition in @p blocker, and the
+     * cycle is stepped normally.
      */
-    bool quiescent();
+    bool quiescent(SkipProbe &blocker);
     /**
      * Earliest cycle after now_ at which quiescence could end: the
-     * completion-event head, the memory system's next event, and every
-     * gated thread's fetchResumeAt. kNoCycle when nothing is pending.
+     * completion-event head and every gated thread's fetchResumeAt.
+     * kNoCycle when nothing is pending. The memory system is no wake
+     * source: its model is analytic (a reservation is a timestamp the
+     * next access reads), nothing accesses it inside a quiescent span,
+     * every load fill is a completion event, and trySkipIdle's
+     * catch-up beginCycle lands the L1 fills.
      */
     Cycle nextWakeCycle() const;
     /**
      * One cycle of quiescent bookkeeping, byte-identical to stepImpl on
-     * a quiescent cycle: slot accounting + perceived stalls over the
-     * policy issue orders, IQ-window sampling, policy endCycle()s,
-     * now_ advance. No stage logic runs — quiescence means none would
-     * do anything.
+     * a quiescent cycle: slot accounting over the policy issue orders,
+     * then finishCycle(). No stage logic runs — quiescence means none
+     * would do anything.
      */
     void idleStepStats();
     /**
-     * Fast-forward a quiescent span: when quiescent(), advance now_ and
-     * every cycle-indexed statistic to min(next wake, @p max_cycles,
-     * deadlock-guard horizon) without evaluating the pipeline stages.
-     * Byte-identical to stepping the same span.
+     * The run loop's idle-skip probe. When cycle skip is on, no
+     * graduation happened in the last two cycles (a cheap gate: an
+     * idle span cannot contain one, so a recent graduation means the
+     * full quiescent() scan would be wasted work) and quiescent(),
+     * advance now_ and every cycle-indexed statistic to min(next wake,
+     * @p max_cycles, deadlock-guard horizon) without evaluating the
+     * pipeline stages. Byte-identical to stepping the same span. Under
+     * profiling, counts the probe's outcome (SkipProbe).
      *
      * @return true when at least one cycle was skipped (the run loop
      *         skips its step() for this iteration)
      */
     bool trySkipIdle(std::uint64_t max_cycles);
-    /**
-     * Cheap gate in front of the quiescence probe: an idle span cannot
-     * contain a graduation, so a recent graduation means the pipeline
-     * is busy and the full quiescent() scan would be wasted work. The
-     * price is at most two stepped cycles at the head of each span.
-     */
-    bool
-    skipProbeDue() const
+    /** Count one probe outcome when profiling. */
+    void
+    noteProbe(SkipProbe outcome)
     {
-        return cfg_.cycleSkip && now_ >= lastGraduation_ + 2;
+#if MTDAE_PROFILE
+        if (profileEnabled_)
+            profile_.skipProbes[std::size_t(outcome)] += 1;
+#else
+        (void)outcome;
+#endif
     }
 
     SimConfig cfg_;
@@ -375,10 +433,14 @@ class Simulator
      * The policy keys of every context, indexed by tid, updated in
      * place wherever the Context state they mirror changes (fetch,
      * dispatch, issue, completion, miss open/close, flush, graduation,
-     * window sampling). Derived state: rebuilt from
-     * Context::policyState() on restore, never serialized.
+     * window sync). The window keys are as of the context's last sync.
+     * Derived state: rebuilt from Context::policyState() on restore,
+     * never serialized.
      */
     std::vector<ThreadState> keys_;
+    /** A policy in force reads the window keys: sync every context's
+     *  windows at the end of every cycle. */
+    bool windowsRead_ = false;
     /**
      * Per thread, the cycle before which its ROB-head store is known to
      * be refused by the L1: graduation skips the thread until then. Set
@@ -392,8 +454,31 @@ class Simulator
     std::vector<ThreadId> orderEp_;
     std::vector<ThreadId> orderDispatch_;
     std::vector<ThreadId> orderFetch_;
-    /** accountSlots' per-cycle stall classifications (reused scratch). */
-    std::vector<SlotUse> reasonsScratch_;
+
+    /** A cached StallClass, how far its perceived stalls are charged
+     *  (a freeSlotCycles_ value), and the head's renamed sources: a
+     *  completion changes the class only of a head reading its
+     *  register. */
+    struct HeadClass
+    {
+        StallClass cls;
+        std::uint64_t chargedTo = 0;
+        std::array<PhysReg, 3> srcs = {kNoPhysReg, kNoPhysReg,
+                                       kNoPhysReg};
+        bool dirty = true;  ///< invalidated; cls and srcs are stale
+    };
+    /**
+     * Per unit (indexed by Unit), the stall class of every thread's
+     * queue head, the threads whose class awaits recomputation, and
+     * the number of cycles that unit had a free slot. A clean WaitMem
+     * class on an open miss is owed freeSlotCycles_ - chargedTo
+     * perceived stalls, charged when it is invalidated (so before its
+     * miss closes) and before a save. Derived state: never serialized,
+     * every class dirty after a restore.
+     */
+    std::array<std::vector<HeadClass>, 2> heads_;
+    std::array<std::vector<ThreadId>, 2> dirtyHeads_;
+    std::array<std::uint64_t, 2> freeSlotCycles_{};
 
     // Per-stage wall-clock profiling (core/profile.hh).
     bool profileEnabled_ = false;

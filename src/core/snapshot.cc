@@ -112,8 +112,12 @@ Snapshot::fromBytes(const std::vector<std::uint8_t> &bytes)
 }
 
 Snapshot
-Simulator::saveSnapshot() const
+Simulator::saveSnapshot()
 {
+    // The image is the stepped run's: windows sampled up to now_, and
+    // every perceived stall charged to its miss.
+    syncAllWindows();
+    chargeAllStalls();
     ByteWriter w;
     w.u64(now_);
     mem_.save(w);
@@ -202,11 +206,11 @@ Simulator::restoreSnapshot(const Snapshot &snap)
         throw SnapshotError("trailing bytes in snapshot payload");
 
     // Derived state: the live policy keys follow the restored contexts,
-    // and no thread is parked (a parked store re-attempts once, is
-    // refused without side effects, and parks again).
-    for (ThreadId t = 0; t < cfg_.numThreads; ++t)
-        keys_[t] = contexts_[t]->policyState(cfg_, now_);
-    parkedUntil_.assign(cfg_.numThreads, 0);
+    // the windows are synced to now_, every stall class awaits
+    // recomputation, and no thread is parked (a parked store
+    // re-attempts once, is refused without side effects, and parks
+    // again).
+    rebuildDerived();
 }
 
 } // namespace mtdae

@@ -416,6 +416,13 @@ writeJson(const ResultSet &rs, std::ostream &os)
             os << '"' << stageName(Stage(s))
                << "\": " << rs.profile.ns[s];
         }
+        os << "},\n    \"skip_probes\": {";
+        for (std::size_t p = 0; p < kNumSkipProbes; ++p) {
+            if (p)
+                os << ", ";
+            os << '"' << skipProbeName(SkipProbe(p))
+               << "\": " << rs.profile.skipProbes[p];
+        }
         os << "}\n  }";
     }
     os << "\n}\n";
@@ -496,9 +503,11 @@ printHelp(std::ostream &os)
           " position\n"
           "  --profile         collect the per-stage wall-clock"
           " breakdown of the\n"
-          "                    simulator's cycle loop (reported on"
-          " stderr and in\n"
-          "                    the JSON 'profile' object; result rows"
+          "                    simulator's cycle loop and the outcome"
+          " counts of its\n"
+          "                    idle-skip probes (reported on stderr and"
+          " in the JSON\n"
+          "                    'profile' object; result rows"
           " unchanged)\n"
           "  --format=csv|json result encoding (also --csv / --json)\n"
           "  --out=DIR         result directory (default: results)\n"
@@ -657,8 +666,8 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
 
     // The per-stage breakdown goes to stderr next to the progress
     // lines: stdout (JSON) and the CSV file stay byte-identical with
-    // or without --profile.
-    if (rs.profiled && !opts.quiet) {
+    // or without --profile. --quiet silences only the stdout table.
+    if (rs.profiled) {
         err << "profile: " << rs.profile.cycles << " cycles in "
             << rs.profile.totalNs << " ns\n";
         for (std::size_t s = 0; s < kNumStages; ++s) {
@@ -671,6 +680,12 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
                 << rs.profile.ns[s] << " ns (" << TextTable::fmt(pct, 1)
                 << "%)\n";
         }
+        // Why idle skip did or did not fire, one count per probe.
+        err << "skip probes:";
+        for (std::size_t p = 0; p < kNumSkipProbes; ++p)
+            err << " " << skipProbeName(SkipProbe(p)) << "="
+                << rs.profile.skipProbes[p];
+        err << "\n";
     }
 
     if (opts.format == Options::Format::Json) {

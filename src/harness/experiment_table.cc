@@ -787,10 +787,7 @@ runEntry(const Entry &e, const Options &opts, std::ostream &err)
     for (const RunResult &r : results) {
         if (!r.profile.enabled)
             continue;
-        for (std::size_t s = 0; s < kNumStages; ++s)
-            rs.profile.ns[s] += r.profile.ns[s];
-        rs.profile.totalNs += r.profile.totalNs;
-        rs.profile.cycles += r.profile.cycles;
+        rs.profile.add(r.profile);
         rs.profile.enabled = rs.profiled = true;
     }
     return rs;

@@ -399,6 +399,8 @@ class SplitArbitrationPolicy final : public ArbitrationPolicy
             rot_.rotationSortedBy(threads, keyIqWindow, out);
     }
 
+    bool readsWindows() const override { return true; }
+
     void endCycle() override { rot_.advance(); }
     void skipCycles(std::uint64_t n) override { rot_.skip(n); }
 
@@ -476,6 +478,8 @@ class AdaptiveFetchPolicy final : public FetchPolicy
         // still decay below the threshold as it slides.
         return t.outstandingMisses == 0 || t.missWindowUniform;
     }
+
+    bool readsWindows() const override { return true; }
 
     void endCycle() override { rot_.advance(); }
     void skipCycles(std::uint64_t n) override { rot_.skip(n); }

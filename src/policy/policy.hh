@@ -105,17 +105,18 @@ struct ThreadState
     /**
      * Sum of the per-cycle EP Instruction Queue occupancy samples over
      * the trailing Context::kIqWindow (64) cycles — the `split`
-     * policy's EP drain-rate key. Sampled once per cycle at the end of
-     * Simulator::step(), so it is constant across all of a cycle's
-     * consulting stages and excludes the current cycle.
+     * policy's EP drain-rate key. Each sample is the occupancy at the
+     * end of its cycle, so the sum is constant across all of a cycle's
+     * consulting stages and excludes the current cycle. The Simulator
+     * records the samples lazily; the keys a policy is handed carry
+     * current windows whenever a policy in force readsWindows().
      */
     std::uint32_t iqOccupancyWindow = 0;
     /**
      * Sum of the per-cycle outstanding-L1-load-miss samples over the
      * trailing kPolicyWindowCycles (64) cycles — the adaptive policy's
-     * phase-detection key. Sampled at the same point as
-     * iqOccupancyWindow (end of Simulator::step()), so the two windows
-     * always cover the same cycles.
+     * phase-detection key. Sampled like iqOccupancyWindow, so the two
+     * windows always cover the same cycles.
      */
     std::uint32_t missWindow = 0;
     /**
@@ -127,7 +128,7 @@ struct ThreadState
      * and still decay as it slides), so policies whose vetoStable()
      * reasons about window freezing must consult this flag, never the
      * sum. Re-evaluated whenever outstandingMisses changes and at every
-     * window sample.
+     * window sync.
      */
     bool missWindowUniform = false;
     /**
@@ -223,6 +224,15 @@ class FetchPolicy
         return true;
     }
 
+    /**
+     * Does this policy read the trailing-window keys
+     * (ThreadState::iqOccupancyWindow, ::missWindow,
+     * ::missWindowUniform)? The Simulator samples the windows lazily,
+     * and brings every context's up to date each cycle only while a
+     * policy in force answers true. Default: false.
+     */
+    virtual bool readsWindows() const { return false; }
+
     /** Advance per-cycle state (rotations); called once per cycle. */
     virtual void endCycle() {}
 
@@ -268,6 +278,10 @@ class ArbitrationPolicy
     virtual void issueOrder(Unit unit,
                             const std::vector<ThreadState> &threads,
                             std::vector<ThreadId> &out) = 0;
+
+    /** Does this policy read the trailing-window keys? (See
+     *  FetchPolicy::readsWindows.) Default: false. */
+    virtual bool readsWindows() const { return false; }
 
     /** Advance per-cycle state (rotations); called once per cycle. */
     virtual void endCycle() {}

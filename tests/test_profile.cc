@@ -2,8 +2,9 @@
  * @file
  * Tests of the per-stage profiling layer (src/core/profile.hh): the
  * accounting invariant (stage buckets tile the stepped wall time
- * exactly), the off-by-default contract, and the byte-identity of
- * results and CLI output with and without --profile.
+ * exactly), the idle-skip probe outcome counts (one per probe made),
+ * the off-by-default contract, and the byte-identity of results and
+ * CLI output with and without --profile.
  */
 
 #include <cstdio>
@@ -12,8 +13,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/snapshot.hh"
 #include "harness/cli.hh"
 #include "tests/test_util.hh"
+#include "workload/dsl/interp.hh"
 
 using namespace mtdae;
 using namespace mtdae::test;
@@ -52,6 +55,8 @@ TEST(StageProfile, NamesAndIndexingCoverEveryStage)
 {
     for (std::size_t s = 0; s < kNumStages; ++s)
         EXPECT_STRNE(stageName(Stage(s)), "?");
+    for (std::size_t p = 0; p < kNumSkipProbes; ++p)
+        EXPECT_STRNE(skipProbeName(SkipProbe(p)), "?");
     StageProfile p;
     p.ns[std::size_t(Stage::Issue)] = 42;
     EXPECT_EQ(p[Stage::Issue], 42u);
@@ -104,6 +109,52 @@ TEST(Profile, StageBucketsTileTotalExactly)
     EXPECT_EQ(sum, r.profile.totalNs);
 }
 
+TEST(Profile, SkipProbeOutcomesAddUpToTheProbesMade)
+{
+    if (!kProfileBuilt)
+        GTEST_SKIP() << "profiling compiled out";
+    // A memory-bound pointer chase, so skips fire. With cycle skip on,
+    // the run loop probes once per iteration, and a probe either
+    // fast-forwards a span (one skip event) or lets one cycle be
+    // stepped: the outcomes add up to the stepped cycles plus the skip
+    // events. Counting them changes no result and no saved state.
+    const Kernel k = dsl::compileKernel(dsl::readKernelFile(
+        std::string(MTDAE_SOURCE_DIR) +
+        "/examples/kernels/pointer_chase.mk"));
+    SimConfig cfg = testConfig(2, true, 256);
+    cfg.warmupInsts = 500;
+    Simulator plain = makeSim(cfg, k, 4000);
+    Simulator profiled = makeSim(cfg, k, 4000);
+    ASSERT_TRUE(profiled.setProfiling(true));
+    const RunResult a = plain.run(2000);
+    const RunResult b = profiled.run(2000);
+    expectSameSimulation(a, b);
+    EXPECT_EQ(a.cyclesSkipped, b.cyclesSkipped);
+    EXPECT_EQ(a.skipEvents, b.skipEvents);
+    EXPECT_EQ(plain.saveSnapshot().toBytes(),
+              profiled.saveSnapshot().toBytes());
+
+    std::uint64_t probes = 0;
+    for (const std::uint64_t n : b.profile.skipProbes)
+        probes += n;
+    EXPECT_GT(b.skipEvents, 0u);
+    EXPECT_EQ(b.profile.skipProbes[std::size_t(SkipProbe::Skipped)],
+              b.skipEvents);
+    EXPECT_EQ(probes, b.cycles - b.cyclesSkipped + b.skipEvents);
+    EXPECT_GT(b.profile.skipProbes[std::size_t(SkipProbe::NotDue)], 0u);
+    for (const std::uint64_t n : a.profile.skipProbes)
+        EXPECT_EQ(n, 0u) << "counted without profiling";
+
+    // With cycle skip off no probe is made.
+    cfg.cycleSkip = false;
+    Simulator stepped = makeSim(cfg, k, 4000);
+    stepped.setProfiling(true);
+    const RunResult c = stepped.run(2000);
+    expectSameSimulation(a, c);
+    for (const std::uint64_t n : c.profile.skipProbes)
+        EXPECT_EQ(n, 0u);
+}
+
 TEST(Profile, ProfiledRunIsByteIdenticalToUnprofiled)
 {
     SimConfig cfg = testConfig(2);
@@ -132,6 +183,14 @@ TEST(ProfileCli, JsonProfileBlockOnlyUnderFlag)
     for (std::size_t s = 0; s < kNumStages; ++s)
         EXPECT_NE(out_prof.str().find(std::string("\"") +
                                       stageName(Stage(s)) + "\": "),
+                  std::string::npos);
+    EXPECT_NE(out_prof.str().find("\"skip_probes\""), std::string::npos);
+    // --quiet silences the stdout table, not the stderr breakdown.
+    EXPECT_NE(err.str().find("profile: "), std::string::npos);
+    EXPECT_NE(err.str().find("skip probes:"), std::string::npos);
+    for (std::size_t p = 0; p < kNumSkipProbes; ++p)
+        EXPECT_NE(out_prof.str().find(std::string("\"") +
+                                      skipProbeName(SkipProbe(p)) + "\": "),
                   std::string::npos);
     // The rows themselves are byte-identical: --profile only appends
     // the profile object.

@@ -5,7 +5,9 @@
  * conservation and accounting invariants intact.
  */
 
+#include <deque>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <tuple>
 
@@ -26,13 +28,16 @@ namespace {
 
 /**
  * Generate a random, valid kernel: a few streams, loads, a layer of FP
- * and integer ops on previously defined values, optional store and
- * hammock.
+ * and integer ops on previously defined values (some of them
+ * three-source FMAs), optional store and hammock.
  */
 Kernel
 randomKernel(std::uint64_t seed)
 {
     Rng rng(seed);
+    // Its own stream, so the FMA choice leaves every other draw as it
+    // was.
+    Rng fma(deriveSeed(0x666d61, seed));
     KernelBuilder b;
 
     const int n_streams = 1 + int(rng.uniform(3));
@@ -60,8 +65,13 @@ randomKernel(std::uint64_t seed)
             const int c = fps[rng.uniform(fps.size())];
             static const Opcode fop[] = {Opcode::FAdd, Opcode::FMul,
                                          Opcode::FSub, Opcode::FDiv};
-            if (fps.size() < 24)
-                fps.push_back(b.fop(fop[rng.uniform(4)], a, c));
+            if (fps.size() < 24) {
+                const Opcode op = fop[rng.uniform(4)];
+                fps.push_back(fma.bernoulli(0.3)
+                                  ? b.fop(Opcode::FMA, a, c,
+                                          fps[fma.uniform(fps.size())])
+                                  : b.fop(op, a, c));
+            }
         } else {
             static const Opcode iop[] = {Opcode::IAdd, Opcode::IShift,
                                          Opcode::ILogic, Opcode::IMul};
@@ -284,7 +294,9 @@ TEST_P(LiveKeyFuzzTest, LiveKeysMatchRecomputation)
     // stages — each key the stages keep in place must equal a
     // from-scratch Context::policyState(), every single cycle. Also
     // cross-checks the SAQ word index against the reference linear
-    // walk it replaced in the issue stage.
+    // walk it replaced in the issue stage, and every cached stall
+    // class of a queue head against a from-scratch classification
+    // (Context::stallClass), the walk the cache replaced.
     const std::uint64_t seed = GetParam();
     Rng rng(deriveSeed(0x73636163, seed));
     const Kernel k = randomKernel(seed);
@@ -315,6 +327,19 @@ TEST_P(LiveKeyFuzzTest, LiveKeysMatchRecomputation)
             ASSERT_TRUE(sim.policyKeys()[t] ==
                         ctx.policyState(cfg, sim.now()))
                 << k.name << " t" << t << " at cycle " << sim.now();
+            for (const Unit unit : {Unit::AP, Unit::EP}) {
+                const std::optional<StallClass> cached =
+                    sim.cachedStallClass(unit, t);
+                if (!cached)
+                    continue;  // invalidated: recomputed before use
+                const StallClass ref = ctx.stallClass(unit, cfg);
+                ASSERT_TRUE(*cached == ref)
+                    << k.name << " t" << t << " unit " << int(unit)
+                    << " at cycle " << sim.now() << ": cached "
+                    << int(cached->reason) << "/" << cached->token
+                    << ", from scratch " << int(ref.reason) << "/"
+                    << ref.token;
+            }
             // A probe seq newer than everything in flight makes the
             // reference walk answer the same question as the index.
             const InstSeq probe = ctx.nextSeq + 1;
@@ -339,56 +364,111 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LiveKeyFuzzTest,
 
 class WindowOracleTest : public ::testing::TestWithParam<std::uint64_t>
 {
+  protected:
+    /**
+     * Fuzz the trailing-window statistics (Context::syncWindows): on a
+     * random kernel and machine under the @p fetch / @p issue policy
+     * pair, at cycles up to @p max_gap apart (so that windows no policy
+     * reads stay lazy in between), once Simulator::policyKeys() has
+     * brought every context's windows up to the current cycle, the
+     * rings must hold, oldest first, the IQ occupancy and
+     * outstanding-miss count each of the last 64 cycles ended with —
+     * as the test samples them itself after every step — and the
+     * incrementally maintained sums, live keys and miss-window
+     * uniformity tracker must agree with them.
+     * The uniformity check is the load-bearing one for the adaptive
+     * policy — its vetoStable() reads it, and a stale bit silently
+     * breaks idle fast-forward byte-identity rather than any
+     * assertion; the sample values are what a snapshot serializes.
+     */
+    void
+    checkWindows(PolicyKind fetch, PolicyKind issue, std::uint64_t max_gap)
+    {
+        const std::uint64_t seed = GetParam();
+        Rng rng(deriveSeed(0x77696e64, seed));
+        const Kernel k = randomKernel(seed);
+
+        SimConfig cfg = testConfig(1 + rng.uniform(3));
+        cfg.decoupled = rng.bernoulli(0.7);
+        cfg.fetchPolicy = fetch;
+        cfg.issuePolicy = issue;
+        cfg.adaptiveMissThreshold = 1 + std::uint32_t(rng.uniform(3));
+        if (rng.bernoulli(0.5))
+            cfg.threadWeights = {1 + std::uint32_t(rng.uniform(16)),
+                                 1 + std::uint32_t(rng.uniform(16))};
+        cfg.warmupInsts = 0;
+        cfg.validate();
+
+        // The reference: every cycle's end-of-cycle values, oldest
+        // first, starting from the all-zero rings of a fresh machine.
+        constexpr std::uint32_t kWin = Context::kIqWindow;
+        std::vector<std::deque<std::uint32_t>> iq_hist(
+            cfg.numThreads, std::deque<std::uint32_t>(kWin, 0));
+        std::vector<std::deque<std::uint32_t>> miss_hist = iq_hist;
+
+        Rng sched(deriveSeed(0x73796e63, seed));
+        std::uint64_t next_check = 1;
+        Simulator sim = makeSim(cfg, k, 150);
+        std::uint64_t steps = 0;
+        while (!sim.allDone()) {
+            sim.step();
+            ASSERT_LT(++steps, 4000000u) << "deadlock in " << k.name;
+            for (ThreadId t = 0; t < cfg.numThreads; ++t) {
+                const Context &ctx = sim.context(t);
+                iq_hist[t].pop_front();
+                iq_hist[t].push_back(std::uint32_t(ctx.iq.size()));
+                miss_hist[t].pop_front();
+                miss_hist[t].push_back(ctx.perceived.outstanding());
+            }
+            if (steps < next_check)
+                continue;
+            next_check = steps + 1 + sched.uniform(max_gap);
+            const std::vector<ThreadState> &keys = sim.policyKeys();
+            for (ThreadId t = 0; t < cfg.numThreads; ++t) {
+                const Context &ctx = sim.context(t);
+                ASSERT_EQ(ctx.windowsAt, sim.now());
+                std::uint32_t iq_sum = 0, miss_sum = 0;
+                bool uniform = true;
+                for (std::uint32_t age = 0; age < kWin; ++age) {
+                    const std::uint32_t iq =
+                        ctx.iqSamples[(ctx.iqSampleAt + age) % kWin];
+                    const std::uint32_t miss =
+                        ctx.missSamples[(ctx.missSampleAt + age) % kWin];
+                    ASSERT_EQ(iq, iq_hist[t][age])
+                        << k.name << " t" << t << " age " << age
+                        << " at cycle " << sim.now();
+                    ASSERT_EQ(miss, miss_hist[t][age])
+                        << k.name << " t" << t << " age " << age
+                        << " at cycle " << sim.now();
+                    iq_sum += iq;
+                    miss_sum += miss;
+                    uniform &= miss == ctx.perceived.outstanding();
+                }
+                ASSERT_EQ(ctx.iqWindowSum, iq_sum)
+                    << k.name << " t" << t << " at cycle " << sim.now();
+                ASSERT_EQ(ctx.missWindowSum, miss_sum)
+                    << k.name << " t" << t << " at cycle " << sim.now();
+                ASSERT_EQ(keys[t].iqOccupancyWindow, iq_sum);
+                ASSERT_EQ(keys[t].missWindow, miss_sum);
+                ASSERT_EQ(keys[t].missWindowUniform, uniform)
+                    << k.name << " t" << t << " at cycle " << sim.now();
+            }
+        }
+    }
 };
 
 TEST_P(WindowOracleTest, IncrementalWindowsMatchFromScratchRecompute)
 {
-    // Fuzz the trailing-window statistics (Context::sampleWindows):
-    // the incrementally maintained sums and the miss-window uniformity
-    // tracker must equal a from-scratch recomputation over the raw
-    // sample rings after every single cycle. The uniformity check is
-    // the load-bearing one — the adaptive policy's vetoStable() reads
-    // it, and a stale bit silently breaks idle fast-forward
-    // byte-identity rather than any assertion.
-    const std::uint64_t seed = GetParam();
-    Rng rng(deriveSeed(0x77696e64, seed));
-    const Kernel k = randomKernel(seed);
+    // The adaptive fetch policy reads the windows: synced, and checked,
+    // every cycle.
+    checkWindows(PolicyKind::Adaptive, PolicyKind::RoundRobin, 1);
+}
 
-    SimConfig cfg = testConfig(1 + rng.uniform(3));
-    cfg.decoupled = rng.bernoulli(0.7);
-    cfg.fetchPolicy = PolicyKind::Adaptive;
-    cfg.adaptiveMissThreshold = 1 + std::uint32_t(rng.uniform(3));
-    if (rng.bernoulli(0.5))
-        cfg.threadWeights = {1 + std::uint32_t(rng.uniform(16)),
-                             1 + std::uint32_t(rng.uniform(16))};
-    cfg.warmupInsts = 0;
-    cfg.validate();
-
-    Simulator sim = makeSim(cfg, k, 150);
-    std::uint64_t steps = 0;
-    while (!sim.allDone()) {
-        sim.step();
-        ASSERT_LT(++steps, 4000000u) << "deadlock in " << k.name;
-        for (ThreadId t = 0; t < cfg.numThreads; ++t) {
-            const Context &ctx = sim.context(t);
-            std::uint32_t iq_sum = 0, miss_sum = 0;
-            bool uniform = true;
-            for (const std::uint32_t s : ctx.iqSamples)
-                iq_sum += s;
-            for (const std::uint32_t s : ctx.missSamples) {
-                miss_sum += s;
-                uniform &= s == ctx.perceived.outstanding();
-            }
-            ASSERT_EQ(ctx.iqWindowSum, iq_sum)
-                << k.name << " t" << t << " at cycle " << sim.now();
-            ASSERT_EQ(ctx.missWindowSum, miss_sum)
-                << k.name << " t" << t << " at cycle " << sim.now();
-            const ThreadState s = ctx.policyState(cfg, sim.now());
-            ASSERT_EQ(s.missWindow, miss_sum);
-            ASSERT_EQ(s.missWindowUniform, uniform)
-                << k.name << " t" << t << " at cycle " << sim.now();
-        }
-    }
+TEST_P(WindowOracleTest, LazyWindowsMatchFromScratchOnceSynced)
+{
+    // No policy reads the windows: sampled only at events, and caught
+    // up by policyKeys() at checks up to 100 cycles apart.
+    checkWindows(PolicyKind::Icount, PolicyKind::RoundRobin, 100);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WindowOracleTest,

@@ -6,9 +6,16 @@
  * bytes as stepping every cycle — across every fetch x issue policy
  * pair, both memory backends, built-in and DSL kernels, and
  * checkpoints taken at any cycle — while the skip counters themselves
- * stay observability-only. Plus the never-under-report contract of
- * MemorySystem::nextEventCycle(): no hierarchy state change may land
- * strictly inside a reported quiet interval.
+ * stay observability-only. The engine wakes only on core events (the
+ * completion heap and redirected fetch); a span may cover fills, port
+ * and bank timers, because the memory model is analytic and nothing
+ * accesses it inside a span. The byte-identity matrix covers the
+ * finite backend, where that matters most.
+ *
+ * MemorySystem::nextEventCycle() is no wake source any more, but it
+ * stays, with its never-under-report contract (no hierarchy state
+ * change may land strictly inside a reported quiet interval), while
+ * the benchmark's memory layer times it.
  */
 
 #include <gtest/gtest.h>
@@ -241,6 +248,8 @@ TEST(SkipCounters, SkipOffReportsZero)
 }
 
 // --- MemorySystem::nextEventCycle: never under-report -------------------
+// (Not a wake source of the skip engine; timed by the benchmark's
+// memory layer.)
 
 TEST(SkipWake, MemoryNextEventCycleNeverUnderReports)
 {
