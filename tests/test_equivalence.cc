@@ -214,25 +214,19 @@ TEST(EquivalenceWide, SixteenAndSixtyFourContextsMatchTheirGoldens)
 }
 
 /**
- * A machine whose skips fire: the pointer chase on the finite L2+DRAM
- * backend spends most cycles waiting on memory, so `run` reports
- * non-zero skip counters (every other golden's are zero). Pins where
- * the skip engine wakes; with skipping off only those two columns may
- * differ.
+ * Check `run` with @p base against tests/golden/<golden>.csv, then with
+ * skipping off and cold warmups, where only the two skip columns may
+ * differ. Pins where the skip engine wakes.
  */
-TEST(EquivalenceSkips, PointerChaseOnDramMatchesItsGolden)
+void
+expectSkipGolden(const std::string &golden,
+                 const std::vector<std::string> &base)
 {
     const std::string want =
-        test::slurp(sourcePath("tests/golden/run_dram.csv"));
-    ASSERT_FALSE(want.empty());
-    const std::vector<std::string> base = {
-        "run", "--bench=dsl",
-        "--kernel-file=" + sourcePath("examples/kernels/pointer_chase.mk"),
-        "--kernel-param=footprint=2M", "--perfect-l2=0",
-        "--threads-list=1,4", "--insts=2000", "--warmup=500", "--jobs=1",
-        "--quiet"};
+        test::slurp(sourcePath("tests/golden/" + golden + ".csv"));
+    ASSERT_FALSE(want.empty()) << golden;
     EXPECT_EQ(runCsv("run", base,
-                     ::testing::TempDir() + "mtdae_equiv_run_dram0"),
+                     ::testing::TempDir() + "mtdae_equiv_" + golden + "0"),
               want);
 
     std::vector<std::string> stepped = base;
@@ -240,10 +234,39 @@ TEST(EquivalenceSkips, PointerChaseOnDramMatchesItsGolden)
     const std::vector<std::string> skip_cols = {"cycles_skipped",
                                                 "skip_events"};
     EXPECT_EQ(dropColumns(runCsv("run", stepped,
-                                 ::testing::TempDir() +
-                                     "mtdae_equiv_run_dram1"),
+                                 ::testing::TempDir() + "mtdae_equiv_" +
+                                     golden + "1"),
                           skip_cols),
               dropColumns(want, skip_cols));
+}
+
+/**
+ * A machine whose skips fire: the pointer chase on the finite L2+DRAM
+ * backend spends most cycles waiting on memory, so `run` reports
+ * non-zero skip counters (most goldens' are zero).
+ */
+TEST(EquivalenceSkips, PointerChaseOnDramMatchesItsGolden)
+{
+    expectSkipGolden(
+        "run_dram",
+        {"run", "--bench=dsl",
+         "--kernel-file=" + sourcePath("examples/kernels/pointer_chase.mk"),
+         "--kernel-param=footprint=2M", "--perfect-l2=0",
+         "--threads-list=1,4", "--insts=2000", "--warmup=500", "--jobs=1",
+         "--quiet"});
+}
+
+/**
+ * A machine stalled on memory: non-decoupled at L2=256, where ready
+ * loads and ROB-head stores are refused for want of an MSHR or a frame
+ * and wait for the next fill.
+ */
+TEST(EquivalenceSkips, StalledNonDecoupledMachineMatchesItsGolden)
+{
+    expectSkipGolden("run_nondecoupled",
+                     {"run", "--decoupled=0", "--threads-list=1,2,4",
+                      "--latencies=256", "--insts=2000", "--warmup=2000",
+                      "--jobs=1", "--quiet"});
 }
 
 TEST(EquivalenceSpelling, WarmupInstsAliasReproducesTheFigureGoldens)
