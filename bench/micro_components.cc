@@ -193,4 +193,24 @@ BM_SimulatorStepProfiled(benchmark::State &state)
 }
 BENCHMARK(BM_SimulatorStepProfiled)->Arg(0)->Arg(1);
 
+/** A 2-context non-decoupled machine at L2=256, driven through
+ *  Simulator::run so the idle-skip engine takes part: most heads wait
+ *  for a fill, parked on a refused load or store or blocked on a miss.
+ *  Items are graduated instructions. */
+static void
+BM_RunStalledNonDecoupled(benchmark::State &state)
+{
+    SimConfig cfg = paperConfig(2, false, 256);
+    cfg.warmupInsts = 0;
+    std::vector<std::unique_ptr<TraceSource>> sources;
+    for (ThreadId t = 0; t < cfg.numThreads; ++t)
+        sources.push_back(makeSuiteMixSource(t, 1));
+    Simulator sim(cfg, std::move(sources));
+    std::uint64_t insts = 0;
+    for (auto _ : state)
+        insts += sim.run(1000).insts;
+    state.SetItemsProcessed(std::int64_t(insts));
+}
+BENCHMARK(BM_RunStalledNonDecoupled);
+
 BENCHMARK_MAIN();

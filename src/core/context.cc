@@ -233,16 +233,13 @@ Context::advanceWindows(std::uint64_t n)
         iqWindowSum = v * kIqWindow;
         missSamples.fill(m);
         missWindowSum = m * kIqWindow;
-        missSlotsAtCur = kIqWindow;
-        missCountedFor = m;
+        missRun = kIqWindow;
     } else {
-        if (m != missCountedFor) {
-            missCountedFor = m;
-            missSlotsAtCur = 0;
-            for (const std::uint32_t s : missSamples)
-                if (s == m)
-                    ++missSlotsAtCur;
-        }
+        // The samples extend the trailing run when they repeat it.
+        const std::uint32_t newest =
+            missSamples[(missSampleAt + kIqWindow - 1) % kIqWindow];
+        const std::uint64_t run = newest == m ? missRun + n : n;
+        missRun = run < kIqWindow ? std::uint32_t(run) : kIqWindow;
         for (std::uint64_t i = 0; i < n; ++i) {
             std::uint32_t &slot = iqSamples[iqSampleAt];
             if (slot != v) {
@@ -254,7 +251,6 @@ Context::advanceWindows(std::uint64_t n)
             if (mslot != m) {
                 missWindowSum += m - mslot;
                 mslot = m;
-                ++missSlotsAtCur;
             }
             missSampleAt = (missSampleAt + 1) % kIqWindow;
         }
@@ -299,11 +295,10 @@ Context::missAndWindowKeys(ThreadState &s) const
     s.outstandingMisses = perceived.outstanding();
     s.iqOccupancyWindow = iqWindowSum;
     s.missWindow = missWindowSum;
-    // The count is retaken at the next window sync, so guard on the
-    // value it was taken against; a stale count reads as non-uniform,
-    // which is always a safe (conservative) answer.
-    s.missWindowUniform = missCountedFor == s.outstandingMisses &&
-                          missSlotsAtCur == kIqWindow;
+    // A run covering the window makes every slot equal; after a miss
+    // opens or closes, before the next sync, they hold the old count.
+    s.missWindowUniform =
+        missRun == kIqWindow && missSamples[0] == s.outstandingMisses;
 }
 
 void
@@ -487,14 +482,15 @@ Context::restore(ByteReader &r)
     missWindowSum = r.u32();
     graduatedBase = r.u64();
 
-    // Rebuild the derived miss-window uniformity count. Snapshots are
-    // saved with the windows synced to their cycle, so the recount
-    // reproduces the continued run's tracker exactly.
-    missCountedFor = perceived.outstanding();
-    missSlotsAtCur = 0;
-    for (const std::uint32_t s : missSamples)
-        if (s == missCountedFor)
-            ++missSlotsAtCur;
+    // Rebuild the derived run of equal miss samples, newest first; it
+    // depends on the ring alone, so the recount reproduces the
+    // continued run's exactly.
+    const auto aged = [&](std::uint32_t age) {
+        return missSamples[(missSampleAt + kIqWindow - 1 - age) % kIqWindow];
+    };
+    missRun = 1;
+    while (missRun < kIqWindow && aged(missRun) == aged(0))
+        ++missRun;
 }
 
 bool

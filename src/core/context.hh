@@ -234,17 +234,16 @@ struct Context
     std::uint32_t missWindowSum = 0;
 
     /**
-     * Uniformity tracker for the miss window
-     * (ThreadState::missWindowUniform): missSlotsAtCur counts the ring
-     * slots equal to missCountedFor, which advanceWindows() keeps
-     * synced to perceived.outstanding(). The sum alone cannot prove
-     * the window is frozen — a mixed ring can coincidentally sum to
-     * outstanding * kIqWindow and still decay as it slides — so the
-     * idle fast-forward stability probe needs the exact slot count.
-     * Derived state: never serialized, recounted by restore().
+     * Length of the trailing run of equal miss samples, capped at
+     * kIqWindow (ThreadState::missWindowUniform): the window is uniform
+     * when the run covers it and its value is the outstanding-miss
+     * count. The sum alone cannot prove the window is frozen — a mixed
+     * ring can coincidentally sum to outstanding * kIqWindow and still
+     * decay as it slides — so the idle fast-forward stability probe
+     * needs the run. Derived state: never serialized, recounted by
+     * restore().
      */
-    std::uint32_t missSlotsAtCur = kIqWindow;
-    std::uint32_t missCountedFor = 0;
+    std::uint32_t missRun = kIqWindow;
 
     /**
      * The windows hold the samples of every cycle before this one.
@@ -254,9 +253,9 @@ struct Context
     Cycle windowsAt = 0;
 
     /**
-     * Advance both trailing windows by @p n cycles in O(min(n, 64)),
-     * recording n samples of the current iq.size() and outstanding-
-     * miss count.
+     * Advance both trailing windows by @p n > 0 cycles in
+     * O(min(n, 64)), recording n samples of the current iq.size() and
+     * outstanding-miss count.
      */
     void advanceWindows(std::uint64_t n);
 

@@ -34,7 +34,7 @@ Simulator::rebuildDerived()
         ctxp->windowsAt = now_;
         keys_.push_back(ctxp->policyState(cfg_, now_));
     }
-    parkedUntil_.assign(cfg_.numThreads, 0);
+    parked_.assign(cfg_.numThreads, Parking{});
     for (std::size_t u = 0; u < heads_.size(); ++u) {
         heads_[u].assign(cfg_.numThreads, HeadClass{});
         dirtyHeads_[u].resize(cfg_.numThreads);
@@ -102,6 +102,10 @@ Simulator::classifyDirtyHeads(Unit unit)
         const auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
         h.srcs = queue.empty() ? HeadClass{}.srcs : queue.front()->physSrc;
         h.cls = ctx.stallClass(unit, cfg_);
+        h.blocked = h.cls.reason == SlotUse::WaitMem ||
+                    h.cls.reason == SlotUse::WaitFu ||
+                    (!cfg_.decoupled && !queue.empty() &&
+                     queue.front()->seq != ctx.nextIssueSeq);
         h.chargedTo = freeSlotCycles_[u];
         h.dirty = false;
     }
@@ -198,8 +202,16 @@ Simulator::tryIssue(Context &ctx, DynInst &di)
             forwardedLoads_ += 1;
         } else {
             const MemResult r = mem_.load(di.ti.addr, now_);
-            if (!r.accepted)
-                return false;  // no port / no MSHR / frame conflict
+            if (!r.accepted) {
+                // No free MSHR, or the frame filling another line: only
+                // a landing fill frees either, and the head cannot turn
+                // forwardable (every older store has issued), so the
+                // load would be refused, side-effect free, every cycle
+                // until the next fill. Port pressure: next cycle.
+                if (r.reject != MemReject::NoPort)
+                    parked_[ctx.tid].load = mem_.nextFillCycle();
+                return false;
+            }
             ready_at = r.readyAt;
             if (r.miss()) {
                 syncWindows(ctx);
@@ -240,13 +252,18 @@ Simulator::issueUnit(Unit unit, const std::vector<ThreadId> &order,
                      std::uint32_t &slots)
 {
     std::uint32_t issued = 0;
+    const std::vector<HeadClass> &heads = heads_[std::size_t(unit)];
     for (std::size_t i = 0; i < order.size() && slots > 0; ++i) {
-        ThreadState &key = keys_[order[i]];
+        const ThreadId t = order[i];
+        ThreadState &key = keys_[t];
         std::uint32_t &queued =
             unit == Unit::AP ? key.apQueueOccupancy : key.iqOccupancy;
-        if (queued == 0)
+        // A head parked until the next fill, or whose clean class proves
+        // it blocked, waits for its event without a Context access.
+        if (queued == 0 || (unit == Unit::AP && now_ < parked_[t].load) ||
+            (!heads[t].dirty && heads[t].blocked))
             continue;
-        Context &ctx = *contexts_[order[i]];
+        Context &ctx = *contexts_[t];
         auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
         while (slots > 0 && queued > 0) {
             DynInst *di = queue.front();
@@ -601,7 +618,7 @@ void
 Simulator::graduateStage()
 {
     for (ThreadId t = 0; t < cfg_.numThreads; ++t) {
-        if (keys_[t].robOccupancy == 0 || now_ < parkedUntil_[t])
+        if (keys_[t].robOccupancy == 0 || now_ < parked_[t].store)
             continue;
         Context &ctx = *contexts_[t];
         std::uint32_t width = cfg_.graduateWidth;
@@ -621,7 +638,7 @@ Simulator::graduateStage()
                     // would be refused, side-effect free, every cycle
                     // until the next one. Port pressure: next cycle.
                     if (r.reject != MemReject::NoPort)
-                        parkedUntil_[t] = mem_.nextFillCycle();
+                        parked_[t].store = mem_.nextFillCycle();
                     break;
                 }
                 MTDAE_ASSERT(!ctx.saq.empty() &&
@@ -672,15 +689,13 @@ Simulator::quiescent(SkipProbe &blocker)
         return false;
     }
 
-    for (const auto &ctxp : contexts_) {
-        const Context &ctx = *ctxp;
+    for (ThreadId t = 0; t < cfg_.numThreads; ++t) {
+        const Context &ctx = *contexts_[t];
 
-        // Graduation: a Completed ROB head would graduate this cycle.
-        // Even a store whose cache write the L1 would refuse breaks
-        // quiescence: the refused attempt has no side effect, but
-        // counting the head as idle would move the skipped spans, and
-        // with them the skip counters `run` reports.
-        if (!ctx.rob.empty()) {
+        // Graduation: a Completed ROB head would graduate this cycle,
+        // unless it is a store parked until the next fill (a wake
+        // source): until then the L1 refuses it without side effects.
+        if (!ctx.rob.empty() && now_ >= parked_[t].store) {
             const DynInst &head = ctx.rob.front();
             if (head.state == InstState::Completed &&
                 (!head.isStoreOp || ctx.storeDataReady(head))) {
@@ -689,19 +704,20 @@ Simulator::quiescent(SkipProbe &blocker)
             }
         }
 
-        // Issue: a unit-queue head passing its gates would issue — or,
-        // for a load denied a port/MSHR, at least attempt an access.
-        // Only the heads matter:
-        // issueUnit stops a thread's unit at the first non-issuable
-        // instruction, and with both heads stuck neither two-pass round
-        // can unblock the other unit.
+        // Issue: a unit-queue head passing its gates would issue, or at
+        // least attempt an access (a load denied a port retries next
+        // cycle; one parked until the next fill does not). Only the
+        // heads matter: issueUnit stops a thread's unit at the first
+        // non-issuable instruction, and with both heads stuck neither
+        // two-pass round can unblock the other unit.
         const auto head_can_issue = [&](const DynInst *di) {
             if (!cfg_.decoupled && di->seq != ctx.nextIssueSeq)
                 return false;
             return di->isStoreOp ? ctx.storeAddrReady(*di)
                                  : ctx.operandsReady(*di);
         };
-        if ((!ctx.apQ.empty() && head_can_issue(ctx.apQ.front())) ||
+        if ((!ctx.apQ.empty() && now_ >= parked_[t].load &&
+             head_can_issue(ctx.apQ.front())) ||
             (!ctx.iq.empty() && head_can_issue(ctx.iq.front()))) {
             blocker = SkipProbe::Issuable;
             return false;
@@ -760,16 +776,20 @@ Simulator::nextWakeCycle() const
 {
     Cycle wake = events_.empty() ? kNoCycle : events_.top().at;
 
-    // A redirected thread resumes fetching at fetchResumeAt — a wake
-    // source when the thread would actually have something to fetch
-    // and room to put it (both frozen during quiescence). A thread the
-    // gating policy would still veto wakes us only into a re-check and
-    // re-skip, which conservatism permits.
-    for (const auto &ctxp : contexts_) {
-        const Cycle resume = ctxp->fetchResumeAt;
-        if (resume > now_ && resume < wake &&
-            ctxp->fetchEligible(cfg_, resume))
+    for (ThreadId t = 0; t < cfg_.numThreads; ++t) {
+        // A redirected thread resumes fetching at fetchResumeAt — a
+        // wake source when the thread would actually have something to
+        // fetch and room to put it (both frozen during quiescence). A
+        // thread the gating policy would still veto wakes us only into
+        // a re-check and re-skip, which conservatism permits.
+        const Context &ctx = *contexts_[t];
+        const Cycle resume = ctx.fetchResumeAt;
+        if (resume > now_ && resume < wake && ctx.fetchEligible(cfg_, resume))
             wake = resume;
+        // A parked head retries when its deadline, the next fill, lands.
+        for (const Cycle until : {parked_[t].load, parked_[t].store})
+            if (until > now_ && until < wake)
+                wake = until;
     }
     return wake;
 }

@@ -9,7 +9,11 @@
  *   3. issue (per unit, in order per thread, across threads in the
  *      ArbitrationPolicy's visit order, full simultaneous issue; slot
  *      accounting — over the same visit order — and perceived-latency
- *      attribution, both from stall classes cached per queue head)
+ *      attribution, both from stall classes cached per queue head; a
+ *      load the L1 refuses for want of an MSHR or a frame parks its
+ *      thread's AP queue until the next fill lands, and a head whose
+ *      cached class proves it blocked is skipped until the event that
+ *      invalidates the class)
  *   4. dispatch (rename, steer to AP queue / EP Instruction Queue,
  *      allocate ROB and SAQ entries; threads visited in the
  *      ArbitrationPolicy's dispatch order)
@@ -34,7 +38,10 @@
  * cycles: the trailing windows are sampled lazily (Context::syncWindows)
  * and a head's stall class is recomputed only after an event that can
  * change it, so under policies that do not read the windows no cycle
- * walks every context for either.
+ * walks every context for either. A blocked head waits for its event
+ * the same way, in the issue stage and in the idle-skip engine: a
+ * parked load or store is no activity, and its deadline is a wake
+ * source.
  */
 
 #ifndef MTDAE_CORE_SIMULATOR_HH
@@ -235,6 +242,25 @@ class Simulator
      */
     std::optional<StallClass> cachedStallClass(Unit unit, ThreadId t) const;
 
+    /**
+     * True when the cached class of @p unit's head in thread @p t is
+     * clean and proves the head cannot issue, so issue skips the head.
+     */
+    bool
+    cachedBlocked(Unit unit, ThreadId t) const
+    {
+        const HeadClass &h = heads_[std::size_t(unit)].at(t);
+        return !h.dirty && h.blocked;
+    }
+
+    /**
+     * The cycle before which thread @p t's AP-queue head load is parked:
+     * refused by the L1 for want of an MSHR or by a frame conflict, it
+     * is not retried until the next fill lands. Not parked when this is
+     * not after now().
+     */
+    Cycle loadParkedUntil(ThreadId t) const { return parked_.at(t).load; }
+
     /** Current cycle. */
     Cycle now() const { return now_; }
 
@@ -369,19 +395,24 @@ class Simulator
      * simulated state except the per-cycle bookkeeping idleStepStats()
      * reproduces: no completion event is due, no ROB head can graduate,
      * no queue head can issue (or attempt a memory access), no thread
-     * can dispatch, fetch or flush. Conservative: any doubt returns
-     * false, naming the first failed condition in @p blocker, and the
-     * cycle is stepped normally.
+     * can dispatch, fetch or flush. A load or store parked until the
+     * next fill is neither issuable nor graduable: until its deadline
+     * the L1 refuses it without side effects. Conservative: any doubt
+     * returns false, naming the first failed condition in @p blocker,
+     * and the cycle is stepped normally.
      */
     bool quiescent(SkipProbe &blocker);
     /**
      * Earliest cycle after now_ at which quiescence could end: the
-     * completion-event head and every gated thread's fetchResumeAt.
-     * kNoCycle when nothing is pending. The memory system is no wake
-     * source: its model is analytic (a reservation is a timestamp the
-     * next access reads), nothing accesses it inside a quiescent span,
-     * every load fill is a completion event, and trySkipIdle's
-     * catch-up beginCycle lands the L1 fills.
+     * completion-event head, every gated thread's fetchResumeAt, and
+     * the earliest parking deadline after now_ (the fill a parked load
+     * or store waits for). kNoCycle when nothing is pending. The
+     * memory system is no wake source: its model is analytic (a
+     * reservation is a timestamp the next access reads), nothing
+     * accesses it inside a quiescent span, every load fill is a
+     * completion event, and trySkipIdle's catch-up beginCycle lands
+     * the L1 fills, those of a span ending at a parking deadline
+     * included.
      */
     Cycle nextWakeCycle() const;
     /**
@@ -442,14 +473,23 @@ class Simulator
      *  windows at the end of every cycle. */
     bool windowsRead_ = false;
     /**
-     * Per thread, the cycle before which its ROB-head store is known to
-     * be refused by the L1: graduation skips the thread until then. Set
-     * when the store is refused for want of an MSHR or by a frame
+     * Per thread, the cycles before which its AP-queue head load and
+     * its ROB-head store are known to be refused by the L1: issue skips
+     * the thread's AP queue, and graduation the thread, until then.
+     * Set when the head is refused for want of an MSHR or by a frame
      * conflict, to MemorySystem::nextFillCycle(), since only a landing
-     * fill frees either. Derived state: cleared on restore, never
-     * serialized (a restored run re-attempts once and parks again).
+     * fill frees either; a parked head cannot change in between (its
+     * queue does not move). A parked head does not break quiescence,
+     * and its deadline is a wake source. Derived state: cleared on
+     * restore, never serialized (a restored run re-attempts once and
+     * parks again).
      */
-    std::vector<Cycle> parkedUntil_;
+    struct Parking
+    {
+        Cycle load = 0;
+        Cycle store = 0;
+    };
+    std::vector<Parking> parked_;
     std::vector<ThreadId> orderAp_;
     std::vector<ThreadId> orderEp_;
     std::vector<ThreadId> orderDispatch_;
@@ -466,6 +506,10 @@ class Simulator
         std::array<PhysReg, 3> srcs = {kNoPhysReg, kNoPhysReg,
                                        kNoPhysReg};
         bool dirty = true;  ///< invalidated; cls and srcs are stale
+        /** The class proves the head cannot issue: an unready operand
+         *  (WaitMem, WaitFu) or, not decoupled, a head that is not next
+         *  in program order. Issue skips the head while it is clean. */
+        bool blocked = false;
     };
     /**
      * Per unit (indexed by Unit), the stall class of every thread's

@@ -207,7 +207,7 @@ Simulator::restoreSnapshot(const Snapshot &snap)
 
     // Derived state: the live policy keys follow the restored contexts,
     // the windows are synced to now_, every stall class awaits
-    // recomputation, and no thread is parked (a parked store
+    // recomputation, and no load or store is parked (a parked head
     // re-attempts once, is refused without side effects, and parks
     // again).
     rebuildDerived();

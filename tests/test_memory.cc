@@ -325,8 +325,8 @@ TEST_P(RefusalFuzzTest, RefusedUntilTheNextFillWithoutSideEffects)
     // refused with NoMshr or Conflict at cycle c must be refused again
     // at every cycle before the nextFillCycle() read at c, whatever
     // other accesses come in between; and a refusal changes no state.
-    // The simulator's graduation stage parks refused stores on exactly
-    // this contract.
+    // The simulator parks refused loads at issue, and refused stores at
+    // graduation, on exactly this contract.
     const auto [perfect, seed] = GetParam();
     Rng rng(deriveSeed(0x72656675, seed));
     SimConfig cfg = memConfig();

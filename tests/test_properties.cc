@@ -294,9 +294,13 @@ TEST_P(LiveKeyFuzzTest, LiveKeysMatchRecomputation)
     // stages — each key the stages keep in place must equal a
     // from-scratch Context::policyState(), every single cycle. Also
     // cross-checks the SAQ word index against the reference linear
-    // walk it replaced in the issue stage, and every cached stall
-    // class of a queue head against a from-scratch classification
-    // (Context::stallClass), the walk the cache replaced.
+    // walk it replaced in the issue stage, every cached stall class of
+    // a queue head against a from-scratch classification
+    // (Context::stallClass), the walk the cache replaced, and the two
+    // facts issue skips a head on: a parked load passes its gates and
+    // is not forwardable (so only the L1 refuses it), and a class
+    // marked blocked belongs to a head that fails a gate. A few
+    // save/restore round trips check what restore rebuilds.
     const std::uint64_t seed = GetParam();
     Rng rng(deriveSeed(0x73636163, seed));
     const Kernel k = randomKernel(seed);
@@ -317,10 +321,16 @@ TEST_P(LiveKeyFuzzTest, LiveKeysMatchRecomputation)
     cfg.validate();
 
     Simulator sim = makeSim(cfg, k, 200);
+    // Now and then a save/restore round trip rebuilds the derived
+    // state (keys, parking, classes, miss-window runs) mid-run; its own
+    // stream leaves the configuration draws as they were.
+    Rng restores(deriveSeed(0x72657374, seed));
     std::uint64_t steps = 0;
     while (!sim.allDone()) {
         sim.step();
         ASSERT_LT(++steps, 4000000u) << "deadlock in " << k.name;
+        if (restores.bernoulli(0.0005))
+            sim.restoreSnapshot(sim.saveSnapshot());
         ASSERT_EQ(sim.policyKeys().size(), cfg.numThreads);
         for (ThreadId t = 0; t < cfg.numThreads; ++t) {
             const Context &ctx = sim.context(t);
@@ -339,6 +349,30 @@ TEST_P(LiveKeyFuzzTest, LiveKeysMatchRecomputation)
                     << int(cached->reason) << "/" << cached->token
                     << ", from scratch " << int(ref.reason) << "/"
                     << ref.token;
+            }
+            if (sim.loadParkedUntil(t) > sim.now()) {
+                ASSERT_FALSE(ctx.apQ.empty()) << k.name << " t" << t;
+                const DynInst &head = *ctx.apQ.front();
+                ASSERT_TRUE(head.isLoadOp) << k.name << " t" << t;
+                ASSERT_TRUE(cfg.decoupled || head.seq == ctx.nextIssueSeq);
+                ASSERT_TRUE(ctx.operandsReady(head))
+                    << k.name << " t" << t << " at cycle " << sim.now();
+                ASSERT_FALSE(ctx.saqForwards(head.seq, head.ti.addr))
+                    << k.name << " t" << t << " at cycle " << sim.now();
+            }
+            for (const Unit unit : {Unit::AP, Unit::EP}) {
+                if (!sim.cachedBlocked(unit, t))
+                    continue;
+                const auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
+                ASSERT_FALSE(queue.empty()) << k.name << " t" << t;
+                const DynInst &head = *queue.front();
+                const bool ready = head.isStoreOp ? ctx.storeAddrReady(head)
+                                                  : ctx.operandsReady(head);
+                ASSERT_TRUE(!ready || (!cfg.decoupled &&
+                                       head.seq != ctx.nextIssueSeq))
+                    << k.name << " t" << t << " unit " << int(unit)
+                    << " at cycle " << sim.now()
+                    << ": a head marked blocked passes its gates";
             }
             // A probe seq newer than everything in flight makes the
             // reference walk answer the same question as the index.

@@ -7,10 +7,12 @@
  * pair, both memory backends, built-in and DSL kernels, and
  * checkpoints taken at any cycle — while the skip counters themselves
  * stay observability-only. The engine wakes only on core events (the
- * completion heap and redirected fetch); a span may cover fills, port
- * and bank timers, because the memory model is analytic and nothing
+ * completion heap, redirected fetch, and the deadline of a load or
+ * store parked until the next fill); a span may cover fills, port and
+ * bank timers, because the memory model is analytic and nothing
  * accesses it inside a span. The byte-identity matrix covers the
- * finite backend, where that matters most.
+ * finite backend, where that matters most, and a non-decoupled machine
+ * short of MSHRs, where most heads wait parked.
  *
  * MemorySystem::nextEventCycle() is no wake source any more, but it
  * stays, with its never-under-report contract (no hierarchy state
@@ -85,6 +87,11 @@ struct MatrixCase
     PolicyKind fetch;
     PolicyKind issue;
     bool perfectL2;
+    /** Non-zero: a non-decoupled machine at L2=256 with this many
+     *  MSHRs, where ready loads and ROB-head stores are refused for
+     *  want of an MSHR or a frame and most spans end at a parking
+     *  deadline. */
+    std::uint32_t stalledMshrs = 0;
 };
 
 std::string
@@ -93,6 +100,9 @@ matrixName(const ::testing::TestParamInfo<MatrixCase> &info)
     std::string n = std::string(policyName(info.param.fetch)) + "_" +
                     policyName(info.param.issue) + "_" +
                     (info.param.perfectL2 ? "perfectL2" : "finiteL2");
+    if (info.param.stalledMshrs)
+        n += "_nondecoupled_" + std::to_string(info.param.stalledMshrs) +
+             "mshrs";
     for (char &c : n)
         if (c == '-')
             c = '_';
@@ -107,6 +117,10 @@ matrixCases()
         for (const PolicyKind ip : issuePolicies())
             for (const bool perfect : {true, false})
                 cases.push_back({fp, ip, perfect});
+    for (const std::uint32_t mshrs : {1u, 2u})
+        for (const bool perfect : {true, false})
+            cases.push_back({PolicyKind::Icount, PolicyKind::RoundRobin,
+                             perfect, mshrs});
     return cases;
 }
 
@@ -142,8 +156,13 @@ expectSkipEquivalence(SimConfig cfg, const Kernel &kernel,
 TEST_P(SkipMatrix, SkipOnEqualsSkipOffByteForByte)
 {
     const MatrixCase &p = GetParam();
-    expectSkipEquivalence(skipCfg(p.perfectL2, p.fetch, p.issue),
-                          streamingKernel(), 150);
+    SimConfig cfg = skipCfg(p.perfectL2, p.fetch, p.issue);
+    if (p.stalledMshrs) {
+        cfg.decoupled = false;
+        cfg.l2Latency = 256;
+        cfg.mshrs = p.stalledMshrs;
+    }
+    expectSkipEquivalence(cfg, streamingKernel(), 150);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicyPairsAndBackends, SkipMatrix,
@@ -220,9 +239,7 @@ TEST(SkipCounters, HighLatencyStallsAreActuallySkipped)
     // A single-thread *dependent* pointer chase (each load's address is
     // the previous load's data) at L2=256 spends most of its life
     // quiescent: the engine must fast-forward a significant share of
-    // the cycles, and report it. Strided kernels do not qualify — their
-    // ready-but-rejected loads retry (and count a reject) every cycle,
-    // which correctly breaks quiescence.
+    // the cycles, and report it.
     const Kernel k = dsl::compileKernel(dsl::readKernelFile(
         std::string(MTDAE_SOURCE_DIR) +
         "/examples/kernels/pointer_chase.mk"));
@@ -233,6 +250,22 @@ TEST(SkipCounters, HighLatencyStallsAreActuallySkipped)
     EXPECT_GT(r.skipEvents, 0u);
     EXPECT_GT(r.cyclesSkipped, r.cycles / 4)
         << "fast-forward barely engaged on a memory-bound workload";
+    EXPECT_LE(r.cyclesSkipped, r.cycles);
+}
+
+TEST(SkipCounters, RefusedLoadStallsAreSkipped)
+{
+    // A strided kernel with 2 MSHRs at L2=256: its ready loads are
+    // refused for want of an MSHR and park until the next fill, which
+    // must not break quiescence. The bar is half because skipping only
+    // the parked stores already covers about a third of these cycles.
+    SimConfig cfg = testConfig(1, true, 256);
+    cfg.mshrs = 2;
+    cfg.warmupInsts = 500;
+    Simulator sim = makeSim(cfg, streamingKernel(), 4000);
+    const RunResult r = sim.run(2000, kDrainCap);
+    EXPECT_GT(r.cyclesSkipped, r.cycles / 2)
+        << "refused loads still break quiescence";
     EXPECT_LE(r.cyclesSkipped, r.cycles);
 }
 
