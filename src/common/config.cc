@@ -181,6 +181,12 @@ SimConfig::validate() const
         reject("queues must have at least one entry");
     if (robEntries == 0)
         reject("robEntries must be >= 1");
+    if (graduateWidth == 0)
+        reject("graduateWidth must be >= 1");
+    if (fetchBufferSize == 0)
+        reject("fetchBufferSize must be >= 1");
+    if (maxUnresolvedBranches == 0)
+        reject("maxUnresolvedBranches must be >= 1");
     if (l1LineBytes == 0 || (l1LineBytes & (l1LineBytes - 1)) != 0)
         reject("l1LineBytes must be a power of two");
     if (l1Bytes == 0 || l1Bytes % l1LineBytes != 0)
@@ -189,6 +195,8 @@ SimConfig::validate() const
         reject("L1 line count must be a power of two (direct-mapped)");
     if (mshrs == 0)
         reject("a lockup-free cache needs at least one MSHR");
+    if (l1Ports == 0)
+        reject("l1Ports must be >= 1");
     if (busBytesPerCycle == 0)
         reject("busBytesPerCycle must be >= 1");
     if (fetchThreadsPerCycle == 0 || fetchWidth == 0 || dispatchWidth == 0)
@@ -210,6 +218,9 @@ SimConfig::validate() const
         reject("DRAM CAS/RAS latencies and bus cycles must be >= 1");
     if (bhtEntries == 0 || (bhtEntries & (bhtEntries - 1)) != 0)
         reject("bhtEntries must be a power of two");
+    if (predictor == PredictorKind::Gshare &&
+        (gshareHistoryBits == 0 || gshareHistoryBits > 32))
+        reject("gshareHistoryBits must be in 1..32");
 }
 
 } // namespace mtdae

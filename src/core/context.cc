@@ -58,17 +58,29 @@ saveDynInst(ByteWriter &w, const DynInst &di)
     w.u32(di.missToken);
 }
 
+/** The physical register renamed for @p ref, as restored: an index
+ *  into @p ctx's file of its class, which the hot path uses unchecked,
+ *  or kNoPhysReg when the instruction names no such register. */
+PhysReg
+restorePhysReg(ByteReader &r, const Context &ctx, const RegRef &ref)
+{
+    const PhysReg reg = r.u16();
+    if (ref.valid() ? reg >= ctx.file(ref.cls).size() : reg != kNoPhysReg)
+        throw SnapshotError("in-flight register out of range in snapshot");
+    return reg;
+}
+
 void
-restoreDynInst(ByteReader &r, DynInst &di)
+restoreDynInst(ByteReader &r, const Context &ctx, DynInst &di)
 {
     di.ti = restoreTraceInst(r);
     di.seq = r.u64();
     di.unit = Unit(r.u8());
     di.state = InstState(r.u8());
-    di.physDst = r.u16();
-    di.oldPhysDst = r.u16();
-    for (PhysReg &p : di.physSrc)
-        p = r.u16();
+    di.physDst = restorePhysReg(r, ctx, di.ti.dst);
+    di.oldPhysDst = restorePhysReg(r, ctx, di.ti.dst);
+    for (int i = 0; i < 3; ++i)
+        di.physSrc[i] = restorePhysReg(r, ctx, di.ti.src[i]);
     di.dispatchedAt = r.u64();
     di.readyAt = r.u64();
     di.mispredicted = r.b();
@@ -330,13 +342,24 @@ RegFile::restore(ByteReader &r)
         p.kind = Producer::Kind(r.u8());
         p.missToken = r.u32();
     }
-    freeList_.resize(r.u64());
+    // Every index below is used unchecked on the hot path.
+    const auto index = [&] {
+        const PhysReg reg = r.u16();
+        if (reg >= ready_.size())
+            throw SnapshotError("physical register out of range in snapshot");
+        return reg;
+    };
+    const std::uint64_t free = r.u64();
+    if (free > ready_.size() - map_.size())
+        throw SnapshotError("free list longer than the rename headroom "
+                            "in snapshot");
+    freeList_.resize(std::size_t(free));
     for (PhysReg &reg : freeList_)
-        reg = r.u16();
+        reg = index();
     if (r.u64() != map_.size())
         throw SnapshotError("map table size mismatch in snapshot");
     for (PhysReg &reg : map_)
-        reg = r.u16();
+        reg = index();
 }
 
 std::size_t
@@ -436,7 +459,7 @@ Context::restore(ByteReader &r)
 
     rob.resize(r.u64());
     for (DynInst &di : rob)
-        restoreDynInst(r, di);
+        restoreDynInst(r, *this, di);
     auto readRobPtr = [&]() -> DynInst * {
         const std::uint64_t idx = r.u64();
         if (idx >= rob.size())

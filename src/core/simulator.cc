@@ -35,6 +35,7 @@ Simulator::rebuildDerived()
         keys_.push_back(ctxp->policyState(cfg_, now_));
     }
     parked_.assign(cfg_.numThreads, Parking{});
+    waiting_.assign(cfg_.numThreads, Waits{});
     for (std::size_t u = 0; u < heads_.size(); ++u) {
         heads_[u].assign(cfg_.numThreads, HeadClass{});
         dirtyHeads_[u].resize(cfg_.numThreads);
@@ -137,6 +138,8 @@ Simulator::processCompletions()
         MTDAE_ASSERT(di->state == InstState::Issued,
                      "completion of a non-issued instruction");
         di->state = InstState::Completed;
+        // The ROB head, or the producer of a store head's data.
+        waiting_[ev.tid].graduate = false;
 
         if (di->ti.dst.valid()) {
             // Only a head reading the register can change class, and a
@@ -208,8 +211,10 @@ Simulator::tryIssue(Context &ctx, DynInst &di)
                 // forwardable (every older store has issued), so the
                 // load would be refused, side-effect free, every cycle
                 // until the next fill. Port pressure: next cycle.
-                if (r.reject != MemReject::NoPort)
+                if (r.reject != MemReject::NoPort) {
                     parked_[ctx.tid].load = mem_.nextFillCycle();
+                    parked_[ctx.tid].loadAddr = di.ti.addr;
+                }
                 return false;
             }
             ready_at = r.readyAt;
@@ -258,10 +263,11 @@ Simulator::issueUnit(Unit unit, const std::vector<ThreadId> &order,
         ThreadState &key = keys_[t];
         std::uint32_t &queued =
             unit == Unit::AP ? key.apQueueOccupancy : key.iqOccupancy;
-        // A head parked until the next fill, or whose clean class proves
-        // it blocked, waits for its event without a Context access.
-        if (queued == 0 || (unit == Unit::AP && now_ < parked_[t].load) ||
-            (!heads[t].dirty && heads[t].blocked))
+        // A head whose clean class proves it blocked, or a load the L1
+        // still refuses, waits for its event without a Context access.
+        if (queued == 0 || (!heads[t].dirty && heads[t].blocked) ||
+            (unit == Unit::AP &&
+             !mayAttempt(parked_[t].load, parked_[t].loadAddr)))
             continue;
         Context &ctx = *contexts_[t];
         auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
@@ -279,6 +285,7 @@ Simulator::issueUnit(Unit unit, const std::vector<ThreadId> &order,
             if (unit == Unit::EP)
                 syncWindows(ctx);
             queue.pop_front();
+            waiting_[t].dispatch = false;  // a queue entry is free
             queued -= 1;
             slots -= 1;
             issued += 1;
@@ -440,15 +447,20 @@ Simulator::dispatchStage()
     std::uint32_t budget = cfg_.dispatchWidth;
     for (std::size_t i = 0; i < orderDispatch_.size() && budget > 0;
          ++i) {
-        const ThreadState &key = keys_[orderDispatch_[i]];
+        const ThreadId t = orderDispatch_[i];
+        const ThreadState &key = keys_[t];
         // tryDispatch refuses a full ROB first, whatever the buffer
-        // holds, so such a thread is skipped without a Context access.
-        if (key.fetchBufOccupancy == 0 || key.robOccupancy >= cfg_.robEntries)
+        // holds, so such a thread is skipped without a Context access,
+        // as is one still waiting for the event that can unblock it.
+        if (key.fetchBufOccupancy == 0 ||
+            key.robOccupancy >= cfg_.robEntries || waiting_[t].dispatch)
             continue;
-        Context &ctx = *contexts_[orderDispatch_[i]];
+        Context &ctx = *contexts_[t];
         while (budget > 0 && key.fetchBufOccupancy > 0) {
-            if (!tryDispatch(ctx))
+            if (!tryDispatch(ctx)) {
+                waiting_[t].dispatch = true;
                 break;
+            }
             budget -= 1;
         }
     }
@@ -516,6 +528,7 @@ Simulator::flushFetchBuffer(Context &ctx)
         ctx.replayQ.push_front(it->ti);
     }
     ctx.fetchBuf.clear();
+    waiting_[ctx.tid].dispatch = false;  // the head is gone
     // Replayed instructions get fresh sequence numbers; nothing
     // younger than the squashed block was ever fetched.
     ctx.nextSeq = first;
@@ -614,31 +627,52 @@ Simulator::fetchStage()
 // Graduation
 // ---------------------------------------------------------------------
 
+bool
+Simulator::mayAttempt(Cycle &until, std::optional<Addr> &held)
+{
+    if (!held)
+        return true;
+    if (now_ < until)
+        return false;
+    const MemReject why = mem_.refusal(*held);
+    if (why == MemReject::None) {
+        held.reset();  // the attempt this returns to is accepted
+        return true;
+    }
+    if (why != MemReject::NoPort)
+        until = mem_.nextFillCycle();
+    return false;
+}
+
 void
 Simulator::graduateStage()
 {
     for (ThreadId t = 0; t < cfg_.numThreads; ++t) {
-        if (keys_[t].robOccupancy == 0 || now_ < parked_[t].store)
+        if (keys_[t].robOccupancy == 0 || waiting_[t].graduate ||
+            !mayAttempt(parked_[t].store, parked_[t].storeAddr))
             continue;
         Context &ctx = *contexts_[t];
         std::uint32_t width = cfg_.graduateWidth;
         while (width > 0 && !ctx.rob.empty()) {
             DynInst &di = ctx.rob.front();
-            if (di.state != InstState::Completed)
+            // The store leaves the SAQ and writes the cache when its
+            // data is available (FP store data comes from the EP).
+            if (di.state != InstState::Completed ||
+                (di.isStoreOp && !ctx.storeDataReady(di))) {
+                waiting_[t].graduate = true;
                 break;
+            }
             if (di.isStoreOp) {
-                // The store leaves the SAQ and writes the cache when its
-                // data is available (FP store data comes from the EP).
-                if (!ctx.storeDataReady(di))
-                    break;
                 const MemResult r = mem_.store(di.ti.addr, now_);
                 if (!r.accepted) {
                     // No free MSHR, or its frame filling another line:
                     // only a landing fill frees either, so the store
                     // would be refused, side-effect free, every cycle
                     // until the next one. Port pressure: next cycle.
-                    if (r.reject != MemReject::NoPort)
+                    if (r.reject != MemReject::NoPort) {
                         parked_[t].store = mem_.nextFillCycle();
+                        parked_[t].storeAddr = di.ti.addr;
+                    }
                     break;
                 }
                 MTDAE_ASSERT(!ctx.saq.empty() &&
@@ -658,6 +692,8 @@ Simulator::graduateStage()
             lastGraduation_ = now_;
             width -= 1;
         }
+        if (width < cfg_.graduateWidth)
+            waiting_[t].dispatch = false;  // ROB, SAQ or registers freed
         keys_[t].robOccupancy = std::uint32_t(ctx.rob.size());
     }
 }

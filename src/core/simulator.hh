@@ -11,12 +11,15 @@
  *      accounting — over the same visit order — and perceived-latency
  *      attribution, both from stall classes cached per queue head; a
  *      load the L1 refuses for want of an MSHR or a frame parks its
- *      thread's AP queue until the next fill lands, and a head whose
- *      cached class proves it blocked is skipped until the event that
+ *      thread's AP queue until the next fill lands and is then
+ *      re-checked through the L1's probe, and a head whose cached
+ *      class proves it blocked is skipped until the event that
  *      invalidates the class)
  *   4. dispatch (rename, steer to AP queue / EP Instruction Queue,
  *      allocate ROB and SAQ entries; threads visited in the
- *      ArbitrationPolicy's dispatch order)
+ *      ArbitrationPolicy's dispatch order; a thread whose head found
+ *      no room waits, without a Context access, for a graduation, an
+ *      issue from its queues or a flush)
  *   5. fetch (2 threads per cycle chosen by the FetchPolicy — ICOUNT by
  *      default — up to 8 consecutive instructions to the first taken
  *      branch; mispredicted branches gate fetch until resolution —
@@ -25,8 +28,10 @@
  *      not-yet-dispatched buffer for later replay, and
  *      FetchPolicy::mayFetch() vetoes threads from the ranked walk)
  *   6. graduate (in-order retirement; stores write the cache here; a
- *      thread whose head store the L1 refuses for want of an MSHR or a
- *      frame is parked until the next fill lands)
+ *      thread whose ROB head is incomplete, or a store without its
+ *      data, waits for a completion in the thread; one whose head store
+ *      the L1 refuses for want of an MSHR or a frame is parked until
+ *      the next fill lands, then re-checked through the L1's probe)
  *
  * Thread arbitration is pluggable (src/policy/policy.hh), selected by
  * SimConfig::fetchPolicy / SimConfig::issuePolicy. Each seam ranks the
@@ -39,9 +44,9 @@
  * and a head's stall class is recomputed only after an event that can
  * change it, so under policies that do not read the windows no cycle
  * walks every context for either. A blocked head waits for its event
- * the same way, in the issue stage and in the idle-skip engine: a
- * parked load or store is no activity, and its deadline is a wake
- * source.
+ * the same way, in every stage and in the idle-skip engine: a parked
+ * load or store is no activity, and its deadline is a wake source. So
+ * a cycle touches a Context only where something can happen.
  */
 
 #ifndef MTDAE_CORE_SIMULATOR_HH
@@ -261,6 +266,39 @@ class Simulator
      */
     Cycle loadParkedUntil(ThreadId t) const { return parked_.at(t).load; }
 
+    /**
+     * The address of thread @p t's AP-queue head load while it is held:
+     * refused for want of an MSHR or by a frame conflict and not
+     * attempted since, so past its deadline issue re-checks it through
+     * MemorySystem::refusal() before touching the Context.
+     */
+    std::optional<Addr>
+    heldLoad(ThreadId t) const
+    {
+        return parked_.at(t).loadAddr;
+    }
+
+    /** heldLoad() for thread @p t's ROB-head store (graduation). */
+    std::optional<Addr>
+    heldStore(ThreadId t) const
+    {
+        return parked_.at(t).storeAddr;
+    }
+
+    /** Room for @p ctx's fetch-buffer head, which must exist: ROB, unit
+     *  queue, SAQ, rename register (tryDispatch's checks, side-effect
+     *  free). */
+    bool canDispatch(const Context &ctx) const;
+
+    /** True while dispatch passes over thread @p t: its last attempt
+     *  failed canDispatch, and no event that can change that came since. */
+    bool dispatchWaiting(ThreadId t) const { return waiting_.at(t).dispatch; }
+
+    /** True while graduation passes over thread @p t: its ROB head was
+     *  incomplete, or a store whose data was not ready, and no
+     *  completion in the thread came since. */
+    bool graduateWaiting(ThreadId t) const { return waiting_.at(t).graduate; }
+
     /** Current cycle. */
     Cycle now() const { return now_; }
 
@@ -335,9 +373,6 @@ class Simulator
     /** Dispatch in this cycle's orderDispatch_. */
     void dispatchStage();
     bool tryDispatch(Context &ctx);
-    /** Room for the fetch-buffer head: ROB, unit queue, SAQ, rename
-     *  register (tryDispatch's checks, side-effect free). */
-    bool canDispatch(const Context &ctx) const;
     /** The fetch gating pass: FetchPolicy::shouldFlush per thread. */
     void flushStage();
     /** Fetch in this cycle's orderFetch_. */
@@ -357,6 +392,15 @@ class Simulator
      * first squashed instruction (nothing younger was ever fetched).
      */
     void flushFetchBuffer(Context &ctx);
+    /**
+     * May a head that the L1 refused (parked_) be attempted now? True
+     * when nothing is @p held. Otherwise false before @p until, and
+     * then the L1's side-effect-free probe of the held address decides:
+     * accepted clears the hold and returns true, a port refusal passes
+     * over the head this cycle, and an MSHR or frame refusal re-parks it
+     * at the next fill, the deadline the real attempt would set.
+     */
+    bool mayAttempt(Cycle &until, std::optional<Addr> &held);
     void graduateStage();
     /** Policy endCycle()s, now_ advance, and the window sync of a
      *  policy that reads the windows (windowsRead_). */
@@ -383,7 +427,8 @@ class Simulator
      *  cycle with a free slot. */
     void classifyDirtyHeads(Unit unit);
     /** Rebuild every derived structure from the simulated state at
-     *  now_: keys, parking, window sync points, stall classes. */
+     *  now_: keys, parking, wait marks, window sync points, stall
+     *  classes. */
     void rebuildDerived();
 
     /** step() body; Profiled selects the timing instrumentation. */
@@ -478,18 +523,47 @@ class Simulator
      * the thread's AP queue, and graduation the thread, until then.
      * Set when the head is refused for want of an MSHR or by a frame
      * conflict, to MemorySystem::nextFillCycle(), since only a landing
-     * fill frees either; a parked head cannot change in between (its
-     * queue does not move). A parked head does not break quiescence,
-     * and its deadline is a wake source. Derived state: cleared on
-     * restore, never serialized (a restored run re-attempts once and
-     * parks again).
+     * fill frees either. The refused head's address is held with it:
+     * past the deadline, mayAttempt() re-checks the address through
+     * MemorySystem::refusal() and visits the Context only when the L1
+     * would accept. That is exact because a held head cannot change
+     * (its queue or ROB does not move), its gates stay passed (ready
+     * registers stay ready, a held load cannot turn forwardable), and
+     * a refusal has no side effect. A parked head does not break
+     * quiescence, and its deadline is a wake source. Derived state:
+     * cleared on restore, never serialized (a restored run re-attempts
+     * once and parks again).
      */
     struct Parking
     {
         Cycle load = 0;
         Cycle store = 0;
+        std::optional<Addr> loadAddr;
+        std::optional<Addr> storeAddr;
     };
     std::vector<Parking> parked_;
+    /**
+     * Per thread, whether dispatch and graduation wait for an event:
+     * each stage passes over a marked thread without a Context access.
+     * - dispatch: set when canDispatch fails; cleared by a graduation in
+     *   the thread (a ROB entry, an SAQ entry or a register freed), an
+     *   issue from one of its unit queues, or a flush of its fetch
+     *   buffer. Only dispatch itself fills the ROB, the queues, the SAQ
+     *   and the register files, and the buffer head leaves only by
+     *   dispatch or flush, so nothing else can make canDispatch true.
+     * - graduate: set when the ROB head is incomplete, or is a store
+     *   whose data register is not ready; cleared by any completion in
+     *   the thread (the head, or the producer of the data register,
+     *   which renames in the same context). The head leaves only by
+     *   graduating, so a marked thread's ROB is never empty.
+     * Derived state: cleared on restore, never serialized.
+     */
+    struct Waits
+    {
+        bool dispatch = false;
+        bool graduate = false;
+    };
+    std::vector<Waits> waiting_;
     std::vector<ThreadId> orderAp_;
     std::vector<ThreadId> orderEp_;
     std::vector<ThreadId> orderDispatch_;

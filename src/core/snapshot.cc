@@ -207,9 +207,9 @@ Simulator::restoreSnapshot(const Snapshot &snap)
 
     // Derived state: the live policy keys follow the restored contexts,
     // the windows are synced to now_, every stall class awaits
-    // recomputation, and no load or store is parked (a parked head
+    // recomputation, no load or store is parked or held (a parked head
     // re-attempts once, is refused without side effects, and parks
-    // again).
+    // again), and every thread is awake to dispatch and graduate.
     rebuildDerived();
 }
 

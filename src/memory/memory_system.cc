@@ -1,5 +1,6 @@
 #include "memory/memory_system.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/log.hh"
@@ -58,27 +59,23 @@ MemorySystem::beginCycle(Cycle now)
     nextFillAt_ = next;
 }
 
-MemorySystem::Mshr *
-MemorySystem::findMshr(std::uint64_t line)
+MemReject
+MemorySystem::refusal(Addr addr) const
 {
+    if (portsUsed_ >= ports_)
+        return MemReject::NoPort;
+    const std::uint64_t line = lineOf(addr);
+    const Line &l1 = lines_[frameOf(line)];
     // An MSHR fills exactly one frame and a frame has at most one
-    // filling MSHR, so the frame's pending index finds it in O(1).
-    const Line &l = lines_[frameOf(line)];
-    if (l.pendingMshr < 0)
-        return nullptr;
-    Mshr &m = mshrs_[std::size_t(l.pendingMshr)];
-    return m.lineAddr == line ? &m : nullptr;
-}
-
-MemorySystem::Mshr *
-MemorySystem::allocMshr()
-{
-    if (mshrsInUse_ == mshrs_.size())
-        return nullptr;
-    for (auto &m : mshrs_)
-        if (!m.valid)
-            return &m;
-    return nullptr;
+    // filling MSHR, so the frame's pending index finds it in O(1): the
+    // same line merges into it, another line waits for the frame.
+    if (l1.pendingMshr >= 0)
+        return mshrs_[std::size_t(l1.pendingMshr)].lineAddr == line
+            ? MemReject::None : MemReject::Conflict;
+    // A resident line hits; a primary miss needs a free MSHR.
+    if ((!l1.valid || l1.tag != tagOf(line)) && mshrsInUse_ == mshrs_.size())
+        return MemReject::NoMshr;
+    return MemReject::None;
 }
 
 MemResult
@@ -86,20 +83,35 @@ MemorySystem::access(Addr addr, bool is_store, Cycle now)
 {
     MTDAE_ASSERT(now == currentCycle_, "access outside beginCycle interval");
     MemResult res;
-
-    if (portsUsed_ >= ports_) {
-        res.reject = MemReject::NoPort;
+    res.reject = refusal(addr);
+    if (res.reject != MemReject::None)
         return res;
-    }
+    ++portsUsed_;
+    res.accepted = true;
 
     const std::uint64_t line = lineOf(addr);
     const std::uint32_t frame = frameOf(line);
     Line &l1 = lines_[frame];
 
+    // Secondary miss: refusal() let a pending fill through only for the
+    // same line, so merge into it. Counted as a delayed hit for the
+    // miss-ratio statistics.
+    if (l1.pendingMshr >= 0) {
+        Mshr &m = mshrs_[std::size_t(l1.pendingMshr)];
+        res.merged = true;
+        res.readyAt = m.readyAt;
+        if (is_store) {
+            m.makeDirty = true;
+            stats_.storeMiss.event(false);
+        } else {
+            stats_.loadMiss.event(false);
+        }
+        stats_.mergedMisses += 1;
+        return res;
+    }
+
     // Hit on a resident line.
-    if (l1.valid && l1.pendingMshr < 0 && l1.tag == tagOf(line)) {
-        ++portsUsed_;
-        res.accepted = true;
+    if (l1.valid && l1.tag == tagOf(line)) {
         res.hit = true;
         res.readyAt = now + l1HitLatency_;
         if (is_store) {
@@ -111,39 +123,10 @@ MemorySystem::access(Addr addr, bool is_store, Cycle now)
         return res;
     }
 
-    // Secondary miss: merge into the pending fill of the same line.
-    // Counted as a delayed hit for the miss-ratio statistics.
-    if (Mshr *m = findMshr(line)) {
-        ++portsUsed_;
-        res.accepted = true;
-        res.hit = false;
-        res.merged = true;
-        res.readyAt = m->readyAt;
-        if (is_store) {
-            m->makeDirty = true;
-            stats_.storeMiss.event(false);
-        } else {
-            stats_.loadMiss.event(false);
-        }
-        stats_.mergedMisses += 1;
-        return res;
-    }
-
-    // A different line is being filled into this frame: the frame is
-    // busy until the fill lands; retry later.
-    if (l1.pendingMshr >= 0) {
-        res.reject = MemReject::Conflict;
-        return res;
-    }
-
-    // Primary miss: needs a free MSHR.
-    Mshr *m = allocMshr();
-    if (!m) {
-        res.reject = MemReject::NoMshr;
-        return res;
-    }
-
-    ++portsUsed_;
+    // Primary miss: refusal() found an MSHR free.
+    const auto m = std::find_if(mshrs_.begin(), mshrs_.end(),
+                                [](const Mshr &x) { return !x.valid; });
+    MTDAE_ASSERT(m != mshrs_.end(), "MSHR accounting out of sync");
 
     // Dirty victim: schedule its write-back transfer on the shared bus
     // ahead of the fill (the victim leaves before the new line arrives).
@@ -173,12 +156,10 @@ MemorySystem::access(Addr addr, bool is_store, Cycle now)
     if (fill_done < nextFillAt_)
         nextFillAt_ = fill_done;
 
-    l1.pendingMshr = static_cast<std::int32_t>(m - mshrs_.data());
+    l1.pendingMshr = static_cast<std::int32_t>(m - mshrs_.begin());
     l1.valid = false;
     l1.dirty = false;
 
-    res.accepted = true;
-    res.hit = false;
     res.readyAt = fill_done;
     if (is_store)
         stats_.storeMiss.event(true);
@@ -269,7 +250,7 @@ MemorySystem::restore(ByteReader &r)
     mshrsInUse_ = r.u32();
     portsUsed_ = r.u32();
     currentCycle_ = r.u64();
-    // findMshr, allocMshr and the fill recycle rely on the MSHRs, their
+    // refusal(), access() and the fill recycle rely on the MSHRs, their
     // frames and the in-use count agreeing.
     std::uint32_t valid = 0;
     for (std::size_t i = 0; i < mshrs_.size(); ++i) {

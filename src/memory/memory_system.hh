@@ -117,6 +117,15 @@ class MemorySystem
     /** Attempt a store at cycle @p now (write-allocate). */
     MemResult store(Addr addr, Cycle now) { return access(addr, true, now); }
 
+    /**
+     * Why an access to @p addr would be refused if attempted now, or
+     * MemReject::None when it would be accepted; loads and stores are
+     * refused alike. Side-effect free. Every access consults this
+     * decision first, so the refusal rules exist once: the core
+     * re-checks a parked head through it without touching its Context.
+     */
+    MemReject refusal(Addr addr) const;
+
     /** Number of MSHRs currently in flight. */
     std::uint32_t mshrsInUse() const { return mshrsInUse_; }
 
@@ -202,9 +211,6 @@ class MemorySystem
     {
         return line >> frameBits_;
     }
-
-    Mshr *findMshr(std::uint64_t line);
-    Mshr *allocMshr();
 
     std::uint32_t lineBytes_;
     std::uint32_t frameBits_;

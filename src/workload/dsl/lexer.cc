@@ -153,10 +153,8 @@ lex(const std::string &text)
         bool matched = false;
         for (const char *op : two) {
             if (text.compare(i, 2, op) == 0) {
-                tok.kind = Token::Kind::Punct;
-                tok.text = op;
+                out.push_back(Token{Token::Kind::Punct, op, 0.0, line, col});
                 advance(2);
-                out.push_back(std::move(tok));
                 matched = true;
                 break;
             }

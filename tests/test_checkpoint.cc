@@ -242,6 +242,29 @@ TEST(SnapshotContainer, RejectsConfigMismatch)
     EXPECT_NO_THROW(c.restoreSnapshot(snap));
 }
 
+TEST(SnapshotContainer, RejectsInFlightRegisterOutOfRange)
+{
+    // The checksum seals whatever its producer wrote, and the register
+    // files index unchecked on the hot path, so restore bounds every
+    // renamed register: one out of range must be refused, not indexed.
+    Simulator sim = makeSim(testConfig(1), streamingKernel(), 20);
+    DynInst *victim = nullptr;
+    for (int c = 0; c < 200 && !victim; ++c) {
+        sim.step();
+        for (DynInst &di : sim.context(0).rob)
+            if (di.physDst != kNoPhysReg) {
+                victim = &di;
+                break;
+            }
+    }
+    ASSERT_NE(victim, nullptr);
+    victim->physDst =
+        PhysReg(sim.context(0).file(victim->ti.dst.cls).size());
+    const Snapshot snap = sim.saveSnapshot();
+    Simulator fresh = makeSim(testConfig(1), streamingKernel(), 20);
+    EXPECT_THROW(fresh.restoreSnapshot(snap), SnapshotError);
+}
+
 TEST(SnapshotContainer, ConfigFingerprintSeparatesConfigs)
 {
     const SimConfig base = testConfig(2);

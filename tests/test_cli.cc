@@ -289,6 +289,15 @@ TEST(CliDriver, InvalidMachineIsAUsageError)
             {{"fig4", "--threads=0"}, "numThreads must be >= 1"},
             {{"ablate-l2", "--l2-size=1000"},
              "l2Bytes must be a multiple of l1LineBytes * l2Assoc"},
+            {{"run", "--graduate-width=0"}, "graduateWidth must be >= 1"},
+            {{"run", "--fetch-buffer=0"}, "fetchBufferSize must be >= 1"},
+            {{"run", "--l1-ports=0"}, "l1Ports must be >= 1"},
+            {{"run", "--max-branches=0"},
+             "maxUnresolvedBranches must be >= 1"},
+            {{"run", "--predictor=gshare", "--gshare-bits=0"},
+             "gshareHistoryBits must be in 1..32"},
+            {{"run", "--predictor=gshare", "--gshare-bits=40"},
+             "gshareHistoryBits must be in 1..32"},
         };
     for (auto [args, message] : cases) {
         args.insert(args.end(), {"--insts=100", "--quiet", "--json"});

@@ -240,4 +240,33 @@ TEST(SimConfig, ValidateRejectsBadConfigs)
     cfg = SimConfig{};
     cfg.bhtEntries = 1000;  // not a power of two
     EXPECT_THROW(test::withMessage(validate, "bht"), ConfigError);
+
+    // Each of these used to pass validate() and then abort the run.
+    cfg = SimConfig{};
+    cfg.graduateWidth = 0;
+    EXPECT_THROW(test::withMessage(validate, "graduateWidth"), ConfigError);
+
+    cfg = SimConfig{};
+    cfg.fetchBufferSize = 0;
+    EXPECT_THROW(test::withMessage(validate, "fetchBufferSize"),
+                 ConfigError);
+
+    cfg = SimConfig{};
+    cfg.l1Ports = 0;
+    EXPECT_THROW(test::withMessage(validate, "l1Ports"), ConfigError);
+
+    cfg = SimConfig{};
+    cfg.maxUnresolvedBranches = 0;
+    EXPECT_THROW(test::withMessage(validate, "maxUnresolvedBranches"),
+                 ConfigError);
+
+    for (const std::uint32_t bits : {0u, 33u, 40u}) {
+        cfg = SimConfig{};
+        cfg.predictor = SimConfig::PredictorKind::Gshare;
+        cfg.gshareHistoryBits = bits;
+        EXPECT_THROW(test::withMessage(validate, "gshareHistoryBits"),
+                     ConfigError);
+    }
+    cfg.gshareHistoryBits = 32;
+    EXPECT_NO_THROW(cfg.validate());
 }

@@ -326,7 +326,9 @@ TEST_P(RefusalFuzzTest, RefusedUntilTheNextFillWithoutSideEffects)
     // at every cycle before the nextFillCycle() read at c, whatever
     // other accesses come in between; and a refusal changes no state.
     // The simulator parks refused loads at issue, and refused stores at
-    // graduation, on exactly this contract.
+    // graduation, on exactly this contract, and re-checks them through
+    // refusal(): before every access, that probe must change nothing
+    // and predict the access's outcome exactly.
     const auto [perfect, seed] = GetParam();
     Rng rng(deriveSeed(0x72656675, seed));
     SimConfig cfg = memConfig();
@@ -355,8 +357,10 @@ TEST_P(RefusalFuzzTest, RefusedUntilTheNextFillWithoutSideEffects)
             const bool store = rng.bernoulli(0.3);
             if (!open.empty() && rng.bernoulli(0.4)) {
                 const Refused &f = open[rng.uniform(open.size())];
+                const MemReject probe = mem.refusal(f.addr);
                 const MemResult r =
                     store ? mem.store(f.addr, now) : mem.load(f.addr, now);
+                ASSERT_EQ(probe, r.reject);
                 ASSERT_FALSE(r.accepted)
                     << "address " << f.addr << " refused ("
                     << int(f.why) << ") at " << f.at << ", accepted at "
@@ -368,8 +372,14 @@ TEST_P(RefusalFuzzTest, RefusedUntilTheNextFillWithoutSideEffects)
             const bool check = rng.bernoulli(0.1);
             const std::vector<std::uint8_t> before =
                 check ? stateOf(mem) : std::vector<std::uint8_t>{};
+            const MemReject probe = mem.refusal(addr);
+            if (check) {
+                ASSERT_EQ(stateOf(mem), before) << "the probe changed state";
+            }
             const MemResult r =
                 store ? mem.store(addr, now) : mem.load(addr, now);
+            ASSERT_EQ(probe, r.reject) << "probe and access disagree";
+            ASSERT_EQ(r.accepted, probe == MemReject::None);
             if (r.accepted)
                 continue;
             if (check) {

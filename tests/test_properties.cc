@@ -296,11 +296,13 @@ TEST_P(LiveKeyFuzzTest, LiveKeysMatchRecomputation)
     // cross-checks the SAQ word index against the reference linear
     // walk it replaced in the issue stage, every cached stall class of
     // a queue head against a from-scratch classification
-    // (Context::stallClass), the walk the cache replaced, and the two
-    // facts issue skips a head on: a parked load passes its gates and
-    // is not forwardable (so only the L1 refuses it), and a class
-    // marked blocked belongs to a head that fails a gate. A few
-    // save/restore round trips check what restore rebuilds.
+    // (Context::stallClass), the walk the cache replaced, and the facts
+    // the stages pass over a thread on: a held load passes its gates
+    // and is not forwardable (so only the L1 refuses it), a held store
+    // is a graduable head, a class marked blocked belongs to a head
+    // that fails a gate, a thread waiting to dispatch fails
+    // canDispatch, and one waiting to graduate has a head that cannot.
+    // A few save/restore round trips check what restore rebuilds.
     const std::uint64_t seed = GetParam();
     Rng rng(deriveSeed(0x73636163, seed));
     const Kernel k = randomKernel(seed);
@@ -350,15 +352,42 @@ TEST_P(LiveKeyFuzzTest, LiveKeysMatchRecomputation)
                     << ", from scratch " << int(ref.reason) << "/"
                     << ref.token;
             }
-            if (sim.loadParkedUntil(t) > sim.now()) {
+            // A parked head is held until the L1 accepts it.
+            const std::optional<Addr> held_load = sim.heldLoad(t);
+            ASSERT_TRUE(held_load || sim.loadParkedUntil(t) <= sim.now());
+            if (held_load) {
                 ASSERT_FALSE(ctx.apQ.empty()) << k.name << " t" << t;
                 const DynInst &head = *ctx.apQ.front();
                 ASSERT_TRUE(head.isLoadOp) << k.name << " t" << t;
+                ASSERT_EQ(*held_load, head.ti.addr) << k.name << " t" << t;
                 ASSERT_TRUE(cfg.decoupled || head.seq == ctx.nextIssueSeq);
                 ASSERT_TRUE(ctx.operandsReady(head))
                     << k.name << " t" << t << " at cycle " << sim.now();
                 ASSERT_FALSE(ctx.saqForwards(head.seq, head.ti.addr))
                     << k.name << " t" << t << " at cycle " << sim.now();
+            }
+            if (const std::optional<Addr> held = sim.heldStore(t)) {
+                ASSERT_FALSE(ctx.rob.empty()) << k.name << " t" << t;
+                const DynInst &head = ctx.rob.front();
+                ASSERT_TRUE(head.isStoreOp) << k.name << " t" << t;
+                ASSERT_EQ(*held, head.ti.addr) << k.name << " t" << t;
+                ASSERT_EQ(head.state, InstState::Completed);
+                ASSERT_TRUE(ctx.storeDataReady(head))
+                    << k.name << " t" << t << " at cycle " << sim.now();
+            }
+            if (sim.dispatchWaiting(t)) {
+                ASSERT_FALSE(ctx.fetchBuf.empty()) << k.name << " t" << t;
+                ASSERT_FALSE(sim.canDispatch(ctx))
+                    << k.name << " t" << t << " at cycle " << sim.now()
+                    << ": a thread waiting to dispatch could dispatch";
+            }
+            if (sim.graduateWaiting(t)) {
+                ASSERT_FALSE(ctx.rob.empty()) << k.name << " t" << t;
+                const DynInst &head = ctx.rob.front();
+                ASSERT_TRUE(head.state != InstState::Completed ||
+                            (head.isStoreOp && !ctx.storeDataReady(head)))
+                    << k.name << " t" << t << " at cycle " << sim.now()
+                    << ": a thread waiting to graduate could graduate";
             }
             for (const Unit unit : {Unit::AP, Unit::EP}) {
                 if (!sim.cachedBlocked(unit, t))
