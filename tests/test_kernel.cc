@@ -8,6 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
+#include <iomanip>
+#include <sstream>
+#include <string>
+
+#include "common/serialize.hh"
 #include "tests/test_util.hh"
 #include "workload/kernel.hh"
 #include "workload/spec_fp95.hh"
@@ -293,6 +300,67 @@ TEST(SpecFp95, Hydro2dUsesLineSizedStrides)
         line_strided += s.kind == StreamSpec::Kind::Strided &&
                         s.stride >= 32 && s.footprint >= 1024 * 1024;
     EXPECT_GE(line_strided, 1);
+}
+
+namespace {
+
+/**
+ * One CSV row per built-in model: its kernel's op, stream, int- and
+ * FP-register counts, and an FNV-1a digest over every TraceInst field
+ * (op, pc, addr, taken, dst, srcs) that its benchmark factory emits on
+ * two threads at seed 42, 20,000 instructions a thread.
+ */
+std::string
+builtinTraceRows()
+{
+    std::ostringstream os;
+    os << "benchmark,ops,streams,int_regs,fp_regs,trace_fnv1a\n";
+    for (const std::string &name : specFp95Names()) {
+        const Kernel k = buildSpecFp95(name);
+        std::uint64_t digest = fnv1a(nullptr, 0);
+        for (const auto &src : makeBenchmarkFactory(name)->make(2, 42)) {
+            TraceInst ti;
+            for (int n = 0; n < 20000; ++n) {
+                EXPECT_TRUE(src->next(ti)) << name << " ended early";
+                ByteWriter w;
+                w.u8(std::uint8_t(ti.op));
+                w.u64(ti.pc);
+                w.u64(ti.addr);
+                w.b(ti.taken);
+                for (const RegRef &r : {ti.dst, ti.src[0], ti.src[1],
+                                        ti.src[2]}) {
+                    w.u8(std::uint8_t(r.cls));
+                    w.u8(r.idx);
+                }
+                digest = fnv1a(w.data(), digest);
+            }
+        }
+        os << name << ',' << k.ops.size() << ',' << k.streams.size()
+           << ',' << k.numIntRegs << ',' << k.numFpRegs << ",0x"
+           << std::hex << std::setw(16) << std::setfill('0') << digest
+           << std::dec << '\n';
+    }
+    return os.str();
+}
+
+} // namespace
+
+TEST(SpecFp95, BuiltinTracesMatchTheGolden)
+{
+    // Pins every built-in model's kernel shape and expanded trace, so a
+    // change to a model's definition shows up as a diff of this file.
+    const std::string got = builtinTraceRows();
+    const std::string want = test::slurp(std::string(MTDAE_SOURCE_DIR) +
+                                         "/tests/golden/builtin_traces.csv");
+    if (got != want) {
+        const std::string path =
+            ::testing::TempDir() + "builtin_traces.csv";
+        std::ofstream(path, std::ios::binary) << got;
+        ADD_FAILURE() << "built-in traces drifted from "
+                         "tests/golden/builtin_traces.csv; the recomputed "
+                         "rows are in "
+                      << path;
+    }
 }
 
 TEST(SpecFp95, UnknownBenchmarkThrowsConfigError)
