@@ -21,8 +21,10 @@
 #include "harness/experiment.hh"
 #include "harness/sweep.hh"
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace mtdae;
 
@@ -82,4 +84,19 @@ main(int argc, char **argv)
                  "contexts climb it instead of hiding it "
                  "(docs/MEMORY.md).\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A bad argument is a usage error: say so and exit 2, as mtdae does.
+    try {
+        return run(argc, argv);
+    } catch (const mtdae::ConfigError &e) {
+        std::cerr << "bandwidth_wall: " << e.what() << "\n"
+                  << "usage: bandwidth_wall [dram_scale] [max_threads]\n";
+        return 2;
+    }
 }

@@ -1,9 +1,6 @@
 # applu: SSOR solver for coupled PDEs. Triangular solves carry a
 # loop-exit test each iteration (branch prob 0.2 skips the store), the
 # first control-dependence workload in the suite.
-#
-# DSL port of buildApplu() in src/workload/spec_fp95.cc
-# (byte-identical kernel; see tests/test_dsl.cc).
 kernel applu
 
 stream sA = strided(1536K, 8)          # wavefront sweep
@@ -15,7 +12,8 @@ let a0 = loadf(sA)
 let a1 = loadf(sB)
 let a2 = loadf(sC)
 
-# layeredFpBody(loaded = {a0, a1, a2}, layer0 = 5, layer1 = 4)
+# Layered FP body: five ops on the loaded values, four combining
+# those, and two loop-carried FMA reductions.
 let l00 = fmul(a0, a1)
 let l01 = fadd(a1, a2)
 let l02 = fsub(a2, a0)
@@ -39,7 +37,7 @@ advance sA
 advance sB
 advance sO
 
-# indexArith(3)
+# Index arithmetic: three integer ops on a scratch register.
 reg scratch : int
 iadd scratch = scratch
 ishift scratch = scratch

@@ -1,9 +1,6 @@
 # apsi: mesoscale pollutant transport. Two-stream body with a
 # conditional store (15% taken): mild control dependence, moderate
 # working set.
-#
-# DSL port of buildApsi() in src/workload/spec_fp95.cc
-# (byte-identical kernel; see tests/test_dsl.cc).
 kernel apsi
 
 stream sT = strided(2M, 8)    # field sweep
@@ -13,7 +10,8 @@ stream sO = strided(4K, 24)   # block-local output
 let a0 = loadf(sT)
 let a1 = loadf(sQ)
 
-# layeredFpBody(loaded = {a0, a1}, layer0 = 5, layer1 = 4)
+# Layered FP body: five ops on the loaded values, four combining
+# those, and two loop-carried FMA reductions.
 let l00 = fmul(a0, a1)
 let l01 = fadd(a1, a0)
 let l02 = fsub(a0, a1)
@@ -36,7 +34,7 @@ advance sT
 advance sQ
 advance sO
 
-# indexArith(4)
+# Index arithmetic: four integer ops on a scratch register.
 reg scratch : int
 iadd scratch = scratch
 ishift scratch = scratch

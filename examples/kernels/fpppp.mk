@@ -2,11 +2,9 @@
 # but enormous basic blocks of dependent FP arithmetic: compute bound,
 # decoupling buys little. A rare (5%) spill path touches a 2 MB gather.
 #
-# DSL port of buildFpppp() in src/workload/spec_fp95.cc
-# (byte-identical kernel; see tests/test_dsl.cc). The two unrolled
-# integral blocks of the C++ builder are expressed as `loop 2` here:
-# each iteration opens a fresh scope, so the per-block streams and
-# temporaries are re-declared exactly like the C++ loop body.
+# The two integral blocks are written as `loop 2`: each iteration
+# opens a fresh scope, so the per-block stream and temporaries are
+# declared anew.
 kernel fpppp
 
 stream sSc = strided(4K, 8)   # resident scratch

@@ -1,9 +1,6 @@
 # hydro2d: Navier-Stokes on a 2-D grid with column-order inner loops:
 # line-sized strides make nearly every access a miss over an 8 MB
 # working set — the highest miss ratio of the suite.
-#
-# DSL port of buildHydro2d() in src/workload/spec_fp95.cc
-# (byte-identical kernel; see tests/test_dsl.cc).
 kernel hydro2d
 
 stream sR = strided(8M, 32)   # column sweep
@@ -15,7 +12,8 @@ let a0 = loadf(sR)
 let a1 = loadf(sU)
 let a2 = loadf(sV)
 
-# layeredFpBody(loaded = {a0, a1, a2}, layer0 = 5, layer1 = 4)
+# Layered FP body: five ops on the loaded values, four combining
+# those, and two loop-carried FMA reductions.
 let l00 = fmul(a0, a1)
 let l01 = fadd(a1, a2)
 let l02 = fsub(a2, a0)
@@ -36,7 +34,7 @@ advance sU
 advance sV
 advance sW
 
-# indexArith(4)
+# Index arithmetic: four integer ops on a scratch register.
 reg scratch : int
 iadd scratch = scratch
 ishift scratch = scratch

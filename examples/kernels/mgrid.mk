@@ -1,9 +1,6 @@
 # mgrid: multigrid solver. Mixed unit and coarse strides (restriction
 # and prolongation touch every other plane): moderate miss ratio,
 # excellent decoupling.
-#
-# DSL port of buildMgrid() in src/workload/spec_fp95.cc
-# (byte-identical kernel; see tests/test_dsl.cc).
 kernel mgrid
 
 stream sF = strided(2M, 8)             # fine-grid sweep
@@ -15,7 +12,8 @@ let a0 = loadf(sF)
 let a1 = loadf(sC)
 let a2 = loadf(sN)
 
-# layeredFpBody(loaded = {a0, a1, a2}, layer0 = 5, layer1 = 4)
+# Layered FP body: five ops on the loaded values, four combining
+# those, and two loop-carried FMA reductions.
 let l00 = fmul(a0, a1)
 let l01 = fadd(a1, a2)
 let l02 = fsub(a2, a0)
@@ -35,7 +33,7 @@ advance sF
 advance sC
 advance sO
 
-# indexArith(4)
+# Index arithmetic: four integer ops on a scratch register.
 reg scratch : int
 iadd scratch = scratch
 ishift scratch = scratch

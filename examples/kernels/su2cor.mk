@@ -1,9 +1,6 @@
 # su2cor: quantum-chromodynamics gather code. Integer index loads feed
 # the addresses of FP loads over a large table: integer-load misses
 # stall the AP directly while the overall miss ratio stays significant.
-#
-# DSL port of buildSu2cor() in src/workload/spec_fp95.cc
-# (byte-identical kernel; see tests/test_dsl.cc).
 kernel su2cor
 
 stream sIdx = strided(1M, 4, 4)
@@ -17,7 +14,8 @@ stream gT = gather(64K) index idx
 let t = loadf(gT)
 let s = loadf(sS)
 
-# layeredFpBody(loaded = {t, s}, layer0 = 4, layer1 = 3)
+# Layered FP body: four ops on the loaded values, three combining
+# those, and two loop-carried FMA reductions.
 let l00 = fmul(t, s)
 let l01 = fadd(s, t)
 let l02 = fsub(t, s)
@@ -37,7 +35,7 @@ advance sIdx
 advance sS
 advance sOut
 
-# indexArith(2)
+# Index arithmetic: two integer ops on a scratch register.
 reg scratch : int
 iadd scratch = scratch
 ishift scratch = scratch

@@ -1,9 +1,6 @@
 # swim: shallow-water stencil. Three input streams (one line-strided)
 # and two output streams over ~4 MB arrays: bandwidth-heavy, perfectly
 # decoupled.
-#
-# DSL port of buildSwim() in src/workload/spec_fp95.cc (byte-identical
-# kernel; see tests/test_dsl.cc).
 kernel swim
 
 stream sU = strided(4M, 8)             # streaming field
@@ -16,7 +13,8 @@ let a0 = loadf(sU)
 let a1 = loadf(sV)
 let a2 = loadf(sP)
 
-# layeredFpBody(loaded = {a0, a1, a2}, layer0 = 5, layer1 = 4)
+# Layered FP body: five ops on the loaded values, four combining
+# those, and two loop-carried FMA reductions.
 let l00 = fmul(a0, a1)
 let l01 = fadd(a1, a2)
 let l02 = fsub(a2, a0)
@@ -37,7 +35,7 @@ advance sU
 advance sP
 advance sUn
 
-# indexArith(4)
+# Index arithmetic: four integer ops on a scratch register.
 reg scratch : int
 iadd scratch = scratch
 ishift scratch = scratch

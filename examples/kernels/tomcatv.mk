@@ -1,10 +1,6 @@
 # tomcatv: vectorised mesh generation. Unit-stride sweeps over several
 # multi-MB arrays; address arithmetic fully independent of the FP
 # results (near-perfect decoupling, significant miss ratio).
-#
-# DSL port of buildTomcatv() in src/workload/spec_fp95.cc: the
-# statements mirror the builder calls one for one, so the compiled
-# kernel is byte-identical to the C++ model (tests/test_dsl.cc).
 kernel tomcatv
 
 stream sA = strided(2M, 8)            # streaming input plane
@@ -16,7 +12,8 @@ let a0 = loadf(sA)
 let a1 = loadf(sB)
 let a2 = loadf(sX)
 
-# layeredFpBody(loaded = {a0, a1, a2}, layer0 = 5, layer1 = 4)
+# Layered FP body: five ops on the loaded values, four combining
+# those, and two loop-carried FMA reductions.
 let l00 = fmul(a0, a1)
 let l01 = fadd(a1, a2)
 let l02 = fsub(a2, a0)
@@ -36,7 +33,7 @@ advance sA
 advance sX
 advance sC
 
-# indexArith(4)
+# Index arithmetic: four integer ops on a scratch register.
 reg scratch : int
 iadd scratch = scratch
 ishift scratch = scratch

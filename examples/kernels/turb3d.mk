@@ -1,9 +1,6 @@
 # turb3d: FFT-based turbulence. Small resident butterflies most of the
 # time, but 3% of iterations recompute a bit-reversed offset from a
 # freshly loaded index (computed-address dependence into the AP).
-#
-# DSL port of buildTurb3d() in src/workload/spec_fp95.cc
-# (byte-identical kernel; see tests/test_dsl.cc).
 kernel turb3d
 
 stream sRe = strided(4K, 8)            # resident butterfly (real)
@@ -15,7 +12,8 @@ let a0 = loadf(sRe)
 let a1 = loadf(sIm)
 let a2 = loadf(sTw)
 
-# layeredFpBody(loaded = {a0, a1, a2}, layer0 = 5, layer1 = 4)
+# Layered FP body: five ops on the loaded values, four combining
+# those, and two loop-carried FMA reductions.
 let l00 = fmul(a0, a1)
 let l01 = fadd(a1, a2)
 let l02 = fsub(a2, a0)
@@ -43,7 +41,7 @@ advance sRe
 advance sTw
 advance sO
 
-# indexArith(3)
+# Index arithmetic: three integer ops on a scratch register.
 reg scratch : int
 iadd scratch = scratch
 ishift scratch = scratch

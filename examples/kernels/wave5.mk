@@ -1,9 +1,6 @@
 # wave5: particle-in-cell plasma code. Indexed particle gathers with a
 # data-dependent FP guard (branchf on a compare result): the branch
 # outcome depends on loaded data, the worst case for fetch gating.
-#
-# DSL port of buildWave5() in src/workload/spec_fp95.cc
-# (byte-identical kernel; see tests/test_dsl.cc).
 kernel wave5
 
 stream sIdx = strided(1M, 4, 4)   # particle index list
@@ -21,7 +18,8 @@ branch cnd prob 0.9 skip 2
 let fc = fcmp(f, bnd)
 branchf fc prob 0.3
 
-# layeredFpBody(loaded = {e, f}, layer0 = 4, layer1 = 3)
+# Layered FP body: four ops on the loaded values, three combining
+# those, and two loop-carried FMA reductions.
 let l00 = fmul(e, f)
 let l01 = fadd(f, e)
 let l02 = fsub(e, f)
@@ -42,7 +40,7 @@ loadi idx = sIdx
 advance sIdx
 advance sF
 
-# indexArith(2)
+# Index arithmetic: two integer ops on a scratch register.
 reg scratch : int
 iadd scratch = scratch
 ishift scratch = scratch

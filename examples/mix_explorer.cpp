@@ -23,8 +23,10 @@
 #include "core/slot_stats.hh"
 #include "harness/experiment.hh"
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace mtdae;
 
@@ -88,4 +90,21 @@ main(int argc, char **argv)
         std::cout << std::setprecision(3) << "\n";
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A bad argument is a usage error: say so and exit 2, as mtdae does.
+    try {
+        return run(argc, argv);
+    } catch (const mtdae::ConfigError &e) {
+        std::cerr << "mix_explorer: " << e.what() << "\n"
+                  << "usage: mix_explorer [threads] [l2_latency] "
+                     "[decoupled 0|1] [insts]\n"
+                     "                    [fetch_policy] [issue_policy]\n";
+        return 2;
+    }
 }

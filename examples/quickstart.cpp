@@ -13,8 +13,10 @@
 #include "harness/experiment.hh"
 #include "workload/spec_fp95.hh"
 
+namespace {
+
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     using namespace mtdae;
 
@@ -45,4 +47,19 @@ main(int argc, char **argv)
               << r.ep.fraction(SlotUse::Useful) << "\n"
               << "mispredict rate      : " << r.mispredictRate << "\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    // A bad argument is a usage error: say so and exit 2, as mtdae does.
+    try {
+        return run(argc, argv);
+    } catch (const mtdae::ConfigError &e) {
+        std::cerr << "quickstart: " << e.what() << "\n"
+                  << "usage: quickstart [benchmark] [threads] [l2_latency]\n";
+        return 2;
+    }
 }

@@ -1,5 +1,7 @@
 #include "core/context.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 #include "common/serialize.hh"
 
@@ -492,6 +494,18 @@ Context::restore(ByteReader &r)
     nextSeq = r.u64();
     nextIssueSeq = r.u64();
     perceived.restore(r);
+    // Each missed load in flight closes its token at completion: it
+    // must hold an open one, and no other load the same.
+    std::vector<std::uint32_t> held;
+    for (const DynInst &di : rob) {
+        if (di.state != InstState::Issued || !di.loadMissed)
+            continue;
+        if (!perceived.isOpen(di.missToken) ||
+            std::find(held.begin(), held.end(), di.missToken) != held.end())
+            throw SnapshotError("in-flight load holds a closed or shared "
+                                "perceived-latency token in snapshot");
+        held.push_back(di.missToken);
+    }
     graduated = r.u64();
 
     for (std::uint32_t &s : iqSamples)

@@ -97,6 +97,13 @@ class PerceivedTracker
      *  unaffected by resetStats(), like the open tokens themselves. */
     std::uint32_t outstanding() const { return outstanding_; }
 
+    /** True when @p token names a miss still being tracked. */
+    bool
+    isOpen(std::uint32_t token) const
+    {
+        return token < slots_.size() && slots_[token].active;
+    }
+
     /** Average perceived latency of integer-load misses. */
     double
     intPerceived() const
@@ -144,20 +151,39 @@ class PerceivedTracker
         w.u64(fpMisses_);
     }
 
-    /** Restore state saved by save(). */
+    /**
+     * Restore state saved by save().
+     *
+     * @throws SnapshotError when the free list names a token out of
+     *         range, an open one or one twice, or when the outstanding
+     *         count differs from the open slots: open() would hand out
+     *         a live token again and its second close() would panic
+     */
     void
     restore(ByteReader &r)
     {
         slots_.resize(r.u64());
+        std::uint32_t open_slots = 0;
         for (Slot &s : slots_) {
             s.stalls = r.u64();
             s.isInt = r.b();
             s.active = r.b();
+            open_slots += s.active;
         }
         free_.resize(r.u64());
-        for (std::uint32_t &tok : free_)
+        std::vector<bool> listed(slots_.size(), false);
+        for (std::uint32_t &tok : free_) {
             tok = r.u32();
+            if (tok >= slots_.size() || slots_[tok].active || listed[tok])
+                throw SnapshotError("perceived-latency free list names a "
+                                    "bad token in snapshot");
+            listed[tok] = true;
+        }
         outstanding_ = r.u32();
+        if (outstanding_ != open_slots)
+            throw SnapshotError("perceived-latency outstanding count "
+                                "differs from its open tokens in "
+                                "snapshot");
         intStalls_ = r.u64();
         fpStalls_ = r.u64();
         intMisses_ = r.u64();

@@ -697,8 +697,8 @@ class DslKernelFactory : public TraceSourceFactory
         kernel_ = std::move(c.kernel);
 
         // A kernel named after a modelled benchmark takes that
-        // benchmark's layout slot (making its sources byte-identical
-        // to the C++ original's); anything else hashes into the
+        // benchmark's layout slot (so a copy of a built-in's text runs
+        // exactly as the built-in does); anything else hashes into the
         // remaining slots below the 6-bit region-encoding limit.
         const std::size_t idx = specFp95Index(kernel_.name);
         if (idx < specFp95Names().size()) {

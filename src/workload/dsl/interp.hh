@@ -2,9 +2,10 @@
  * @file
  * Interpreter of the kernel DSL: evaluates a parsed Program against
  * KernelBuilder, producing the same Kernel a hand-written C++ builder
- * would — register ids are allocated in statement order, so a DSL port
- * that mirrors a C++ builder's call sequence yields a byte-identical
- * kernel (the golden-equivalence contract of tests/test_dsl.cc).
+ * would — register ids are allocated in statement order, so the kernel
+ * a text compiles to is fixed by its statements alone. The ten built-in
+ * SPEC FP95 models are compiled this way from their embedded .mk texts
+ * (workload/spec_fp95.hh).
  *
  * All semantic faults (unknown identifiers, type mismatches, budget
  * overruns) throw DslError with the exact source position; the
@@ -54,12 +55,12 @@ Kernel compileKernel(const std::string &text,
                      const ParamOverrides &overrides = {});
 
 /**
- * Factory binding a DSL kernel to every hardware context, mirroring
- * makeBenchmarkFactory: thread t runs the kernel on its own region of
- * the canonical workload layout. A kernel named after one of the ten
- * modelled benchmarks takes that benchmark's layout slot, so its
- * sources — and therefore its RunResult — are byte-identical to the
- * C++ original's; other names hash into the remaining slots. The
+ * Factory binding a DSL kernel to every hardware context (the factory
+ * makeBenchmarkFactory returns for a built-in model): thread t runs the
+ * kernel on its own region of the canonical workload layout. A kernel
+ * named after one of the ten modelled benchmarks takes that benchmark's
+ * layout slot, so a file with a built-in's statements runs exactly as
+ * the built-in does; other names hash into the remaining slots. The
  * fingerprint folds the kernel text and the resolved param values, so
  * warm-start prefixes are only ever shared between identical workloads.
  *

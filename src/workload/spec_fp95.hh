@@ -1,10 +1,13 @@
 /**
  * @file
- * Synthetic models of the ten SPEC FP95 benchmarks the paper traces.
+ * The ten SPEC FP95 benchmarks the paper traces, as synthetic models.
  *
  * Each model is a kernel whose instruction mix, footprint and dependence
  * structure reproduce the benchmark's first-order behaviour as reported
- * in the paper (Figure 1) and in the SPEC FP95 literature:
+ * in the paper (Figure 1) and in the SPEC FP95 literature. A model is
+ * written once, as the kernel-DSL file examples/kernels/<name>.mk; the
+ * build embeds the ten texts and each process compiles them once, on
+ * first use (docs/KERNEL_DSL.md, "Built-in models"):
  *
  *  - tomcatv/swim:  streaming stencils; high L1 miss ratio, near-perfect
  *                   decoupling (address computation independent of FP).
@@ -26,7 +29,9 @@
 #define MTDAE_WORKLOAD_SPEC_FP95_HH
 
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hh"
@@ -34,6 +39,20 @@
 #include "workload/trace_source.hh"
 
 namespace mtdae {
+
+/** A built-in model's name and the text of its .mk file. */
+struct BuiltinKernelText
+{
+    std::string_view name;
+    std::string_view text;
+};
+
+/**
+ * The ten modelled benchmarks' kernel texts, in the paper's Figure 1
+ * order, as embedded from examples/kernels/ when the build was
+ * configured (the list of names lives in CMakeLists.txt).
+ */
+std::span<const BuiltinKernelText> builtinKernelTexts();
 
 /** Names of the ten modelled benchmarks, in the paper's Figure 1 order. */
 const std::vector<std::string> &specFp95Names();
@@ -57,8 +76,8 @@ Addr workloadPcBase(std::size_t slot);
 std::uint64_t workloadSourceSeed(std::uint64_t seed, ThreadId thread,
                                  std::size_t slot);
 
-/** Build the kernel model for @p name; throws ConfigError on an
- *  unknown name. */
+/** The compiled kernel model for @p name (a copy of the process-wide
+ *  one); throws ConfigError on an unknown name. */
 Kernel buildSpecFp95(const std::string &name);
 
 /**
@@ -69,6 +88,7 @@ Kernel buildSpecFp95(const std::string &name);
  * @param name   benchmark name
  * @param thread hardware context the trace will run on
  * @param seed   base RNG seed
+ * @throws ConfigError on an unknown name
  */
 std::unique_ptr<KernelTraceSource>
 makeSpecFp95Source(const std::string &name, ThreadId thread,
@@ -89,9 +109,9 @@ makeSuiteMixSource(ThreadId thread, std::uint64_t seed,
 
 /**
  * Factory binding a single benchmark to every hardware context (the
- * Figure 1 workload shape): thread t runs @p name on its own memory
- * region, seeded from the run seed. Throws ConfigError on an unknown
- * name.
+ * Figure 1 workload shape): the DSL factory over the model's embedded
+ * text, so thread t runs @p name on its own memory region, seeded from
+ * the run seed. Throws ConfigError on an unknown name.
  */
 std::unique_ptr<TraceSourceFactory>
 makeBenchmarkFactory(const std::string &name);

@@ -265,6 +265,84 @@ TEST(SnapshotContainer, RejectsInFlightRegisterOutOfRange)
     EXPECT_THROW(fresh.restoreSnapshot(snap), SnapshotError);
 }
 
+TEST(SnapshotContainer, RejectsInconsistentPerceivedTracker)
+{
+    // The tracker's payload as save() lays it out: slots (stalls,
+    // is-int, active), the free list, then the outstanding count and
+    // the four statistics.
+    const auto payload = [](const std::vector<bool> &active,
+                            const std::vector<std::uint32_t> &free,
+                            std::uint32_t outstanding) {
+        ByteWriter w;
+        w.u64(active.size());
+        for (const bool a : active) {
+            w.u64(0);
+            w.b(false);
+            w.b(a);
+        }
+        w.u64(free.size());
+        for (const std::uint32_t tok : free)
+            w.u32(tok);
+        w.u32(outstanding);
+        for (int i = 0; i < 4; ++i)
+            w.u64(0);
+        return w.data();
+    };
+    const auto restored = [](const Bytes &bytes) {
+        PerceivedTracker t;
+        ByteReader r(bytes);
+        t.restore(r);
+        return t;
+    };
+
+    // One slot both open and free: open() would hand the live token
+    // out again, and its second close() would panic.
+    EXPECT_THROW(restored(payload({true}, {0}, 1)), SnapshotError);
+    // A free token out of range, or listed twice.
+    EXPECT_THROW(restored(payload({false}, {1}, 0)), SnapshotError);
+    EXPECT_THROW(restored(payload({false}, {0, 0}, 0)), SnapshotError);
+    // An outstanding count that is not the number of open slots.
+    EXPECT_THROW(restored(payload({true, false}, {1}, 2)), SnapshotError);
+    EXPECT_THROW(restored(payload({true, false}, {1}, 0)), SnapshotError);
+
+    const PerceivedTracker ok = restored(payload({true, false}, {1}, 1));
+    EXPECT_EQ(ok.outstanding(), 1u);
+    EXPECT_TRUE(ok.isOpen(0));
+    EXPECT_FALSE(ok.isOpen(1));
+}
+
+TEST(SnapshotContainer, RejectsBadInFlightMissToken)
+{
+    // A missed load closes its token when it completes, so restore
+    // refuses one whose token is not open, or is another load's.
+    const auto missedLoads = [](Simulator &sim) {
+        std::vector<DynInst *> loads;
+        for (DynInst &di : sim.context(0).rob)
+            if (di.state == InstState::Issued && di.loadMissed)
+                loads.push_back(&di);
+        return loads;
+    };
+    const auto rejects = [&](std::uint32_t token, bool shared) {
+        Simulator sim = makeSim(testConfig(1), streamingKernel(), 20);
+        std::vector<DynInst *> loads;
+        for (int c = 0; c < 400 && loads.size() < 2; ++c) {
+            sim.step();
+            loads = missedLoads(sim);
+        }
+        if (loads.size() < 2) {
+            ADD_FAILURE() << "no two missed loads in flight";
+            return;
+        }
+        loads[0]->missToken = shared ? loads[1]->missToken : token;
+        const Snapshot snap = sim.saveSnapshot();
+        Simulator fresh = makeSim(testConfig(1), streamingKernel(), 20);
+        EXPECT_THROW(fresh.restoreSnapshot(snap), SnapshotError);
+    };
+    rejects(PerceivedTracker::kNoToken, false);
+    rejects(1000, false);
+    rejects(0, true);
+}
+
 TEST(SnapshotContainer, ConfigFingerprintSeparatesConfigs)
 {
     const SimConfig base = testConfig(2);

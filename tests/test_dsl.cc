@@ -1,27 +1,25 @@
 /**
  * @file
- * Golden-equivalence tests for the kernel DSL (src/workload/dsl/):
- * every built-in SPEC FP95 model has a DSL port in examples/kernels/
- * whose compiled kernel is structurally byte-identical to the C++
- * builder's, whose expanded instruction trace is byte-identical field
- * for field, and whose simulated RunResult rows match exactly on both
- * memory backends. Plus coverage for the three DSL-only kernels
- * (pointer_chase, hash_join, stencil) and the param-override surface.
+ * Tests of the kernel corpus and the DSL factory (src/workload/dsl/):
+ * every .mk file in examples/kernels/ compiles and simulates through
+ * the CLI, the three kernels outside the built-in models (pointer_chase,
+ * hash_join, stencil) have the structure their files promise, and the
+ * param-override surface and factory identity behave. The built-in
+ * models' traces are pinned in tests/golden/builtin_traces.csv
+ * (tests/test_kernel.cc).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
+#include <filesystem>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "test_util.hh"
 #include "workload/dsl/interp.hh"
 #include "workload/dsl/lexer.hh"
-#include "workload/spec_fp95.hh"
 
 using namespace mtdae;
 
@@ -34,139 +32,10 @@ kernelPath(const std::string &name)
            ".mk";
 }
 
-/** Field-by-field structural equality of two kernels. */
-void
-expectKernelEq(const Kernel &a, const Kernel &b)
-{
-    EXPECT_EQ(a.name, b.name);
-    EXPECT_EQ(a.numIntRegs, b.numIntRegs);
-    EXPECT_EQ(a.numFpRegs, b.numFpRegs);
-    ASSERT_EQ(a.streams.size(), b.streams.size());
-    for (std::size_t i = 0; i < a.streams.size(); ++i) {
-        const StreamSpec &x = a.streams[i];
-        const StreamSpec &y = b.streams[i];
-        EXPECT_EQ(x.kind, y.kind) << "stream " << i;
-        EXPECT_EQ(x.footprint, y.footprint) << "stream " << i;
-        EXPECT_EQ(x.stride, y.stride) << "stream " << i;
-        EXPECT_EQ(x.elemBytes, y.elemBytes) << "stream " << i;
-        EXPECT_EQ(x.addrReg, y.addrReg) << "stream " << i;
-    }
-    ASSERT_EQ(a.ops.size(), b.ops.size());
-    for (std::size_t i = 0; i < a.ops.size(); ++i) {
-        const KOp &x = a.ops[i];
-        const KOp &y = b.ops[i];
-        EXPECT_EQ(x.op, y.op) << "op " << i;
-        EXPECT_EQ(x.dst, y.dst) << "op " << i;
-        EXPECT_EQ(x.src0, y.src0) << "op " << i;
-        EXPECT_EQ(x.src1, y.src1) << "op " << i;
-        EXPECT_EQ(x.src2, y.src2) << "op " << i;
-        EXPECT_EQ(x.stream, y.stream) << "op " << i;
-        EXPECT_EQ(x.skip, y.skip) << "op " << i;
-        EXPECT_EQ(x.takenProb, y.takenProb) << "op " << i;
-        EXPECT_EQ(x.backedge, y.backedge) << "op " << i;
-    }
-}
-
-/** Exact equality of two RunResults (wall-clock profile excluded). */
-void
-expectResultEq(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.insts, b.insts);
-    EXPECT_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.perceivedFp, b.perceivedFp);
-    EXPECT_EQ(a.perceivedInt, b.perceivedInt);
-    EXPECT_EQ(a.perceivedAll, b.perceivedAll);
-    EXPECT_EQ(a.fpMisses, b.fpMisses);
-    EXPECT_EQ(a.intMisses, b.intMisses);
-    EXPECT_EQ(a.loadMissRatio, b.loadMissRatio);
-    EXPECT_EQ(a.storeMissRatio, b.storeMissRatio);
-    EXPECT_EQ(a.missRatio, b.missRatio);
-    EXPECT_EQ(a.mergedRatio, b.mergedRatio);
-    EXPECT_EQ(a.busUtilization, b.busUtilization);
-    EXPECT_EQ(a.avgFillLatency, b.avgFillLatency);
-    EXPECT_EQ(a.l2MissRatio, b.l2MissRatio);
-    EXPECT_EQ(a.dramRowHitRatio, b.dramRowHitRatio);
-    EXPECT_EQ(a.dramBusUtilization, b.dramBusUtilization);
-    EXPECT_EQ(a.mispredictRate, b.mispredictRate);
-    EXPECT_EQ(a.ap.counts, b.ap.counts);
-    EXPECT_EQ(a.ep.counts, b.ep.counts);
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------
-// Byte-identity of every built-in port: kernel, trace, RunResult.
-// ---------------------------------------------------------------------
-
-class DslGoldenTest : public ::testing::TestWithParam<std::string>
-{
-  protected:
-    void SetUp() override { text_ = test::slurp(kernelPath(GetParam())); }
-    std::string text_;
-};
-
-TEST_P(DslGoldenTest, KernelStructurallyIdentical)
-{
-    const Kernel cxx = buildSpecFp95(GetParam());
-    const Kernel ported = dsl::compileKernel(text_);
-    expectKernelEq(cxx, ported);
-}
-
-TEST_P(DslGoldenTest, FactoryNameAndLayoutMatch)
-{
-    auto builtin = makeBenchmarkFactory(GetParam());
-    auto ported = dsl::makeDslFactory(text_);
-    EXPECT_EQ(builtin->name(), ported->name());
-    // The DSL factory pins a matching benchmark name to the same layout
-    // slot, so its fingerprint need not equal the built-in's — but it
-    // must be stable and parameter-qualified.
-    EXPECT_NE(ported->fingerprint(), ported->name());
-    EXPECT_EQ(ported->fingerprint(), dsl::makeDslFactory(text_)->fingerprint());
-}
-
-TEST_P(DslGoldenTest, TraceByteIdentical)
-{
-    auto builtin = makeBenchmarkFactory(GetParam());
-    auto ported = dsl::makeDslFactory(text_);
-    auto sa = builtin->make(2, 42);
-    auto sb = ported->make(2, 42);
-    ASSERT_EQ(sa.size(), sb.size());
-    for (std::size_t t = 0; t < sa.size(); ++t) {
-        TraceInst ia, ib;
-        for (int n = 0; n < 20000; ++n) {
-            ASSERT_TRUE(sa[t]->next(ia));
-            ASSERT_TRUE(sb[t]->next(ib));
-            ASSERT_EQ(ia.op, ib.op) << "thread " << t << " inst " << n;
-            ASSERT_EQ(ia.dst, ib.dst) << "thread " << t << " inst " << n;
-            ASSERT_EQ(ia.src, ib.src) << "thread " << t << " inst " << n;
-            ASSERT_EQ(ia.pc, ib.pc) << "thread " << t << " inst " << n;
-            ASSERT_EQ(ia.addr, ib.addr) << "thread " << t << " inst " << n;
-            ASSERT_EQ(ia.taken, ib.taken) << "thread " << t << " inst " << n;
-        }
-    }
-}
-
-TEST_P(DslGoldenTest, RunResultIdenticalBothBackends)
-{
-    auto builtin = makeBenchmarkFactory(GetParam());
-    auto ported = dsl::makeDslFactory(text_);
-    for (const bool perfect : {true, false}) {
-        SimConfig cfg = test::testConfig(2);
-        cfg.perfectL2 = perfect;
-        Simulator sim_a(cfg, builtin->make(cfg.numThreads, cfg.seed));
-        Simulator sim_b(cfg, ported->make(cfg.numThreads, cfg.seed));
-        const RunResult ra = sim_a.run(20000);
-        const RunResult rb = sim_b.run(20000);
-        expectResultEq(ra, rb);
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllBuiltins, DslGoldenTest,
-                         ::testing::ValuesIn(specFp95Names()));
-
-// ---------------------------------------------------------------------
-// The DSL-only corpus kernels.
+// The kernel corpus.
 // ---------------------------------------------------------------------
 
 TEST(DslCorpus, PointerChaseUsesChainStream)
@@ -222,17 +91,29 @@ TEST(DslCorpus, StencilConditionalsResolveAtCompileTime)
 
 TEST(DslCorpus, EveryCorpusKernelValidatesAndRuns)
 {
-    const char *names[] = {"tomcatv", "swim",  "su2cor",  "hydro2d",
-                           "mgrid",   "applu", "turb3d",  "apsi",
-                           "fpppp",   "wave5", "pointer_chase",
-                           "hash_join", "stencil"};
-    for (const char *name : names) {
-        auto f = dsl::makeDslFactory(test::slurp(kernelPath(name)));
+    std::vector<std::filesystem::path> files;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::string(MTDAE_SOURCE_DIR) + "/examples/kernels"))
+        if (entry.path().extension() == ".mk")
+            files.push_back(entry.path());
+    ASSERT_GE(files.size(), 13u);
+    for (const auto &path : files) {
+        auto f = dsl::makeDslFactory(test::slurp(path.string()));
         auto sources = f->make(1, 1);
         ASSERT_EQ(sources.size(), 1u);
         TraceInst inst;
         for (int n = 0; n < 5000; ++n)
-            ASSERT_TRUE(sources[0]->next(inst)) << name;
+            ASSERT_TRUE(sources[0]->next(inst)) << path;
+        // Parse, compile and simulate it the way a user runs a file.
+        std::string out;
+        EXPECT_EQ(test::cli({"run", "--bench=dsl",
+                             "--kernel-file=" + path.string(),
+                             "--insts=2000", "--warmup=500", "--quiet",
+                             "--out=" + ::testing::TempDir() +
+                                 "mtdae_corpus"},
+                            out),
+                  0)
+            << path;
     }
 }
 
@@ -258,6 +139,11 @@ TEST(DslParams, OverridesChangeTheFingerprint)
     // Fingerprints are canonical: value spelling does not matter.
     auto same = dsl::makeDslFactory(text, {{"footprint", 1 << 20}});
     EXPECT_EQ(base->fingerprint(), same->fingerprint());
+    // The text is folded in too: a kernel of the same name but other
+    // text never shares a warm-start prefix with this one.
+    EXPECT_NE(base->fingerprint(), base->name());
+    EXPECT_NE(dsl::makeDslFactory(text + "# edited\n")->fingerprint(),
+              base->fingerprint());
 }
 
 TEST(DslParams, UnknownOverrideIsAnError)

@@ -365,12 +365,33 @@ TEST(SpecFp95, BuiltinTracesMatchTheGolden)
 
 TEST(SpecFp95, UnknownBenchmarkThrowsConfigError)
 {
-    // A bad name is user input: a typed error the caller can report,
-    // never an exit() from inside the workload library.
+    // A bad name is user input: every entry point that takes a built-in
+    // name reports it with a typed error the caller can show, never an
+    // assertion or exit() from inside the workload library.
     EXPECT_THROW(test::withMessage([] { buildSpecFp95("nonexistent"); },
-                                   "unknown SPEC FP95 model: nonexistent"),
+                                   "unknown benchmark 'nonexistent'"),
+                 ConfigError);
+    EXPECT_THROW(test::withMessage([] { makeSpecFp95Source("nope", 0, 1); },
+                                   "unknown benchmark 'nope'"),
                  ConfigError);
     EXPECT_THROW(test::withMessage([] { makeBenchmarkFactory("bogus"); },
                                    "unknown benchmark 'bogus'"),
                  ConfigError);
+}
+
+TEST(SpecFp95, NamesComeFromTheEmbeddedKernelFiles)
+{
+    // One list of built-in names: the embedded table's, whose texts are
+    // the examples/kernels/ files byte for byte.
+    const auto &names = specFp95Names();
+    ASSERT_EQ(builtinKernelTexts().size(), names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        const BuiltinKernelText &b = builtinKernelTexts()[i];
+        EXPECT_EQ(b.name, names[i]);
+        EXPECT_EQ(b.text, test::slurp(std::string(MTDAE_SOURCE_DIR) +
+                                      "/examples/kernels/" + names[i] +
+                                      ".mk"));
+        EXPECT_EQ(specFp95Index(names[i]), i);
+    }
+    EXPECT_EQ(specFp95Index("pointer_chase"), names.size());
 }
