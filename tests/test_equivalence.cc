@@ -269,6 +269,19 @@ TEST(EquivalenceSkips, StalledNonDecoupledMachineMatchesItsGolden)
                       "--jobs=1", "--quiet"});
 }
 
+/**
+ * A machine whose fills land more than 1,024 cycles ahead: at L2=2048
+ * most cycles are fast-forwarded to a completion that far out, which
+ * no other golden schedules.
+ */
+TEST(EquivalenceSkips, FarFillsMatchTheirGolden)
+{
+    expectSkipGolden("run_far",
+                     {"run", "--threads-list=1,2", "--latencies=2048",
+                      "--insts=2000", "--warmup=500", "--jobs=1",
+                      "--quiet"});
+}
+
 TEST(EquivalenceSpelling, WarmupInstsAliasReproducesTheFigureGoldens)
 {
     // --warmup-insts is the checkpoint docs' spelling of --warmup.
