@@ -149,6 +149,7 @@ BM_SaqForwardLookup(benchmark::State &state)
     const bool fast = state.range(1) != 0;
     const std::size_t entries = std::size_t(state.range(0));
     SimConfig cfg;
+    cfg.saqEntries = std::uint32_t(entries);
     Context ctx(0, cfg, makeSuiteMixSource(0, 1));
     for (std::size_t i = 0; i < entries; ++i) {
         SaqEntry e;

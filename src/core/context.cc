@@ -1,6 +1,7 @@
 #include "core/context.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "common/log.hh"
 #include "common/serialize.hh"
@@ -141,9 +142,14 @@ Context::Context(ThreadId id, const SimConfig &cfg,
                  std::unique_ptr<TraceSource> src)
     : tid(id),
       source(std::move(src)),
+      fetchBuf(cfg.fetchBufferSize),
       predictor(makePredictor(cfg)),
       intRegs(SimConfig::kArchIntRegs, cfg.apPhysRegs),
-      fpRegs(SimConfig::kArchFpRegs, cfg.epPhysRegs)
+      fpRegs(SimConfig::kArchFpRegs, cfg.epPhysRegs),
+      rob(cfg.robEntries),
+      apQ(cfg.apQueueEntries),
+      iq(cfg.iqEntries),
+      saq(cfg.saqEntries)
 {
     MTDAE_ASSERT(source, "context without a trace source");
 }
@@ -364,15 +370,6 @@ RegFile::restore(ByteReader &r)
         reg = index();
 }
 
-std::size_t
-Context::robIndexOf(const DynInst *di) const
-{
-    for (std::size_t i = 0; i < rob.size(); ++i)
-        if (&rob[i] == di)
-            return i;
-    MTDAE_PANIC("queue entry points outside its thread's ROB");
-}
-
 void
 Context::save(ByteWriter &w) const
 {
@@ -404,13 +401,13 @@ Context::save(ByteWriter &w) const
         saveDynInst(w, di);
     w.u64(apQ.size());
     for (const DynInst *di : apQ)
-        w.u64(robIndexOf(di));
+        w.u64(rob.indexOf(di));
     w.u64(iq.size());
     for (const DynInst *di : iq)
-        w.u64(robIndexOf(di));
+        w.u64(rob.indexOf(di));
     w.u64(saq.size());
     for (const SaqEntry &e : saq) {
-        w.u64(robIndexOf(e.inst));
+        w.u64(rob.indexOf(e.inst));
         w.u64(e.seq);
         w.b(e.addrValid);
         w.u64(e.addr);
@@ -438,8 +435,17 @@ Context::restore(ByteReader &r)
 {
     source->restore(r);
 
-    fetchBuf.resize(r.u64());
-    for (FetchedInst &fi : fetchBuf) {
+    // A ring cannot grow past its configured capacity.
+    const auto count = [&](const auto &ring, const char *what) {
+        const std::uint64_t n = r.u64();
+        if (n > ring.capacity())
+            throw SnapshotError(std::string(what) +
+                                " count above its capacity in snapshot");
+        return std::size_t(n);
+    };
+    fetchBuf.clear();
+    for (std::size_t n = count(fetchBuf, "fetch buffer"); n > 0; --n) {
+        FetchedInst &fi = fetchBuf.emplace_back();
         fi.ti = restoreTraceInst(r);
         fi.seq = r.u64();
         fi.mispredicted = r.b();
@@ -459,31 +465,32 @@ Context::restore(ByteReader &r)
     intRegs.restore(r);
     fpRegs.restore(r);
 
-    rob.resize(r.u64());
-    for (DynInst &di : rob)
-        restoreDynInst(r, *this, di);
+    rob.clear();
+    for (std::size_t n = count(rob, "ROB"); n > 0; --n)
+        restoreDynInst(r, *this, rob.emplace_back());
     auto readRobPtr = [&]() -> DynInst * {
         const std::uint64_t idx = r.u64();
         if (idx >= rob.size())
             throw SnapshotError("ROB index out of range in snapshot");
         return &rob[std::size_t(idx)];
     };
-    apQ.resize(r.u64());
-    for (DynInst *&di : apQ)
-        di = readRobPtr();
-    iq.resize(r.u64());
-    for (DynInst *&di : iq)
-        di = readRobPtr();
-    saq.resize(r.u64());
-    for (SaqEntry &e : saq) {
+    apQ.clear();
+    for (std::size_t n = count(apQ, "AP queue"); n > 0; --n)
+        apQ.push_back(readRobPtr());
+    iq.clear();
+    for (std::size_t n = count(iq, "IQ"); n > 0; --n)
+        iq.push_back(readRobPtr());
+    saq.clear();
+    for (std::size_t n = count(saq, "SAQ"); n > 0; --n) {
+        SaqEntry &e = saq.emplace_back();
         e.inst = readRobPtr();
         e.seq = r.u64();
         e.addrValid = r.b();
         e.addr = r.u64();
     }
     // Rebuild the store -> SAQ-slot back-pointers and the deposited-word
-    // index (derived state; deque element references stay stable until
-    // the entry is popped).
+    // index (derived state; ring elements stay where they are until the
+    // entry is popped).
     saqWords.clear();
     for (SaqEntry &e : saq) {
         e.inst->saqEntry = &e;
@@ -534,10 +541,11 @@ bool
 Context::saqForwards(InstSeq load_seq, Addr load_addr) const
 {
     const Addr word = load_addr >> 3;
-    for (auto it = saq.rbegin(); it != saq.rend(); ++it) {
-        if (it->seq >= load_seq)
+    for (std::size_t i = saq.size(); i-- > 0;) {
+        const SaqEntry &e = saq[i];
+        if (e.seq >= load_seq)
             continue;
-        if (it->addrValid && (it->addr >> 3) == word)
+        if (e.addrValid && (e.addr >> 3) == word)
             return true;
     }
     return false;

@@ -18,6 +18,7 @@
 #include "branch/predictor.hh"
 #include "common/config.hh"
 #include "common/log.hh"
+#include "common/ring.hh"
 #include "common/types.hh"
 #include "core/dyn_inst.hh"
 #include "core/perceived.hh"
@@ -158,8 +159,11 @@ struct Context
     ThreadId tid;
     std::unique_ptr<TraceSource> source;
 
-    // Front end.
-    std::deque<FetchedInst> fetchBuf; ///< Fetched, pending dispatch.
+    // Front end. The pipeline queues are Rings sized from the config
+    // capacity that fetch and dispatch enforce: their elements never
+    // move, so the unit queues, the SAQ and the completion events hold
+    // DynInst pointers into the ROB from dispatch to graduation.
+    Ring<FetchedInst> fetchBuf;       ///< Fetched, pending dispatch.
     /**
      * Instructions squashed from the fetch buffer by a flush-gating
      * policy, oldest first; fetch replays them — re-running branch
@@ -181,10 +185,10 @@ struct Context
     RegFile fpRegs;                   ///< EP physical file.
 
     // Windows.
-    std::deque<DynInst> rob;          ///< In-flight instructions, in order.
-    std::deque<DynInst *> apQ;        ///< AP pending-issue queue.
-    std::deque<DynInst *> iq;         ///< EP Instruction Queue (decoupling).
-    std::deque<SaqEntry> saq;         ///< Store Address Queue.
+    Ring<DynInst> rob;                ///< In-flight instructions, in order.
+    Ring<DynInst *> apQ;              ///< AP pending-issue queue.
+    Ring<DynInst *> iq;               ///< EP Instruction Queue (decoupling).
+    Ring<SaqEntry> saq;               ///< Store Address Queue.
 
     /**
      * Deposited-word index over the SAQ: 8-byte-word address -> number
@@ -387,18 +391,16 @@ struct Context
     /**
      * Serialize the context's complete mutable state. The apQ/iq/saq
      * queues and any in-flight events reference DynInsts by pointer
-     * into the ROB deque; they are serialized as ROB *indices* and the
-     * pointers are rebuilt on restore (the ROB deque only ever grows
-     * at the back and shrinks at the front, so indices are stable
-     * identifiers within one serialized image).
+     * into the ROB; they are serialized as ROB *indices*
+     * (Ring::indexOf) and the pointers are rebuilt on restore.
      */
     void save(ByteWriter &w) const;
 
-    /** Restore state saved by save() onto an identically built context. */
+    /**
+     * Restore state saved by save() onto an identically built context.
+     * Throws SnapshotError on a queue count above its capacity.
+     */
     void restore(ByteReader &r);
-
-    /** ROB index of @p di, for pointer fixup (MTDAE_ASSERTs presence). */
-    std::size_t robIndexOf(const DynInst *di) const;
 };
 
 } // namespace mtdae

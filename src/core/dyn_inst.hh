@@ -25,9 +25,9 @@ enum class InstState : std::uint8_t {
 };
 
 /**
- * One in-flight instruction. Owned by the per-thread ROB (a deque whose
- * element references are stable under push_back/pop_front); the unit
- * queues hold pointers into it.
+ * One in-flight instruction. Owned by the per-thread ROB (a Ring, whose
+ * elements never move); the unit queues, the SAQ and the completion
+ * events hold pointers into it.
  *
  * Field order is hot-loop-conscious: everything tryIssue reads per
  * queue-head scan (seq, state, the renamed registers, the cached opcode

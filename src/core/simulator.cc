@@ -1,5 +1,6 @@
 #include "core/simulator.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <numeric>
 
@@ -129,9 +130,7 @@ Simulator::cachedStallClass(Unit unit, ThreadId t) const
 void
 Simulator::processCompletions()
 {
-    while (!events_.empty() && events_.top().at <= now_) {
-        const Event ev = events_.top();
-        events_.pop();
+    events_.drain(now_, [&](const Event &ev) {
         DynInst *di = ev.inst;
         Context &ctx = *contexts_[ev.tid];
 
@@ -171,7 +170,7 @@ Simulator::processCompletions()
                 ctx.fetchResumeAt = now_ + cfg_.redirectPenalty;
             }
         }
-    }
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -246,7 +245,9 @@ Simulator::tryIssue(Context &ctx, DynInst &di)
 
     di.state = InstState::Issued;
     di.readyAt = ready_at;
-    events_.push(Event{ready_at, ctx.tid, &di});
+    // Writeback opens a cycle, so a zero-latency L1 hit
+    // (--l1-hit-latency=0) completes at the next one.
+    events_.push(Event{std::max(ready_at, now_ + 1), ctx.tid, &di});
     if (!cfg_.decoupled)
         ctx.nextIssueSeq = di.seq + 1;
     return true;
@@ -318,8 +319,11 @@ Simulator::accountSlots(Unit unit, const std::vector<ThreadId> &order,
     // the classes an event changed are recomputed.
     classifyDirtyHeads(unit);
     const std::vector<HeadClass> &heads = heads_[std::size_t(unit)];
-    for (std::uint32_t s = 0; s < free_slots; ++s)
-        bd.add(heads[order[s % order.size()]].cls.reason);
+    for (std::size_t s = 0, i = 0; s < free_slots; ++s) {
+        bd.add(heads[order[i]].cls.reason);
+        if (++i == order.size())
+            i = 0;
+    }
     // A free slot existed, so every head stalled on an outstanding
     // load miss perceives one more cycle of it; the class collects
     // them when it is invalidated (chargeStalls).
@@ -428,9 +432,9 @@ Simulator::tryDispatch(Context &ctx)
         }
         queued += 1;
         if (is_store) {
-            // Deque references are stable under push_back/pop_front, so
-            // the store can keep a direct pointer to its entry for the
-            // address deposit at issue (no SAQ walk).
+            // Ring elements never move, so the store can keep a direct
+            // pointer to its entry for the address deposit at issue (no
+            // SAQ walk).
             ctx.saq.push_back(SaqEntry{&di, di.seq, false, 0});
             di.saqEntry = &ctx.saq.back();
         }
@@ -513,19 +517,19 @@ Simulator::flushFetchBuffer(Context &ctx)
     const InstSeq first = ctx.fetchBuf.front().seq;
     // Youngest first, so push_front keeps program order and lands the
     // block ahead of any earlier flush's not-yet-replayed leftovers.
-    for (auto it = ctx.fetchBuf.rbegin(); it != ctx.fetchBuf.rend();
-         ++it) {
-        if (isCondBranch(it->ti.op)) {
+    for (std::size_t i = ctx.fetchBuf.size(); i-- > 0;) {
+        const FetchedInst &fi = ctx.fetchBuf[i];
+        if (isCondBranch(fi.ti.op)) {
             // Unwind the fetch-time speculation accounting; the branch
             // re-predicts (against the updated predictor) at replay.
             MTDAE_ASSERT(ctx.unresolvedBranches > 0,
                          "flush branch-count underflow");
             ctx.unresolvedBranches -= 1;
-            if (it->mispredicted && ctx.fetchBlocked &&
-                ctx.blockingBranchSeq == it->seq)
+            if (fi.mispredicted && ctx.fetchBlocked &&
+                ctx.blockingBranchSeq == fi.seq)
                 ctx.fetchBlocked = false;  // the gate never dispatched
         }
-        ctx.replayQ.push_front(it->ti);
+        ctx.replayQ.push_front(fi.ti);
     }
     ctx.fetchBuf.clear();
     waiting_[ctx.tid].dispatch = false;  // the head is gone
@@ -720,7 +724,7 @@ bool
 Simulator::quiescent(SkipProbe &blocker)
 {
     // A completion due this cycle wakes the whole pipeline.
-    if (!events_.empty() && events_.top().at <= now_) {
+    if (events_.due(now_)) {
         blocker = SkipProbe::CompletionDue;
         return false;
     }
@@ -810,7 +814,7 @@ Simulator::quiescent(SkipProbe &blocker)
 Cycle
 Simulator::nextWakeCycle() const
 {
-    Cycle wake = events_.empty() ? kNoCycle : events_.top().at;
+    Cycle wake = events_.earliest(now_);
 
     for (ThreadId t = 0; t < cfg_.numThreads; ++t) {
         // A redirected thread resumes fetching at fetchResumeAt — a
@@ -833,7 +837,7 @@ Simulator::nextWakeCycle() const
 void
 Simulator::idleStepStats()
 {
-    MTDAE_ASSERT(events_.empty() || events_.top().at > now_,
+    MTDAE_ASSERT(!events_.due(now_),
                  "completion event fired inside a fast-forwarded span");
     issuePolicy_->issueOrder(Unit::AP, keys_, orderAp_);
     issuePolicy_->issueOrder(Unit::EP, keys_, orderEp_);
@@ -879,7 +883,7 @@ Simulator::trySkipIdle(std::uint64_t max_cycles)
         return false;
     }
 
-    MTDAE_ASSERT(events_.empty() || events_.top().at >= target,
+    MTDAE_ASSERT(events_.earliest(now_) >= target,
                  "fast-forward past a pending completion event");
 
     const std::uint64_t total = target - now_;

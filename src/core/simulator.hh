@@ -5,7 +5,8 @@
  *
  * Pipeline, evaluated once per cycle:
  *   1. memory begin-cycle (ports recycle, MSHR fills land)
- *   2. completions (writeback: wake consumers, resolve branches)
+ *   2. completions (writeback: wake consumers, resolve branches; the
+ *      cycle's bucket of the completion calendar, in push order)
  *   3. issue (per unit, in order per thread, across threads in the
  *      ArbitrationPolicy's visit order, full simultaneous issue; slot
  *      accounting — over the same visit order — and perceived-latency
@@ -55,12 +56,12 @@
 #include <array>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "common/config.hh"
 #include "common/types.hh"
 #include "core/context.hh"
+#include "core/event_queue.hh"
 #include "core/profile.hh"
 #include "core/slot_stats.hh"
 #include "memory/memory_system.hh"
@@ -332,35 +333,6 @@ class Simulator
     const ArbitrationPolicy &issuePolicy() const { return *issuePolicy_; }
 
   private:
-    struct Event
-    {
-        Cycle at;
-        ThreadId tid;
-        DynInst *inst;
-
-        bool
-        operator>(const Event &o) const
-        {
-            return at > o.at;
-        }
-    };
-
-    /**
-     * The completion event queue, exposing the underlying heap array
-     * for checkpointing: serializing the array verbatim (instead of
-     * draining/re-pushing) preserves the exact heap layout, so
-     * same-cycle tie-breaks — and therefore the simulation — are
-     * byte-identical after a restore, and save→restore→save round
-     * trips are byte-stable.
-     */
-    struct EventQueue
-        : std::priority_queue<Event, std::vector<Event>,
-                              std::greater<Event>>
-    {
-        const std::vector<Event> &heap() const { return c; }
-        std::vector<Event> &heap() { return c; }
-    };
-
     void processCompletions();
     /** Issue over this cycle's orderAp_/orderEp_, then slot accounting. */
     void issueStage();
@@ -496,6 +468,7 @@ class Simulator
     SimConfig cfg_;
     MemorySystem mem_;
     std::vector<std::unique_ptr<Context>> contexts_;
+    /** Every issued instruction's completion (core/event_queue.hh). */
     EventQueue events_;
 
     Cycle now_ = 0;

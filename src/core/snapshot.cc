@@ -125,16 +125,15 @@ Simulator::saveSnapshot()
     for (const auto &ctxp : contexts_)
         ctxp->save(w);
 
-    // The completion heap is serialized as its raw array (see
-    // Simulator::EventQueue): restoring it verbatim reproduces the
-    // exact same-cycle pop order the uninterrupted run would see.
-    const std::vector<Event> &heap = events_.heap();
-    w.u64(heap.size());
-    for (const Event &ev : heap) {
+    // The completion calendar bucket by bucket from now_, each bucket
+    // in push order: re-pushing in this order rebuilds every cycle's
+    // firing order.
+    w.u64(events_.size());
+    events_.forEach(now_, [&](const Event &ev) {
         w.u64(ev.at);
         w.u32(ev.tid);
-        w.u64(contexts_[ev.tid]->robIndexOf(ev.inst));
-    }
+        w.u64(contexts_[ev.tid]->rob.indexOf(ev.inst));
+    });
 
     fetchPolicy_->save(w);
     issuePolicy_->save(w);
@@ -173,10 +172,26 @@ Simulator::restoreSnapshot(const Snapshot &snap)
     for (auto &ctxp : contexts_)
         ctxp->restore(r);
 
-    std::vector<Event> &heap = events_.heap();
-    heap.resize(r.u64());
-    for (Event &ev : heap) {
+    // Every in-flight (Issued) instruction completes through exactly one
+    // event, and every event completes an in-flight instruction.
+    std::vector<std::vector<bool>> has_event;
+    std::size_t in_flight = 0;
+    for (const auto &ctxp : contexts_) {
+        has_event.emplace_back(ctxp->rob.size(), false);
+        for (const DynInst &di : ctxp->rob)
+            in_flight += di.state == InstState::Issued;
+    }
+    events_.clear();
+    const std::uint64_t num_events = r.u64();
+    if (num_events != in_flight)
+        throw SnapshotError("completion events do not match the issued "
+                            "instructions in snapshot");
+    for (std::uint64_t n = 0; n < num_events; ++n) {
+        Event ev;
         ev.at = r.u64();
+        if (ev.at < now_)
+            throw SnapshotError("completion event before the snapshot's "
+                                "cycle");
         ev.tid = r.u32();
         if (ev.tid >= contexts_.size())
             throw SnapshotError("event thread id out of range in snapshot");
@@ -185,6 +200,11 @@ Simulator::restoreSnapshot(const Snapshot &snap)
         if (idx >= ctx.rob.size())
             throw SnapshotError("event ROB index out of range in snapshot");
         ev.inst = &ctx.rob[std::size_t(idx)];
+        if (ev.inst->state != InstState::Issued || has_event[ev.tid][idx])
+            throw SnapshotError("completion event of an instruction not "
+                                "in flight, or its second, in snapshot");
+        has_event[ev.tid][idx] = true;
+        events_.push(ev);
     }
 
     fetchPolicy_->restore(r);

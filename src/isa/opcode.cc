@@ -4,67 +4,6 @@
 
 namespace mtdae {
 
-bool
-isLoad(Opcode op)
-{
-    return op == Opcode::LdI || op == Opcode::LdF;
-}
-
-bool
-isStore(Opcode op)
-{
-    return op == Opcode::StI || op == Opcode::StF;
-}
-
-bool
-isMem(Opcode op)
-{
-    return isLoad(op) || isStore(op);
-}
-
-bool
-isBranch(Opcode op)
-{
-    return op == Opcode::Br || op == Opcode::BrF || op == Opcode::Jmp;
-}
-
-bool
-isCondBranch(Opcode op)
-{
-    return op == Opcode::Br || op == Opcode::BrF;
-}
-
-bool
-isFpOp(Opcode op)
-{
-    switch (op) {
-      case Opcode::FAdd:
-      case Opcode::FSub:
-      case Opcode::FMul:
-      case Opcode::FDiv:
-      case Opcode::FMA:
-      case Opcode::FCmp:
-      case Opcode::FMov:
-        return true;
-      default:
-        return false;
-    }
-}
-
-Unit
-unitOf(Opcode op)
-{
-    // Memory and control always execute on the AP (the paper dispatches
-    // *all* memory instructions to the AP); MovIF produces an FP value and
-    // executes on the EP; FP computation executes on the EP; everything
-    // else is integer work on the AP.
-    if (isMem(op) || isBranch(op))
-        return Unit::AP;
-    if (op == Opcode::MovIF || isFpOp(op))
-        return Unit::EP;
-    return Unit::AP;
-}
-
 const char *
 mnemonic(Opcode op)
 {

@@ -8,6 +8,7 @@
 #ifndef MTDAE_ISA_OPCODE_HH
 #define MTDAE_ISA_OPCODE_HH
 
+#include <cstddef>
 #include <cstdint>
 
 namespace mtdae {
@@ -60,28 +61,75 @@ inline constexpr std::size_t kNumOpcodes =
     static_cast<std::size_t>(Opcode::NumOpcodes);
 
 /** True for LdI/LdF. */
-bool isLoad(Opcode op);
+constexpr bool
+isLoad(Opcode op)
+{
+    return op == Opcode::LdI || op == Opcode::LdF;
+}
 
 /** True for StI/StF. */
-bool isStore(Opcode op);
+constexpr bool
+isStore(Opcode op)
+{
+    return op == Opcode::StI || op == Opcode::StF;
+}
 
 /** True for any memory-accessing opcode. */
-bool isMem(Opcode op);
+constexpr bool
+isMem(Opcode op)
+{
+    return isLoad(op) || isStore(op);
+}
 
 /** True for Br/BrF/Jmp. */
-bool isBranch(Opcode op);
+constexpr bool
+isBranch(Opcode op)
+{
+    return op == Opcode::Br || op == Opcode::BrF || op == Opcode::Jmp;
+}
 
 /** True for conditional branches (Br/BrF). */
-bool isCondBranch(Opcode op);
+constexpr bool
+isCondBranch(Opcode op)
+{
+    return op == Opcode::Br || op == Opcode::BrF;
+}
 
 /** True for FP-computation opcodes (EP-resident work). */
-bool isFpOp(Opcode op);
+constexpr bool
+isFpOp(Opcode op)
+{
+    switch (op) {
+      case Opcode::FAdd:
+      case Opcode::FSub:
+      case Opcode::FMul:
+      case Opcode::FDiv:
+      case Opcode::FMA:
+      case Opcode::FCmp:
+      case Opcode::FMov:
+        return true;
+      default:
+        return false;
+    }
+}
 
 /**
  * The paper's steering rule: memory, integer and control -> AP;
  * FP computation (and int->fp moves) -> EP.
  */
-Unit unitOf(Opcode op);
+constexpr Unit
+unitOf(Opcode op)
+{
+    // Memory and control always execute on the AP (the paper dispatches
+    // *all* memory instructions to the AP); MovIF produces an FP value
+    // and executes on the EP; FP computation executes on the EP;
+    // everything else is integer work on the AP.
+    if (isMem(op) || isBranch(op))
+        return Unit::AP;
+    if (op == Opcode::MovIF || isFpOp(op))
+        return Unit::EP;
+    return Unit::AP;
+}
 
 /** Short mnemonic for tracing/disassembly. */
 const char *mnemonic(Opcode op);

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -341,6 +342,125 @@ TEST(SnapshotContainer, RejectsBadInFlightMissToken)
     rejects(PerceivedTracker::kNoToken, false);
     rejects(1000, false);
     rejects(0, true);
+}
+
+/** Step a one-context streaming run until @p pick finds a ROB entry
+ *  (at most 400 cycles); null when none turned up. */
+template <typename Pick>
+DynInst *
+stepUntilFound(Simulator &sim, Pick pick)
+{
+    for (int c = 0; c < 400; ++c) {
+        sim.step();
+        for (DynInst &di : sim.context(0).rob)
+            if (pick(di))
+                return &di;
+    }
+    return nullptr;
+}
+
+TEST(SnapshotContainer, RejectsCompletionEventOfAnInstructionNotInFlight)
+{
+    // The event would complete an instruction that is not executing:
+    // the next step would panic.
+    Simulator sim = makeSim(testConfig(1), streamingKernel(), 20);
+    DynInst *victim = stepUntilFound(sim, [](const DynInst &di) {
+        return di.state == InstState::Issued;
+    });
+    ASSERT_NE(victim, nullptr);
+    victim->state = InstState::Completed;
+    const Snapshot snap = sim.saveSnapshot();
+    Simulator fresh = makeSim(testConfig(1), streamingKernel(), 20);
+    EXPECT_THROW(fresh.restoreSnapshot(snap), SnapshotError);
+}
+
+TEST(SnapshotContainer, RejectsInFlightInstructionWithoutCompletionEvent)
+{
+    // Nothing would ever complete it: the run would deadlock.
+    Simulator sim = makeSim(testConfig(1), streamingKernel(), 20);
+    DynInst *victim = stepUntilFound(sim, [](const DynInst &di) {
+        return di.state == InstState::Completed;
+    });
+    ASSERT_NE(victim, nullptr);
+    victim->state = InstState::Issued;
+    const Snapshot snap = sim.saveSnapshot();
+    Simulator fresh = makeSim(testConfig(1), streamingKernel(), 20);
+    EXPECT_THROW(fresh.restoreSnapshot(snap), SnapshotError);
+}
+
+TEST(SnapshotContainer, RejectsTwoCompletionEventsForOneInstruction)
+{
+    // Retarget the event of one issued instruction, marked completed, at
+    // another: the counts still match, but one instruction would
+    // complete twice.
+    Simulator sim = makeSim(testConfig(1), streamingKernel(), 20);
+    const Context &ctx = sim.context(0);
+    DynInst *first = nullptr;
+    DynInst *second = nullptr;
+    for (int c = 0; c < 400 && !second; ++c) {
+        sim.step();
+        first = second = nullptr;
+        for (DynInst &di : sim.context(0).rob)
+            if (di.state == InstState::Issued)
+                (first ? second : first) = &di;
+    }
+    ASSERT_NE(second, nullptr);
+    second->state = InstState::Completed;
+    Snapshot snap = sim.saveSnapshot();
+
+    // An event is saved as its cycle, thread and ROB index.
+    const auto record = [](Cycle at, std::size_t rob_index) {
+        ByteWriter w;
+        w.u64(at);
+        w.u32(0);
+        w.u64(rob_index);
+        return w.take();
+    };
+    const Bytes from = record(second->readyAt, ctx.rob.indexOf(second));
+    const Bytes to = record(second->readyAt, ctx.rob.indexOf(first));
+    const auto at = std::search(snap.payload.begin(), snap.payload.end(),
+                                from.begin(), from.end());
+    ASSERT_NE(at, snap.payload.end());
+    std::copy(to.begin(), to.end(), at);
+    Simulator fresh = makeSim(testConfig(1), streamingKernel(), 20);
+    EXPECT_THROW(fresh.restoreSnapshot(snap), SnapshotError);
+}
+
+TEST(SnapshotContainer, RejectsQueueCountAboveItsCapacity)
+{
+    // A snapshot of a machine with larger queues, relabelled as one of a
+    // machine whose queue holds one entry: a queue cannot grow past its
+    // configured capacity, so restore must refuse the count.
+    struct Queue
+    {
+        const char *name;
+        std::uint32_t SimConfig::*capacity;
+        std::size_t (*occupancy)(const Context &);
+    };
+    const std::vector<Queue> queues = {
+        {"fetch buffer", &SimConfig::fetchBufferSize,
+         [](const Context &c) { return c.fetchBuf.size(); }},
+        {"ROB", &SimConfig::robEntries,
+         [](const Context &c) { return c.rob.size(); }},
+        {"AP queue", &SimConfig::apQueueEntries,
+         [](const Context &c) { return c.apQ.size(); }},
+        {"IQ", &SimConfig::iqEntries,
+         [](const Context &c) { return c.iq.size(); }},
+        {"SAQ", &SimConfig::saqEntries,
+         [](const Context &c) { return c.saq.size(); }},
+    };
+    for (const Queue &q : queues) {
+        Simulator sim = makeSim(testConfig(1), streamingKernel(), 20);
+        for (int c = 0; c < 400 && q.occupancy(sim.context(0)) < 2; ++c)
+            sim.step();
+        ASSERT_GE(q.occupancy(sim.context(0)), 2u) << q.name;
+        SimConfig small = testConfig(1);
+        small.*q.capacity = 1;
+        Snapshot snap = sim.saveSnapshot();
+        snap.configHash = configFingerprint(small);
+        Simulator fresh = makeSim(small, streamingKernel(), 20);
+        EXPECT_THROW(fresh.restoreSnapshot(snap), SnapshotError) << q.name;
+    }
 }
 
 TEST(SnapshotContainer, ConfigFingerprintSeparatesConfigs)

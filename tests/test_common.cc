@@ -4,13 +4,16 @@
  * table/CSV output and the machine configuration.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/config.hh"
+#include "common/ring.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
@@ -153,6 +156,71 @@ TEST(CsvWriter, WritesRows)
     ASSERT_TRUE(std::getline(in, line));
     EXPECT_EQ(line, "1,2,3");
     std::remove(path.c_str());
+}
+
+TEST(Ring, WrapsAroundAtACapacityThatIsNotAPowerOfTwo)
+{
+    Ring<int> r(5);
+    EXPECT_EQ(r.capacity(), 5u);
+    EXPECT_TRUE(r.empty());
+    int next = 0;
+    int oldest = 0;
+    // Three in flight while the head laps the storage several times.
+    for (int step = 0; step < 23; ++step) {
+        while (r.size() < 3)
+            r.push_back(next++);
+        EXPECT_EQ(r.front(), oldest);
+        EXPECT_EQ(r.back(), next - 1);
+        for (std::size_t i = 0; i < r.size(); ++i)
+            EXPECT_EQ(r[i], oldest + int(i));
+        r.pop_front();
+        oldest += 1;
+    }
+    // Filled to capacity across the wrap, it iterates oldest first.
+    while (r.size() < r.capacity())
+        r.push_back(next++);
+    std::vector<int> seen;
+    for (const int v : r)
+        seen.push_back(v);
+    EXPECT_EQ(seen, (std::vector<int>{oldest, oldest + 1, oldest + 2,
+                                      oldest + 3, oldest + 4}));
+    EXPECT_DEATH(r.push_back(0), "full ring");
+    r.clear();
+    EXPECT_TRUE(r.empty());
+}
+
+TEST(Ring, ElementsKeepTheirAddressAcrossOtherPushesAndPops)
+{
+    Ring<std::uint64_t> r(7);
+    for (std::uint64_t v = 0; v < 5; ++v)
+        r.push_back(v);
+    const std::uint64_t *third = &r[2];
+    for (std::uint64_t k = 0; k < 2; ++k) {
+        r.pop_front();
+        r.push_back(100 + k);
+    }
+    r.push_back(200);
+    r.push_back(201);  // the storage is full and has wrapped
+    EXPECT_EQ(&r.front(), third);
+    EXPECT_EQ(*third, 2u);
+    EXPECT_EQ(r.back(), 201u);
+}
+
+TEST(Ring, IndexOfCountsFromTheFrontAfterWrapping)
+{
+    Ring<std::uint32_t> r(6);
+    for (std::uint32_t v = 0; v < 6; ++v)
+        r.push_back(v);
+    for (std::uint32_t v = 6; v < 10; ++v) {
+        r.pop_front();
+        r.push_back(v);  // the head moves to the fifth slot
+    }
+    for (std::size_t i = 0; i < r.size(); ++i) {
+        EXPECT_EQ(r.indexOf(&r[i]), i);
+        EXPECT_EQ(r[i], 4 + i);
+    }
+    r.pop_front();
+    EXPECT_EQ(r.indexOf(&r.back()), 4u);
 }
 
 TEST(SimConfig, DefaultsAreThePaperMachine)

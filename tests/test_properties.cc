@@ -7,6 +7,7 @@
 
 #include <deque>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <tuple>
@@ -14,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hh"
+#include "core/event_queue.hh"
 #include "core/snapshot.hh"
 #include "tests/test_util.hh"
 #include "workload/dsl/ast.hh"
@@ -537,6 +539,80 @@ TEST_P(WindowOracleTest, LazyWindowsMatchFromScratchOnceSynced)
 INSTANTIATE_TEST_SUITE_P(Seeds, WindowOracleTest,
                          ::testing::Range(std::uint64_t(1),
                                           std::uint64_t(13)));
+
+// ---------------------------------------------------------------------
+// The completion calendar against a reference ordered by (cycle, push
+// order): latencies up to three laps of the horizon, several pushes a
+// cycle, jumps over cycles with nothing due (as the idle skip makes),
+// and save-style rebuilds through forEach.
+// ---------------------------------------------------------------------
+
+class EventQueueFuzzTest : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+TEST_P(EventQueueFuzzTest, FiresInCycleThenPushOrder)
+{
+    Rng rng(GetParam());
+    constexpr Cycle kHorizon = EventQueue::kHorizon;
+    EventQueue q;
+    // Equal keys keep their insertion order: (cycle, push order).
+    std::multimap<Cycle, ThreadId> ref;
+    ThreadId pushed = 0;
+    const auto expectEarliest = [&](Cycle now) {
+        const Cycle want = ref.empty() ? kNoCycle : ref.begin()->first;
+        ASSERT_EQ(q.earliest(now), want) << "cycle " << now;
+        ASSERT_EQ(q.due(now), want <= now) << "cycle " << now;
+        ASSERT_EQ(q.size(), ref.size());
+    };
+
+    for (Cycle now = 0; now < 12 * kHorizon; ++now) {
+        expectEarliest(now);
+        std::vector<ThreadId> fired;
+        q.drain(now, [&](const Event &ev) {
+            EXPECT_EQ(ev.at, now);
+            fired.push_back(ev.tid);
+        });
+        std::vector<ThreadId> want;
+        while (!ref.empty() && ref.begin()->first <= now) {
+            want.push_back(ref.begin()->second);
+            ref.erase(ref.begin());
+        }
+        ASSERT_EQ(fired, want) << "cycle " << now;
+
+        // Dense blocks push several events a cycle; sparse blocks seldom
+        // push, and only two laps out or more, so at times every event
+        // waits a lap or more ahead.
+        const bool sparse = now / (4 * kHorizon) % 2 == 1;
+        for (std::uint64_t n = sparse ? rng.uniform(256) == 0
+                                      : rng.uniform(4);
+             n > 0; --n) {
+            const Cycle at =
+                now + 1 +
+                (sparse ? 2 * kHorizon + rng.uniform(kHorizon)
+                        : rng.uniform(3 * kHorizon));
+            q.push(Event{at, pushed, nullptr});
+            ref.emplace(at, pushed);
+            pushed += 1;
+        }
+        expectEarliest(now + 1);
+
+        if (rng.uniform(32) == 0) {
+            // Saved between cycles and restored by re-pushing.
+            EventQueue rebuilt;
+            q.forEach(now + 1, [&](const Event &ev) { rebuilt.push(ev); });
+            q = std::move(rebuilt);
+            expectEarliest(now + 1);
+        }
+        if (rng.uniform(8) == 0 && !ref.empty() &&
+            ref.begin()->first > now + 1)
+            now = ref.begin()->first - 1;  // skip to the next event
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFuzzTest,
+                         ::testing::Range(std::uint64_t(1),
+                                          std::uint64_t(9)));
 
 // ---------------------------------------------------------------------
 // DSL front-end fuzzing: no text input may crash the compiler, and any
