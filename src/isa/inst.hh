@@ -27,9 +27,11 @@ struct TraceInst
     RegRef dst = RegRef::none();      ///< Destination register, if any.
     std::array<RegRef, 3> src = {RegRef::none(), RegRef::none(),
                                  RegRef::none()};  ///< Source registers.
+    /** Branch outcome (branches). Placed before the addresses, in what
+     *  would be padding, so a record is 32 bytes, not 40. */
+    bool taken = false;
     Addr pc = 0;                      ///< Instruction address.
     Addr addr = 0;                    ///< Effective address (memory ops).
-    bool taken = false;               ///< Branch outcome (branches).
 
     /** Number of valid source registers. */
     int
