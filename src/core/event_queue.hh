@@ -50,7 +50,6 @@ class EventQueue
   public:
     static constexpr std::size_t kHorizon = 1024;
 
-    bool empty() const { return size_ == 0; }
     std::size_t size() const { return size_; }
 
     void

@@ -187,7 +187,7 @@ Simulator::restoreSnapshot(const Snapshot &snap)
         throw SnapshotError("completion events do not match the issued "
                             "instructions in snapshot");
     for (std::uint64_t n = 0; n < num_events; ++n) {
-        Event ev;
+        Event ev{};
         ev.at = r.u64();
         if (ev.at < now_)
             throw SnapshotError("completion event before the snapshot's "
@@ -200,9 +200,12 @@ Simulator::restoreSnapshot(const Snapshot &snap)
         if (idx >= ctx.rob.size())
             throw SnapshotError("event ROB index out of range in snapshot");
         ev.inst = &ctx.rob[std::size_t(idx)];
-        if (ev.inst->state != InstState::Issued || has_event[ev.tid][idx])
+        if (ev.inst->state != InstState::Issued)
             throw SnapshotError("completion event of an instruction not "
-                                "in flight, or its second, in snapshot");
+                                "in flight in snapshot");
+        if (has_event[ev.tid][idx])
+            throw SnapshotError("two completion events for one "
+                                "instruction in snapshot");
         has_event[ev.tid][idx] = true;
         events_.push(ev);
     }

@@ -270,7 +270,8 @@ TEST(EquivalenceSkips, StalledNonDecoupledMachineMatchesItsGolden)
 }
 
 /**
- * A machine whose fills land more than 1,024 cycles ahead: at L2=2048
+ * A machine whose fills land more than 1,024 cycles ahead, beyond one
+ * lap of the completion calendar (EventQueue::kHorizon): at L2=2048
  * most cycles are fast-forwarded to a completion that far out, which
  * no other golden schedules.
  */
@@ -278,6 +279,19 @@ TEST(EquivalenceSkips, FarFillsMatchTheirGolden)
 {
     expectSkipGolden("run_far",
                      {"run", "--threads-list=1,2", "--latencies=2048",
+                      "--insts=2000", "--warmup=500", "--jobs=1",
+                      "--quiet"});
+}
+
+/**
+ * A machine whose L1 hits take no cycles (--l1-hit-latency=0): a hit
+ * is due in the cycle it issues, and completes at the next cycle's
+ * writeback. The golden was written before the completion calendar.
+ */
+TEST(EquivalenceSkips, ZeroLatencyL1HitsMatchTheirGolden)
+{
+    expectSkipGolden("run_zero_hit",
+                     {"run", "--threads-list=1,2", "--l1-hit-latency=0",
                       "--insts=2000", "--warmup=500", "--jobs=1",
                       "--quiet"});
 }
