@@ -556,7 +556,8 @@ TEST_P(EventQueueFuzzTest, FiresInCycleThenPushOrder)
     Rng rng(GetParam());
     constexpr Cycle kHorizon = EventQueue::kHorizon;
     EventQueue q;
-    // Equal keys keep their insertion order: (cycle, push order).
+    // Each event's tid is its push number. Equal keys keep their
+    // insertion order: (cycle, push order).
     std::multimap<Cycle, ThreadId> ref;
     ThreadId pushed = 0;
     const auto expectEarliest = [&](Cycle now) {
