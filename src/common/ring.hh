@@ -61,24 +61,6 @@ class Ring
     {
     }
 
-    Ring(Ring &&o) noexcept
-        : slots_(std::move(o.slots_)),
-          cap_(std::exchange(o.cap_, 0)),
-          head_(std::exchange(o.head_, 0)),
-          size_(std::exchange(o.size_, 0))
-    {
-    }
-
-    Ring &
-    operator=(Ring &&o) noexcept
-    {
-        slots_ = std::move(o.slots_);
-        cap_ = std::exchange(o.cap_, 0);
-        head_ = std::exchange(o.head_, 0);
-        size_ = std::exchange(o.size_, 0);
-        return *this;
-    }
-
     std::size_t size() const { return size_; }
     std::size_t capacity() const { return cap_; }
     bool empty() const { return size_ == 0; }
