@@ -173,29 +173,24 @@ INSTANTIATE_TEST_SUITE_P(
         return csvName(info.param.name);
     });
 
-/**
- * Wide machines: 16 and 64 contexts sharing one L1, the regime where
- * most cycles find every MSHR busy and a ROB-head store is refused.
- * No default-grid golden goes above 4 contexts.
- */
-TEST(EquivalenceWide, SixteenAndSixtyFourContextsMatchTheirGoldens)
+/** One wide-machine grid and the golden it must reproduce. */
+struct WideCase
 {
-    struct Case
-    {
-        std::string name;
-        std::string golden;
-        std::vector<std::string> args;
-    };
-    const std::vector<Case> cases = {
-        {"ablate-checkpoint", "ablate_checkpoint_wide",
-         {"--threads-list=16,64", "--latencies=16", "--insts=250",
-          "--warmup=2000"}},
-        {"ablate-policy", "ablate_policy_wide",
-         {"--threads-list=16", "--insts=1000", "--warmup=200"}},
-    };
+    std::string name;
+    std::string golden;
+    std::vector<std::string> args;
+};
+
+/**
+ * Run every case with its arguments as given, and again with skipping
+ * off and cold warmups, and require the golden bytes both times.
+ */
+void
+expectWideGoldens(const std::vector<WideCase> &cases)
+{
     const std::vector<std::vector<std::string>> flag_sets = {
         {}, {"--cycle-skip=off", "--warm-start=0"}};
-    for (const Case &c : cases) {
+    for (const WideCase &c : cases) {
         const std::string want =
             test::slurp(sourcePath("tests/golden/" + c.golden + ".csv"));
         ASSERT_FALSE(want.empty()) << c.golden;
@@ -211,6 +206,39 @@ TEST(EquivalenceWide, SixteenAndSixtyFourContextsMatchTheirGoldens)
                 << c.golden << " drifted (flag set " << i << ")";
         }
     }
+}
+
+/**
+ * Wide machines: 16 and 64 contexts sharing one L1, the regime where
+ * most cycles find every MSHR busy and a ROB-head store is refused.
+ * No default-grid golden goes above 4 contexts.
+ */
+TEST(EquivalenceWide, SixteenAndSixtyFourContextsMatchTheirGoldens)
+{
+    expectWideGoldens({
+        {"ablate-checkpoint", "ablate_checkpoint_wide",
+         {"--threads-list=16,64", "--latencies=16", "--insts=250",
+          "--warmup=2000"}},
+        {"ablate-policy", "ablate_policy_wide",
+         {"--threads-list=16", "--insts=1000", "--warmup=200"}},
+    });
+}
+
+/**
+ * Machines with more contexts than one 64-bit word has bits: 72 and
+ * 130 contexts on the default policies, and every fetch/issue policy
+ * pair at 72, so a per-thread bitset that spans words is pinned under
+ * each ranking.
+ */
+TEST(EquivalenceWide, MoreContextsThanOneWordMatchTheirGoldens)
+{
+    expectWideGoldens({
+        {"ablate-checkpoint", "ablate_checkpoint_multiword",
+         {"--threads-list=72,130", "--latencies=16", "--insts=250",
+          "--warmup=2000"}},
+        {"ablate-policy", "ablate_policy_multiword",
+         {"--threads-list=72", "--insts=150", "--warmup=50"}},
+    });
 }
 
 /**
