@@ -1,6 +1,7 @@
 #include "core/simulator.hh"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <numeric>
 
@@ -15,7 +16,11 @@ Simulator::Simulator(const SimConfig &cfg,
       fetchPolicy_(makeFetchPolicy(cfg)),
       issuePolicy_(makeArbitrationPolicy(cfg)),
       windowsRead_(fetchPolicy_->readsWindows() ||
-                   issuePolicy_->readsWindows())
+                   issuePolicy_->readsWindows()),
+      flushes_(fetchPolicy_->flushes()),
+      issueRank_{RankedWalk(cfg.numThreads), RankedWalk(cfg.numThreads)},
+      dispatchRank_(cfg.numThreads),
+      fetchRank_(cfg.numThreads)
 {
     cfg_.validate();
     MTDAE_ASSERT(sources.size() == cfg_.numThreads,
@@ -30,18 +35,34 @@ Simulator::Simulator(const SimConfig &cfg,
 void
 Simulator::rebuildDerived()
 {
+    const std::uint32_t n = cfg_.numThreads;
     keys_.clear();
     for (auto &ctxp : contexts_) {
         ctxp->windowsAt = now_;
         keys_.push_back(ctxp->policyState(cfg_, now_));
     }
-    parked_.assign(cfg_.numThreads, Parking{});
-    waiting_.assign(cfg_.numThreads, Waits{});
+    parked_.assign(n, Parking{});
+    parkedLoads_ = ThreadSet(n);
+    parkedStores_ = ThreadSet(n);
+    parkWake_ = kNoCycle;
     for (std::size_t u = 0; u < heads_.size(); ++u) {
-        heads_[u].assign(cfg_.numThreads, HeadClass{});
-        dirtyHeads_[u].resize(cfg_.numThreads);
+        heads_[u].assign(n, HeadClass{});
+        dirtyHeads_[u].resize(n);
         std::iota(dirtyHeads_[u].begin(), dirtyHeads_[u].end(), 0u);
         freeSlotCycles_[u] = 0;
+        issueSet_[u] = ThreadSet(n);
+    }
+    dispatchSet_ = ThreadSet(n);
+    fetchSet_ = ThreadSet(n);
+    graduateSet_ = ThreadSet(n);
+    all_ = ThreadSet(n);
+    for (ThreadId t = 0; t < n; ++t) {
+        for (const Unit unit : {Unit::AP, Unit::EP})
+            issueSet_[std::size_t(unit)].assign(t, queued(unit, t) > 0);
+        dispatchSet_.assign(t, dispatchable(t));
+        fetchSet_.assign(t, keys_[t].fetchBufOccupancy < cfg_.fetchBufferSize);
+        graduateSet_.assign(t, keys_[t].robOccupancy > 0);
+        all_.insert(t);
     }
 }
 
@@ -84,17 +105,6 @@ Simulator::chargeAllStalls()
 }
 
 void
-Simulator::invalidateHead(Unit unit, ThreadId t)
-{
-    HeadClass &h = heads_[std::size_t(unit)][t];
-    if (h.dirty)
-        return;  // nothing owed since the class was dropped
-    chargeStalls(unit, t);
-    h.dirty = true;
-    dirtyHeads_[std::size_t(unit)].push_back(t);
-}
-
-void
 Simulator::classifyDirtyHeads(Unit unit)
 {
     const std::size_t u = std::size_t(unit);
@@ -104,10 +114,11 @@ Simulator::classifyDirtyHeads(Unit unit)
         const auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
         h.srcs = queue.empty() ? HeadClass{}.srcs : queue.front()->physSrc;
         h.cls = ctx.stallClass(unit, cfg_);
-        h.blocked = h.cls.reason == SlotUse::WaitMem ||
-                    h.cls.reason == SlotUse::WaitFu ||
-                    (!cfg_.decoupled && !queue.empty() &&
-                     queue.front()->seq != ctx.nextIssueSeq);
+        if (h.cls.reason == SlotUse::WaitMem ||
+            h.cls.reason == SlotUse::WaitFu ||
+            (!cfg_.decoupled && !queue.empty() &&
+             queue.front()->seq != ctx.nextIssueSeq))
+            issueSet_[u].erase(t);  // blocked while the class holds
         h.chargedTo = freeSlotCycles_[u];
         h.dirty = false;
     }
@@ -137,8 +148,10 @@ Simulator::processCompletions()
         MTDAE_ASSERT(di->state == InstState::Issued,
                      "completion of a non-issued instruction");
         di->state = InstState::Completed;
-        // The ROB head, or the producer of a store head's data.
-        waiting_[ev.tid].graduate = false;
+        // The ROB head, or the producer of a store head's data, ends a
+        // graduation wait.
+        if (!storeParked(ev.tid))
+            graduateSet_.insert(ev.tid);
 
         if (di->ti.dst.valid()) {
             // Only a head reading the register can change class, and a
@@ -213,6 +226,8 @@ Simulator::tryIssue(Context &ctx, DynInst &di)
                 if (r.reject != MemReject::NoPort) {
                     parked_[ctx.tid].load = mem_.nextFillCycle();
                     parked_[ctx.tid].loadAddr = di.ti.addr;
+                    park(parkedLoads_, issueSet_[std::size_t(Unit::AP)],
+                         ctx.tid, parked_[ctx.tid].load);
                 }
                 return false;
             }
@@ -254,24 +269,28 @@ Simulator::tryIssue(Context &ctx, DynInst &di)
 }
 
 std::uint32_t
-Simulator::issueUnit(Unit unit, const std::vector<ThreadId> &order,
-                     std::uint32_t &slots)
+Simulator::issueUnit(Unit unit, std::uint32_t &slots)
 {
+    const std::size_t u = std::size_t(unit);
+    const RankedWalk &rank = issueRank_[u];
     std::uint32_t issued = 0;
-    const std::vector<HeadClass> &heads = heads_[std::size_t(unit)];
-    for (std::size_t i = 0; i < order.size() && slots > 0; ++i) {
-        const ThreadId t = order[i];
+    // A head whose clean class proves it blocked, or a load parked
+    // until a fill, is not in the set: it waits for its event without
+    // a Context access.
+    const ThreadSet &set = issueSet_[u];
+    const auto live = [&](std::size_t w) { return set.word(w); };
+    RankedWalk::Cursor c = rank.begin(live);
+    for (ThreadId t; slots > 0 && (t = rank.next(c, live)) != kNoThread;) {
+        if (unit == Unit::AP && parked_[t].loadAddr &&
+            !mayAttempt(parked_[t].load, parked_[t].loadAddr, parkedLoads_,
+                        issueSet_[u], t))
+            continue;
         ThreadState &key = keys_[t];
         std::uint32_t &queued =
             unit == Unit::AP ? key.apQueueOccupancy : key.iqOccupancy;
-        // A head whose clean class proves it blocked, or a load the L1
-        // still refuses, waits for its event without a Context access.
-        if (queued == 0 || (!heads[t].dirty && heads[t].blocked) ||
-            (unit == Unit::AP &&
-             !mayAttempt(parked_[t].load, parked_[t].loadAddr)))
-            continue;
         Context &ctx = *contexts_[t];
         auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
+        const std::uint32_t was_queued = queued;
         while (slots > 0 && queued > 0) {
             DynInst *di = queue.front();
             if (!tryIssue(ctx, *di))
@@ -279,25 +298,26 @@ Simulator::issueUnit(Unit unit, const std::vector<ThreadId> &order,
             // The head moves on. Non-decoupled, the program-order gate
             // of the other unit's head moves too; a miss hands a token
             // to whichever head reads the load's register.
-            invalidateHead(unit, ctx.tid);
+            invalidateHead(unit, t);
             if (!cfg_.decoupled || di->loadMissed)
-                invalidateHead(unit == Unit::AP ? Unit::EP : Unit::AP,
-                               ctx.tid);
+                invalidateHead(unit == Unit::AP ? Unit::EP : Unit::AP, t);
             if (unit == Unit::EP)
                 syncWindows(ctx);
             queue.pop_front();
-            waiting_[t].dispatch = false;  // a queue entry is free
             queued -= 1;
             slots -= 1;
             issued += 1;
         }
+        if (queued != was_queued)
+            dispatchSet_.assign(t, dispatchable(t));  // a queue entry freed
+        if (queued == 0)
+            issueSet_[u].erase(t);
     }
     return issued;
 }
 
 void
-Simulator::accountSlots(Unit unit, const std::vector<ThreadId> &order,
-                        std::uint32_t free_slots)
+Simulator::accountSlots(Unit unit, std::uint32_t free_slots)
 {
     SlotBreakdown &bd = unit == Unit::AP ? slotsAp_ : slotsEp_;
     const std::uint32_t width =
@@ -306,24 +326,15 @@ Simulator::accountSlots(Unit unit, const std::vector<ThreadId> &order,
     if (free_slots == 0)
         return;
 
-    // A policy returning an empty visit order would make the spreading
-    // loop below divide by zero; the contract (policy.hh) requires a
-    // full permutation, so fail loudly rather than skew Figure 3.
-    MTDAE_ASSERT(!order.empty(),
-                 "slot accounting with an empty policy visit order");
-
     // Spread the unused slots over the heads' stall classes (paper
-    // Figure 3), walking the *same* visit order the issue stage just
-    // used so the attribution can never drift from the arbitration:
-    // only its first free_slots positions (wrapping) are read. Only
-    // the classes an event changed are recomputed.
+    // Figure 3), walking the *same* ranking the issue stage just used
+    // so the attribution can never drift from the arbitration: only
+    // its first free_slots threads (wrapping) are read. Only the
+    // classes an event changed are recomputed.
     classifyDirtyHeads(unit);
     const std::vector<HeadClass> &heads = heads_[std::size_t(unit)];
-    for (std::size_t s = 0, i = 0; s < free_slots; ++s) {
-        bd.add(heads[order[i]].cls.reason);
-        if (++i == order.size())
-            i = 0;
-    }
+    issueRank_[std::size_t(unit)].forFirst(
+        free_slots, [&](ThreadId t) { bd.add(heads[t].cls.reason); });
     // A free slot existed, so every head stalled on an outstanding
     // load miss perceives one more cycle of it; the class collects
     // them when it is invalidated (chargeStalls).
@@ -331,10 +342,18 @@ Simulator::accountSlots(Unit unit, const std::vector<ThreadId> &order,
 }
 
 void
+Simulator::fixIssueRankings()
+{
+    for (const Unit unit : {Unit::AP, Unit::EP})
+        issueRank_[std::size_t(unit)].fix(
+            issuePolicy_->issueRanking(unit, keys_), keys_, all_);
+}
+
+void
 Simulator::issueStage()
 {
-    // Both units' visit orders hold for the whole cycle (both passes
-    // and the slot accounting).
+    // Both units' rankings hold for the whole cycle (both passes and
+    // the slot accounting).
     std::uint32_t slots_ap = cfg_.apUnits;
     std::uint32_t slots_ep = cfg_.epUnits;
     // Two passes so that, in non-decoupled mode, an AP instruction
@@ -346,41 +365,18 @@ Simulator::issueStage()
     const int passes = cfg_.decoupled ? 1 : 2;
     for (int pass = 0; pass < passes; ++pass) {
         std::uint32_t issued = 0;
-        issued += issueUnit(Unit::AP, orderAp_, slots_ap);
-        issued += issueUnit(Unit::EP, orderEp_, slots_ep);
+        issued += issueUnit(Unit::AP, slots_ap);
+        issued += issueUnit(Unit::EP, slots_ep);
         if (issued == 0)
             break;
     }
-    accountSlots(Unit::AP, orderAp_, slots_ap);
-    accountSlots(Unit::EP, orderEp_, slots_ep);
+    accountSlots(Unit::AP, slots_ap);
+    accountSlots(Unit::EP, slots_ep);
 }
 
 // ---------------------------------------------------------------------
 // Dispatch (rename & steer)
 // ---------------------------------------------------------------------
-
-bool
-Simulator::canDispatch(const Context &ctx) const
-{
-    const FetchedInst &fi = ctx.fetchBuf.front();
-    const TraceInst &ti = fi.ti;
-    const Unit unit = ti.unit();
-
-    if (ctx.rob.size() >= cfg_.robEntries)
-        return false;
-    if (ti.op != Opcode::Nop) {
-        const auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
-        const std::size_t cap =
-            unit == Unit::AP ? cfg_.apQueueEntries : cfg_.iqEntries;
-        if (queue.size() >= cap)
-            return false;
-    }
-    if (isStore(ti.op) && ctx.saq.size() >= cfg_.saqEntries)
-        return false;
-    if (ti.dst.valid() && !ctx.file(ti.dst.cls).hasFree())
-        return false;
-    return true;
-}
 
 bool
 Simulator::tryDispatch(Context &ctx)
@@ -394,7 +390,8 @@ Simulator::tryDispatch(Context &ctx)
     const bool is_store = isStore(ti.op);
 
     ThreadState &key = keys_[ctx.tid];
-    key.robOccupancy += 1;
+    if (key.robOccupancy++ == 0)
+        graduateSet_.insert(ctx.tid);  // a ROB head, which cannot wait
     ctx.rob.emplace_back();
     DynInst &di = ctx.rob.back();
     di.ti = ti;
@@ -422,8 +419,10 @@ Simulator::tryDispatch(Context &ctx)
     } else {
         std::uint32_t &queued =
             unit == Unit::AP ? key.apQueueOccupancy : key.iqOccupancy;
-        if (queued == 0)
+        if (queued == 0) {
             invalidateHead(unit, ctx.tid);  // a new head: no longer Idle
+            issueSet_[std::size_t(unit)].insert(ctx.tid);
+        }
         if (unit == Unit::AP) {
             ctx.apQ.push_back(&di);
         } else {
@@ -449,24 +448,25 @@ void
 Simulator::dispatchStage()
 {
     std::uint32_t budget = cfg_.dispatchWidth;
-    for (std::size_t i = 0; i < orderDispatch_.size() && budget > 0;
-         ++i) {
-        const ThreadId t = orderDispatch_[i];
+    // tryDispatch refuses a full ROB first, whatever the buffer holds,
+    // so such a thread is not in the set, nor is one still waiting for
+    // the event that can unblock it.
+    const auto live = [&](std::size_t w) { return dispatchSet_.word(w); };
+    RankedWalk::Cursor c = dispatchRank_.begin(live);
+    for (ThreadId t;
+         budget > 0 && (t = dispatchRank_.next(c, live)) != kNoThread;) {
         const ThreadState &key = keys_[t];
-        // tryDispatch refuses a full ROB first, whatever the buffer
-        // holds, so such a thread is skipped without a Context access,
-        // as is one still waiting for the event that can unblock it.
-        if (key.fetchBufOccupancy == 0 ||
-            key.robOccupancy >= cfg_.robEntries || waiting_[t].dispatch)
-            continue;
         Context &ctx = *contexts_[t];
+        bool waits = false;
         while (budget > 0 && key.fetchBufOccupancy > 0) {
             if (!tryDispatch(ctx)) {
-                waiting_[t].dispatch = true;
+                waits = true;
                 break;
             }
             budget -= 1;
         }
+        dispatchSet_.assign(t, !waits && dispatchable(t));
+        fetchSet_.assign(t, key.fetchBufOccupancy < cfg_.fetchBufferSize);
     }
 }
 
@@ -532,13 +532,14 @@ Simulator::flushFetchBuffer(Context &ctx)
         ctx.replayQ.push_front(fi.ti);
     }
     ctx.fetchBuf.clear();
-    waiting_[ctx.tid].dispatch = false;  // the head is gone
+    dispatchSet_.erase(ctx.tid);  // the head is gone, and any wait with it
     // Replayed instructions get fresh sequence numbers; nothing
     // younger than the squashed block was ever fetched.
     ctx.nextSeq = first;
     ThreadState &key = keys_[ctx.tid];
     key.fetchBufOccupancy = 0;
     key.unresolvedBranches = ctx.unresolvedBranches;
+    fetchSet_.insert(ctx.tid);
 }
 
 void
@@ -589,8 +590,13 @@ Simulator::fetchThread(Context &ctx)
             break;
     }
     ThreadState &key = keys_[ctx.tid];
+    // A buffer that was empty held no head to wait on.
+    if (key.fetchBufOccupancy == 0)
+        dispatchSet_.assign(ctx.tid, !ctx.fetchBuf.empty() &&
+                                         key.robOccupancy < cfg_.robEntries);
     key.fetchBufOccupancy = std::uint32_t(ctx.fetchBuf.size());
     key.unresolvedBranches = ctx.unresolvedBranches;
+    fetchSet_.assign(ctx.tid, key.fetchBufOccupancy < cfg_.fetchBufferSize);
 }
 
 void
@@ -599,6 +605,8 @@ Simulator::flushStage()
     // Gating pass, before the fetch ranking: a flush-style policy
     // squashes the pressured threads' not-yet-dispatched buffers,
     // handing their dispatch slots to the other threads.
+    if (!flushes_)
+        return;
     for (const ThreadState &key : keys_)
         if (key.fetchBufOccupancy > 0 && fetchPolicy_->shouldFlush(key))
             flushFetchBuffer(*contexts_[key.tid]);
@@ -607,20 +615,19 @@ Simulator::flushStage()
 void
 Simulator::fetchStage()
 {
-    // The policy ranked every thread (ICOUNT by default: fewest
-    // pending-dispatch instructions first over a round-robin base);
-    // the first fetchThreadsPerCycle *eligible, non-vetoed* threads in
-    // that order get the I-cache ports. A vetoed (gated) thread does
-    // not consume a port.
+    // The policy ranked the threads with room in their buffer (ICOUNT
+    // by default: fewest pending-dispatch instructions first over a
+    // round-robin base); the first fetchThreadsPerCycle *eligible,
+    // non-vetoed* ones in that order get the I-cache ports. A vetoed
+    // (gated) thread does not consume a port.
     std::uint32_t ports = cfg_.fetchThreadsPerCycle;
-    for (const ThreadId t : orderFetch_) {
-        if (ports == 0)
-            break;
-        const ThreadState &key = keys_[t];
-        if (key.fetchBufOccupancy >= cfg_.fetchBufferSize)
-            continue;  // ineligible: full buffer
+    const auto live = [&](std::size_t w) { return fetchSet_.word(w); };
+    RankedWalk::Cursor c = fetchRank_.begin(live);
+    for (ThreadId t;
+         ports > 0 && (t = fetchRank_.next(c, live)) != kNoThread;) {
         Context &ctx = *contexts_[t];
-        if (!ctx.fetchEligible(cfg_, now_) || !fetchPolicy_->mayFetch(key))
+        if (!ctx.fetchEligible(cfg_, now_) ||
+            !fetchPolicy_->mayFetch(keys_[t]))
             continue;
         fetchThread(ctx);
         ports -= 1;
@@ -632,28 +639,66 @@ Simulator::fetchStage()
 // ---------------------------------------------------------------------
 
 bool
-Simulator::mayAttempt(Cycle &until, std::optional<Addr> &held)
+Simulator::mayAttempt(Cycle &until, std::optional<Addr> &held,
+                      ThreadSet &parked, ThreadSet &stage, ThreadId t)
 {
-    if (!held)
-        return true;
-    if (now_ < until)
-        return false;
+    assert(held && now_ >= until && "a parked head is not in its stage set");
     const MemReject why = mem_.refusal(*held);
     if (why == MemReject::None) {
         held.reset();  // the attempt this returns to is accepted
         return true;
     }
-    if (why != MemReject::NoPort)
+    if (why != MemReject::NoPort) {
         until = mem_.nextFillCycle();
+        park(parked, stage, t, until);
+    }
     return false;
+}
+
+void
+Simulator::park(ThreadSet &parked, ThreadSet &stage, ThreadId t,
+                Cycle until)
+{
+    if (until <= now_)
+        return;
+    parked.insert(t);
+    stage.erase(t);
+    parkWake_ = std::min(parkWake_, until);
+}
+
+void
+Simulator::releaseParked()
+{
+    parkWake_ = kNoCycle;
+    for (const bool store : {false, true}) {
+        // A released head is held, so it is queued (a ROB head), it
+        // passed its gates (no blocked class), and it waits for nothing.
+        ThreadSet &parked = store ? parkedStores_ : parkedLoads_;
+        ThreadSet &stage =
+            store ? graduateSet_ : issueSet_[std::size_t(Unit::AP)];
+        const auto members = [&](std::size_t w) { return parked.word(w); };
+        ThreadSet::Cursor c(cfg_.numThreads, 0, members);
+        for (ThreadId t; (t = c.next(members)) != kNoThread;) {
+            const Cycle until = store ? parked_[t].store : parked_[t].load;
+            if (until <= now_) {
+                parked.erase(t);
+                stage.insert(t);
+            } else {
+                parkWake_ = std::min(parkWake_, until);
+            }
+        }
+    }
 }
 
 void
 Simulator::graduateStage()
 {
-    for (ThreadId t = 0; t < cfg_.numThreads; ++t) {
-        if (keys_[t].robOccupancy == 0 || waiting_[t].graduate ||
-            !mayAttempt(parked_[t].store, parked_[t].storeAddr))
+    const auto live = [&](std::size_t w) { return graduateSet_.word(w); };
+    ThreadSet::Cursor c(cfg_.numThreads, 0, live);
+    for (ThreadId t; (t = c.next(live)) != kNoThread;) {
+        if (parked_[t].storeAddr &&
+            !mayAttempt(parked_[t].store, parked_[t].storeAddr,
+                        parkedStores_, graduateSet_, t))
             continue;
         Context &ctx = *contexts_[t];
         std::uint32_t width = cfg_.graduateWidth;
@@ -663,7 +708,7 @@ Simulator::graduateStage()
             // data is available (FP store data comes from the EP).
             if (di.state != InstState::Completed ||
                 (di.isStoreOp && !ctx.storeDataReady(di))) {
-                waiting_[t].graduate = true;
+                graduateSet_.erase(t);  // waits for a completion
                 break;
             }
             if (di.isStoreOp) {
@@ -676,6 +721,8 @@ Simulator::graduateStage()
                     if (r.reject != MemReject::NoPort) {
                         parked_[t].store = mem_.nextFillCycle();
                         parked_[t].storeAddr = di.ti.addr;
+                        park(parkedStores_, graduateSet_, t,
+                             parked_[t].store);
                     }
                     break;
                 }
@@ -696,9 +743,13 @@ Simulator::graduateStage()
             lastGraduation_ = now_;
             width -= 1;
         }
-        if (width < cfg_.graduateWidth)
-            waiting_[t].dispatch = false;  // ROB, SAQ or registers freed
         keys_[t].robOccupancy = std::uint32_t(ctx.rob.size());
+        if (width < cfg_.graduateWidth) {
+            // ROB, SAQ or registers freed: no dispatch wait.
+            dispatchSet_.assign(t, dispatchable(t));
+            if (ctx.rob.empty())
+                graduateSet_.erase(t);
+        }
     }
 }
 
@@ -839,13 +890,12 @@ Simulator::idleStepStats()
 {
     MTDAE_ASSERT(!events_.due(now_),
                  "completion event fired inside a fast-forwarded span");
-    issuePolicy_->issueOrder(Unit::AP, keys_, orderAp_);
-    issuePolicy_->issueOrder(Unit::EP, keys_, orderEp_);
+    fixIssueRankings();
     // Nothing issues, so every slot is free: accountSlots spreads them
     // over the stalled heads' classes and counts the free-slot cycle,
     // exactly as the stepped issue stage would.
-    accountSlots(Unit::AP, orderAp_, cfg_.apUnits);
-    accountSlots(Unit::EP, orderEp_, cfg_.epUnits);
+    accountSlots(Unit::AP, cfg_.apUnits);
+    accountSlots(Unit::EP, cfg_.epUnits);
     finishCycle();
 }
 
@@ -974,9 +1024,9 @@ void
 Simulator::stepImpl()
 {
     // Profiled accounting: consecutive steady_clock marks tile the
-    // whole step, so the stage buckets sum to totalNs exactly. The
-    // policy-ranking calls are marked apart from the stages that walk
-    // their orders and credited to Stage::Snapshot.
+    // whole step, so the stage buckets sum to totalNs exactly. Fixing
+    // the policy rankings is marked apart from the stages that walk
+    // them and credited to Stage::Snapshot.
     std::chrono::steady_clock::time_point prev;
     if constexpr (Profiled)
         prev = std::chrono::steady_clock::now();
@@ -997,19 +1047,21 @@ Simulator::stepImpl()
 
     mem_.beginCycle(now_);
     processCompletions();
+    if (now_ >= parkWake_)
+        releaseParked();
     mark(Stage::Complete);
-    issuePolicy_->issueOrder(Unit::AP, keys_, orderAp_);
-    issuePolicy_->issueOrder(Unit::EP, keys_, orderEp_);
+    fixIssueRankings();
     mark(Stage::Snapshot);
     issueStage();
     mark(Stage::Issue);
-    issuePolicy_->dispatchOrder(keys_, orderDispatch_);
+    dispatchRank_.fix(issuePolicy_->dispatchRanking(keys_), keys_,
+                      dispatchSet_);
     mark(Stage::Snapshot);
     dispatchStage();
     mark(Stage::Dispatch);
     flushStage();
     mark(Stage::Fetch);
-    fetchPolicy_->fetchOrder(keys_, orderFetch_);
+    fetchRank_.fix(fetchPolicy_->fetchRanking(keys_), keys_, fetchSet_);
     mark(Stage::Snapshot);
     fetchStage();
     mark(Stage::Fetch);

@@ -35,10 +35,13 @@
  *      the next fill lands, then re-checked through the L1's probe)
  *
  * Thread arbitration is pluggable (src/policy/policy.hh), selected by
- * SimConfig::fetchPolicy / SimConfig::issuePolicy. Each seam ranks the
- * threads once per cycle over the per-context keys the stages keep
- * live (Simulator::policyKeys), and the stages consult those keys
- * before touching a Context, so an idle thread costs no Context access.
+ * SimConfig::fetchPolicy / SimConfig::issuePolicy. Each seam's policy
+ * describes the cycle's ranking over the per-context keys the stages
+ * keep live (Simulator::policyKeys), and each stage walks, in that
+ * order, only the threads of its stage set (common/thread_set.hh): the
+ * threads its skip conditions would let through, kept as bitsets that
+ * change where a condition flips. An idle thread costs a stage
+ * nothing, not even a key read.
  *
  * The per-thread bookkeeping behind the statistics follows events, not
  * cycles: the trailing windows are sampled lazily (Context::syncWindows)
@@ -59,6 +62,7 @@
 #include <vector>
 
 #include "common/config.hh"
+#include "common/thread_set.hh"
 #include "common/types.hh"
 #include "core/context.hh"
 #include "core/event_queue.hh"
@@ -255,8 +259,10 @@ class Simulator
     bool
     cachedBlocked(Unit unit, ThreadId t) const
     {
-        const HeadClass &h = heads_[std::size_t(unit)].at(t);
-        return !h.dirty && h.blocked;
+        const std::size_t u = std::size_t(unit);
+        return !heads_[u].at(t).dirty && queued(unit, t) > 0 &&
+               !(unit == Unit::AP && loadParked(t)) &&
+               !issueSet_[u].contains(t);
     }
 
     /**
@@ -286,19 +292,82 @@ class Simulator
         return parked_.at(t).storeAddr;
     }
 
+    /** True while thread @p t's held load is parked: held, and its
+     *  deadline after now(). Issue leaves the AP queue unvisited. */
+    bool loadParked(ThreadId t) const { return parkedLoads_.contains(t); }
+
+    /** loadParked() for the held ROB-head store (graduation). */
+    bool storeParked(ThreadId t) const { return parkedStores_.contains(t); }
+
+    /** The threads each pipeline stage walks (stageVisits). */
+    enum class StageSet : std::uint8_t {
+        IssueAp, IssueEp, Dispatch, Fetch, Graduate
+    };
+
+    /**
+     * Is thread @p t in stage @p s's set: would the stage, reached now,
+     * visit it rather than pass it over? Issue: the unit's queue holds
+     * a head that is not cachedBlocked(), and on the AP not
+     * loadParked(). Dispatch: a buffered instruction, room in the ROB,
+     * not dispatchWaiting(). Fetch: room in the fetch buffer.
+     * Graduation: a ROB head, not graduateWaiting(), not storeParked().
+     */
+    bool
+    stageVisits(StageSet s, ThreadId t) const
+    {
+        switch (s) {
+          case StageSet::IssueAp: return issueSet_[0].contains(t);
+          case StageSet::IssueEp: return issueSet_[1].contains(t);
+          case StageSet::Dispatch: return dispatchSet_.contains(t);
+          case StageSet::Fetch: return fetchSet_.contains(t);
+          case StageSet::Graduate: return graduateSet_.contains(t);
+        }
+        return false;
+    }
+
     /** Room for @p ctx's fetch-buffer head, which must exist: ROB, unit
      *  queue, SAQ, rename register (tryDispatch's checks, side-effect
      *  free). */
-    bool canDispatch(const Context &ctx) const;
+    bool
+    canDispatch(const Context &ctx) const
+    {
+        const FetchedInst &fi = ctx.fetchBuf.front();
+        const TraceInst &ti = fi.ti;
+        const Unit unit = ti.unit();
+
+        if (ctx.rob.size() >= cfg_.robEntries)
+            return false;
+        if (ti.op != Opcode::Nop) {
+            const auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
+            const std::size_t cap =
+                unit == Unit::AP ? cfg_.apQueueEntries : cfg_.iqEntries;
+            if (queue.size() >= cap)
+                return false;
+        }
+        if (isStore(ti.op) && ctx.saq.size() >= cfg_.saqEntries)
+            return false;
+        if (ti.dst.valid() && !ctx.file(ti.dst.cls).hasFree())
+            return false;
+        return true;
+    }
 
     /** True while dispatch passes over thread @p t: its last attempt
      *  failed canDispatch, and no event that can change that came since. */
-    bool dispatchWaiting(ThreadId t) const { return waiting_.at(t).dispatch; }
+    bool
+    dispatchWaiting(ThreadId t) const
+    {
+        return dispatchable(t) && !dispatchSet_.contains(t);
+    }
 
     /** True while graduation passes over thread @p t: its ROB head was
      *  incomplete, or a store whose data was not ready, and no
      *  completion in the thread came since. */
-    bool graduateWaiting(ThreadId t) const { return waiting_.at(t).graduate; }
+    bool
+    graduateWaiting(ThreadId t) const
+    {
+        return keys_.at(t).robOccupancy > 0 && !storeParked(t) &&
+               !graduateSet_.contains(t);
+    }
 
     /** Current cycle. */
     Cycle now() const { return now_; }
@@ -334,20 +403,24 @@ class Simulator
 
   private:
     void processCompletions();
-    /** Issue over this cycle's orderAp_/orderEp_, then slot accounting. */
+    /** Fix both units' issue rankings over every thread (the walks of
+     *  both passes and the slot accounting share them). */
+    void fixIssueRankings();
+    /** Issue in this cycle's fixed rankings, then slot accounting. */
     void issueStage();
     /** @return instructions issued; decrements @p slots. */
-    std::uint32_t issueUnit(Unit unit, const std::vector<ThreadId> &order,
-                            std::uint32_t &slots);
+    std::uint32_t issueUnit(Unit unit, std::uint32_t &slots);
     bool tryIssue(Context &ctx, DynInst &di);
-    void accountSlots(Unit unit, const std::vector<ThreadId> &order,
-                      std::uint32_t free_slots);
-    /** Dispatch in this cycle's orderDispatch_. */
+    /** Spread @p free_slots over the heads of the first threads of
+     *  @p unit's fixed ranking, wrapping. */
+    void accountSlots(Unit unit, std::uint32_t free_slots);
+    /** Dispatch in this cycle's dispatch ranking. */
     void dispatchStage();
     bool tryDispatch(Context &ctx);
-    /** The fetch gating pass: FetchPolicy::shouldFlush per thread. */
+    /** The fetch gating pass: FetchPolicy::shouldFlush per buffered
+     *  thread, under a policy that flushes at all. */
     void flushStage();
-    /** Fetch in this cycle's orderFetch_. */
+    /** Fetch in this cycle's fetch ranking. */
     void fetchStage();
     void fetchThread(Context &ctx);
     bool ensurePending(Context &ctx);
@@ -365,14 +438,22 @@ class Simulator
      */
     void flushFetchBuffer(Context &ctx);
     /**
-     * May a head that the L1 refused (parked_) be attempted now? True
-     * when nothing is @p held. Otherwise false before @p until, and
-     * then the L1's side-effect-free probe of the held address decides:
-     * accepted clears the hold and returns true, a port refusal passes
-     * over the head this cycle, and an MSHR or frame refusal re-parks it
-     * at the next fill, the deadline the real attempt would set.
+     * May thread @p t's @p held head, which the L1 refused and whose
+     * deadline @p until has come (so it is not in @p parked), be
+     * attempted now? The L1's side-effect-free probe of the held
+     * address decides: accepted clears the hold and returns true, a
+     * port refusal passes over the head this cycle, and an MSHR or
+     * frame refusal parks it again at the next fill, the deadline the
+     * real attempt would set.
      */
-    bool mayAttempt(Cycle &until, std::optional<Addr> &held);
+    bool mayAttempt(Cycle &until, std::optional<Addr> &held,
+                    ThreadSet &parked, ThreadSet &stage, ThreadId t);
+    /** Hold thread @p t's head in @p parked, out of its @p stage set,
+     *  until @p until, if that is after now_. */
+    void park(ThreadSet &parked, ThreadSet &stage, ThreadId t, Cycle until);
+    /** Release every parked head whose deadline has come (now_ has
+     *  reached parkWake_). */
+    void releaseParked();
     void graduateStage();
     /** Policy endCycle()s, now_ advance, and the window sync of a
      *  policy that reads the windows (windowsRead_). */
@@ -390,7 +471,19 @@ class Simulator
      * reads, an issue that moves the head or opens a miss, a dispatch
      * into the empty queue).
      */
-    void invalidateHead(Unit unit, ThreadId t);
+    void
+    invalidateHead(Unit unit, ThreadId t)
+    {
+        const std::size_t u = std::size_t(unit);
+        HeadClass &h = heads_[u][t];
+        if (h.dirty)
+            return;  // nothing owed since the class was dropped
+        chargeStalls(unit, t);
+        h.dirty = true;
+        issueSet_[u].assign(t, queued(unit, t) > 0 &&
+                                   !(unit == Unit::AP && loadParked(t)));
+        dirtyHeads_[u].push_back(t);
+    }
     /** Charge a clean class's perceived stalls up to this cycle. */
     void chargeStalls(Unit unit, ThreadId t);
     /** chargeStalls() on every clean class (before a save). */
@@ -400,8 +493,25 @@ class Simulator
     void classifyDirtyHeads(Unit unit);
     /** Rebuild every derived structure from the simulated state at
      *  now_: keys, parking, wait marks, window sync points, stall
-     *  classes. */
+     *  classes, stage sets. */
     void rebuildDerived();
+
+    // --- Stage sets ----------------------------------------------------
+    /** Thread @p t's @p unit queue occupancy key. */
+    std::uint32_t
+    queued(Unit unit, ThreadId t) const
+    {
+        const ThreadState &k = keys_[t];
+        return unit == Unit::AP ? k.apQueueOccupancy : k.iqOccupancy;
+    }
+    /** Would dispatch visit thread @p t but for a wait mark: a buffered
+     *  instruction and room in the ROB? */
+    bool
+    dispatchable(ThreadId t) const
+    {
+        const ThreadState &k = keys_[t];
+        return k.fetchBufOccupancy > 0 && k.robOccupancy < cfg_.robEntries;
+    }
 
     /** step() body; Profiled selects the timing instrumentation. */
     template <bool Profiled> void stepImpl();
@@ -434,7 +544,7 @@ class Simulator
     Cycle nextWakeCycle() const;
     /**
      * One cycle of quiescent bookkeeping, byte-identical to stepImpl on
-     * a quiescent cycle: slot accounting over the policy issue orders,
+     * a quiescent cycle: slot accounting over the policy issue rankings,
      * then finishCycle(). No stage logic runs — quiescence means none
      * would do anything.
      */
@@ -474,8 +584,7 @@ class Simulator
     Cycle now_ = 0;
 
     // Thread arbitration (src/policy/policy.hh): the policies, the keys
-    // they rank by and the visit orders they produce (reused to avoid
-    // per-cycle allocation).
+    // they rank by and each seam's ranking, fixed for its walks.
     std::unique_ptr<FetchPolicy> fetchPolicy_;
     std::unique_ptr<ArbitrationPolicy> issuePolicy_;
     /**
@@ -490,6 +599,9 @@ class Simulator
     /** A policy in force reads the window keys: sync every context's
      *  windows at the end of every cycle. */
     bool windowsRead_ = false;
+    /** The fetch policy flushes at all (FetchPolicy::flushes): run the
+     *  flush pass. */
+    bool flushes_ = false;
     /**
      * Per thread, the cycles before which its AP-queue head load and
      * its ROB-head store are known to be refused by the L1: issue skips
@@ -515,32 +627,54 @@ class Simulator
         std::optional<Addr> storeAddr;
     };
     std::vector<Parking> parked_;
+    /** The threads whose held load (store) is parked: held, with its
+     *  deadline after now_. A parked head leaves its stage set until
+     *  the earliest deadline, parkWake_, when releaseParked() returns
+     *  the expired ones; a released head stays held, and the stage
+     *  re-checks it through mayAttempt() when its walk reaches it. */
+    ThreadSet parkedLoads_;
+    ThreadSet parkedStores_;
+    Cycle parkWake_ = kNoCycle;
     /**
-     * Per thread, whether dispatch and graduation wait for an event:
-     * each stage passes over a marked thread without a Context access.
-     * - dispatch: set when canDispatch fails; cleared by a graduation in
+     * The stage sets: per stage, the threads it would not pass over,
+     * one bit per context, walked in the stage's ranking. Each is
+     * updated where one of its conditions can flip, and holds the wait
+     * marks and blocked classes as its own bits, not beside them:
+     * - issue, per unit: a queued head whose class is not clean and
+     *   blocked (WaitMem, WaitFu or, not decoupled, not next in program
+     *   order), and on the AP no parked load. A classification that
+     *   proves the head blocked removes the thread until the head is
+     *   invalidated (invalidateHead), which re-derives its bit.
+     * - dispatch: a buffered instruction, room in the ROB, and no wait
+     *   mark. A failed canDispatch removes the thread; a graduation in
      *   the thread (a ROB entry, an SAQ entry or a register freed), an
-     *   issue from one of its unit queues, or a flush of its fetch
-     *   buffer. Only dispatch itself fills the ROB, the queues, the SAQ
-     *   and the register files, and the buffer head leaves only by
-     *   dispatch or flush, so nothing else can make canDispatch true.
-     * - graduate: set when the ROB head is incomplete, or is a store
-     *   whose data register is not ready; cleared by any completion in
-     *   the thread (the head, or the producer of the data register,
-     *   which renames in the same context). The head leaves only by
-     *   graduating, so a marked thread's ROB is never empty.
-     * Derived state: cleared on restore, never serialized.
+     *   issue from one of its unit queues, or a flush of its buffer
+     *   re-derives its bit. Only dispatch itself fills the ROB, the
+     *   queues, the SAQ and the register files, and the buffer head
+     *   leaves only by dispatch or flush, so nothing else can make
+     *   canDispatch true.
+     * - fetch: room in the fetch buffer.
+     * - graduation: a ROB head, no wait mark and no parked store. A ROB
+     *   head that is incomplete, or a store whose data register is not
+     *   ready, removes the thread until any completion in the thread
+     *   (the head, or the producer of the data register, which renames
+     *   in the same context). The head leaves only by graduating.
+     * Derived state: rebuilt from the contexts on restore, with no wait
+     * mark, never serialized.
      */
-    struct Waits
-    {
-        bool dispatch = false;
-        bool graduate = false;
-    };
-    std::vector<Waits> waiting_;
-    std::vector<ThreadId> orderAp_;
-    std::vector<ThreadId> orderEp_;
-    std::vector<ThreadId> orderDispatch_;
-    std::vector<ThreadId> orderFetch_;
+    std::array<ThreadSet, 2> issueSet_;
+    ThreadSet dispatchSet_;
+    ThreadSet fetchSet_;
+    ThreadSet graduateSet_;
+    ThreadSet all_;  ///< every thread (the issue rankings' universe)
+    /** Each seam's ranking of this cycle, with its keys read once: the
+     *  issue rankings before the issue stage, over every thread (both
+     *  passes walk them, and the slot accounting reads their first
+     *  threads); dispatch after issue, over the dispatch set; fetch
+     *  after the flush pass, over the fetch set. */
+    std::array<RankedWalk, 2> issueRank_;
+    RankedWalk dispatchRank_;
+    RankedWalk fetchRank_;
 
     /** A cached StallClass, how far its perceived stalls are charged
      *  (a freeSlotCycles_ value), and the head's renamed sources: a
@@ -553,10 +687,6 @@ class Simulator
         std::array<PhysReg, 3> srcs = {kNoPhysReg, kNoPhysReg,
                                        kNoPhysReg};
         bool dirty = true;  ///< invalidated; cls and srcs are stale
-        /** The class proves the head cannot issue: an unready operand
-         *  (WaitMem, WaitFu) or, not decoupled, a head that is not next
-         *  in program order. Issue skips the head while it is clean. */
-        bool blocked = false;
     };
     /**
      * Per unit (indexed by Unit), the stall class of every thread's
@@ -564,8 +694,10 @@ class Simulator
      * the number of cycles that unit had a free slot. A clean WaitMem
      * class on an open miss is owed freeSlotCycles_ - chargedTo
      * perceived stalls, charged when it is invalidated (so before its
-     * miss closes) and before a save. Derived state: never serialized,
-     * every class dirty after a restore.
+     * miss closes) and before a save. A clean class that proves the
+     * head cannot issue takes the thread out of the unit's issue set.
+     * Derived state: never serialized, every class dirty after a
+     * restore.
      */
     std::array<std::vector<HeadClass>, 2> heads_;
     std::array<std::vector<ThreadId>, 2> dirtyHeads_;

@@ -1,217 +1,146 @@
 #include "policy/policy.hh"
 
 #include <algorithm>
-#include <numeric>
-#include <utility>
+#include <string>
 
 #include "common/log.hh"
 #include "common/serialize.hh"
 
 namespace mtdae {
 
+bool
+rankedBefore(const Ranking &r, const std::vector<ThreadState> &threads,
+             ThreadId a, ThreadId b)
+{
+    const ThreadState &ta = threads[a];
+    const ThreadState &tb = threads[b];
+    std::uint64_t ka = rankKey(r.key, ta);
+    std::uint64_t kb = rankKey(r.key, tb);
+    if (r.weighted) {
+        // ka / wa < kb / wb as ka * wb < kb * wa: both factors fit u32,
+        // so the u64 products cannot overflow. Weights of all ones
+        // reduce to the unweighted comparison.
+        ka *= tb.weight;
+        kb *= ta.weight;
+    }
+    if (ka != kb)
+        return ka < kb;
+    // Ties in rotation order: a's position is (a - base) mod n.
+    const auto n = ThreadId(threads.size());
+    const ThreadId pa = a >= r.base ? a - r.base : a + n - r.base;
+    const ThreadId pb = b >= r.base ? b - r.base : b + n - r.base;
+    return pa < pb;
+}
+
+void
+rankThreads(const Ranking &r, const std::vector<ThreadState> &threads,
+            std::vector<ThreadId> &out)
+{
+    const auto n = ThreadId(threads.size());
+    out.resize(n);
+    for (ThreadId pos = 0; pos < n; ++pos)
+        out[pos] = r.base + pos < n ? r.base + pos : r.base + pos - n;
+    if (r.key != RankKey::None)
+        std::sort(out.begin(), out.end(), [&](ThreadId a, ThreadId b) {
+            return rankedBefore(r, threads, a, b);
+        });
+}
+
+void
+RankedWalk::fixKeyed(const std::vector<ThreadState> &threads,
+                     const ThreadSet &universe)
+{
+    keyMask_ = 0;
+    if (r_.key == RankKey::None)
+        return;
+    const auto members = [&](std::size_t w) { return universe.word(w); };
+    if (!r_.weighted) {
+        if (buckets_.empty()) {
+            buckets_.reserve(kBuckets);
+            for (std::uint32_t k = 0; k < kBuckets; ++k)
+                buckets_.emplace_back(n_);
+            bucketOf_.assign(n_, kBuckets);
+        }
+        // A thread stays in the bucket of its key at the last fix that
+        // saw it; one outside this universe may linger in a stale one,
+        // harmlessly, since every walk reads the buckets through a live
+        // set within the universe.
+        bool narrow = true;
+        ThreadSet::Cursor c(n_, 0, members);
+        for (ThreadId t; narrow && (t = c.next(members)) != kNoThread;) {
+            const std::uint32_t k = rankKey(r_.key, threads[t]);
+            narrow = k < kBuckets;
+            if (narrow && bucketOf_[t] != k) {
+                if (bucketOf_[t] != kBuckets)
+                    buckets_[bucketOf_[t]].erase(t);
+                buckets_[k].insert(t);
+                bucketOf_[t] = k;
+            }
+            keyMask_ |= std::uint64_t(narrow) << (k % kBuckets);
+        }
+        if (narrow) {
+            mode_ = Mode::Buckets;
+            return;
+        }
+        keyMask_ = 0;
+    }
+    mode_ = Mode::Sorted;
+    sorted_.clear();
+    ThreadSet::Cursor c(n_, 0, members);
+    for (ThreadId t; (t = c.next(members)) != kNoThread;)
+        sorted_.push_back(t);
+    std::sort(sorted_.begin(), sorted_.end(), [&](ThreadId a, ThreadId b) {
+        return rankedBefore(r_, threads, a, b);
+    });
+}
+
+void
+Rotation::save(ByteWriter &w) const
+{
+    w.u32(base_);
+}
+
+void
+Rotation::restore(ByteReader &r)
+{
+    const std::uint32_t base = r.u32();
+    if (base >= n_)
+        throw SnapshotError("policy rotation base " + std::to_string(base) +
+                            " is not a thread of a " + std::to_string(n_) +
+                            "-thread machine");
+    base_ = base;
+}
+
 namespace {
 
-/**
- * Shared mechanics of every standard policy: a round-robin rotation
- * advanced one step per cycle, optionally refined by a per-thread key
- * with ties broken by rotation position. Because ties never depend on
- * the sort algorithm, filtering ineligible threads before or after
- * ranking yields the same relative order, which is what lets the
- * Simulator apply eligibility after the policy ran.
- *
- * Ranking is allocation-free after its first call: each scratch array
- * is sized to the thread count when first used, so a pure rotation
- * allocates nothing at all.
- */
-class RotatingOrder
-{
-  public:
-    explicit RotatingOrder(std::uint32_t nthreads) : nthreads_(nthreads) {}
-
-    /** Fill @p out with all tids starting at the rotation base. */
-    void
-    rotation(std::vector<ThreadId> &out) const
-    {
-        out.resize(nthreads_);
-        std::iota(out.begin(), out.end() - rr_, rr_);
-        std::iota(out.end() - rr_, out.end(), 0u);
-    }
-
-    /**
-     * Rotation refined by @p key: fewest-first, ties in rotation order
-     * (the ICOUNT shape — RR-2.8 in the SMT fetch literature). Keys
-     * below the bucket count (occupancies, branch and miss counts) go
-     * through a counting sort over the rotation; wider keys (the
-     * 64-cycle window sums) through a sort of packed key-and-position
-     * words.
-     */
-    template <typename KeyFn>
-    void
-    rotationSortedBy(const std::vector<ThreadState> &threads, KeyFn key,
-                     std::vector<ThreadId> &out)
-    {
-        rotation(out);
-        if (nthreads_ == 1)
-            return;
-        keys_.resize(nthreads_);
-        buckets_.resize(kBucketsPerThread * nthreads_);
-        std::uint32_t top = 0;
-        for (std::uint32_t pos = 0; pos < nthreads_; ++pos) {
-            keys_[pos] = key(threads[out[pos]]);
-            top = std::max(top, keys_[pos]);
-        }
-        if (top < buckets_.size()) {
-            // Bucket starts by prefix sum, then every position lands in
-            // its bucket in rotation order.
-            std::fill_n(buckets_.begin(), top + 1, 0u);
-            for (std::uint32_t pos = 0; pos < nthreads_; ++pos)
-                ++buckets_[keys_[pos]];
-            std::uint32_t start = 0;
-            for (std::uint32_t k = 0; k <= top; ++k)
-                start += std::exchange(buckets_[k], start);
-            for (std::uint32_t pos = 0; pos < nthreads_; ++pos)
-                out[buckets_[keys_[pos]]++] = tidAt(pos);
-            return;
-        }
-        packed_.resize(nthreads_);
-        for (std::uint32_t pos = 0; pos < nthreads_; ++pos)
-            packed_[pos] = std::uint64_t(keys_[pos]) << 32 | pos;
-        std::sort(packed_.begin(), packed_.end());
-        for (std::uint32_t i = 0; i < nthreads_; ++i)
-            out[i] = tidAt(std::uint32_t(packed_[i]));
-    }
-
-    /**
-     * Rotation refined by @p key divided by the thread's priority
-     * weight, fewest-first: a * w(b) < b * w(a) compares the exact
-     * rationals key/weight without division (both factors fit u32, so
-     * the u64 products cannot overflow). Ties — including every pair
-     * on a uniform-weight machine with equal keys — keep rotation
-     * order, so weight vectors of all ones reduce to the unweighted
-     * ranking.
-     */
-    template <typename KeyFn>
-    void
-    rotationSortedWeighted(const std::vector<ThreadState> &threads,
-                           KeyFn key, std::vector<ThreadId> &out)
-    {
-        ratios_.resize(nthreads_);
-        for (std::uint32_t pos = 0; pos < nthreads_; ++pos) {
-            const ThreadState &t = threads[tidAt(pos)];
-            ratios_[pos] = {key(t), t.weight, pos};
-        }
-        std::sort(ratios_.begin(), ratios_.end(),
-                  [](const Ratio &a, const Ratio &b) {
-                      const std::uint64_t l = std::uint64_t(a.key) * b.weight;
-                      const std::uint64_t r = std::uint64_t(b.key) * a.weight;
-                      return l < r || (l == r && a.pos < b.pos);
-                  });
-        out.resize(nthreads_);
-        for (std::uint32_t i = 0; i < nthreads_; ++i)
-            out[i] = tidAt(ratios_[i].pos);
-    }
-
-    void advance() { rr_ = (rr_ + 1) % nthreads_; }
-
-    /** Advance @p n times in O(1): n modular increments collapse. */
-    void skip(std::uint64_t n) { rr_ = std::uint32_t((rr_ + n) % nthreads_); }
-
-    /** Current rotation base (checkpointing). */
-    std::uint32_t position() const { return rr_; }
-
-    /** Overwrite the rotation base (checkpoint restore). */
-    void setPosition(std::uint32_t rr) { rr_ = rr % nthreads_; }
-
-  private:
-    /** Counting-sort buckets per thread: keys below
-     *  kBucketsPerThread * nthreads take the counting path. */
-    static constexpr std::uint32_t kBucketsPerThread = 4;
-
-    /** One weighted key: the rational key / weight and its position. */
-    struct Ratio
-    {
-        std::uint32_t key;
-        std::uint32_t weight;
-        std::uint32_t pos;
-    };
-
-    /** Thread at rotation position @p pos (< nthreads_). */
-    ThreadId
-    tidAt(std::uint32_t pos) const
-    {
-        const std::uint32_t t = rr_ + pos;
-        return t < nthreads_ ? t : t - nthreads_;
-    }
-
-    std::uint32_t nthreads_;
-    std::uint32_t rr_ = 0;
-    std::vector<std::uint32_t> keys_;     ///< Key per rotation position.
-    std::vector<std::uint32_t> buckets_;  ///< Counting-sort bucket starts.
-    std::vector<std::uint64_t> packed_;   ///< key << 32 | position.
-    std::vector<Ratio> ratios_;           ///< Weighted keys.
-};
-
-/**
- * Every standard policy is "rotation, optionally sorted by one
- * ThreadState key", so the implementations are a key table rather
- * than a class hierarchy: null keys mean pure round-robin. Novel
- * policies (per-unit, gating, adaptive) subclass the interfaces in
- * policy.hh directly.
- */
-using KeyFn = std::uint32_t (*)(const ThreadState &);
-
-std::uint32_t
-keyFetchBuf(const ThreadState &t)
-{
-    return t.fetchBufOccupancy;
-}
-
-std::uint32_t
-keyFrontEnd(const ThreadState &t)
-{
-    // Back-end ICOUNT counts everything between fetch and issue, not
-    // just the fetch buffer: prioritise the thread clogging the
-    // shared stages least.
-    return t.frontEndOccupancy();
-}
-
-std::uint32_t
-keyBranches(const ThreadState &t)
-{
-    return t.unresolvedBranches;
-}
-
-std::uint32_t
-keyMisses(const ThreadState &t)
-{
-    return t.outstandingMisses;
-}
-
-std::uint32_t
-keyIqWindow(const ThreadState &t)
-{
-    return t.iqOccupancyWindow;
-}
-
-/** The ordering keys of one PolicyKind, per consulting seam. */
+/** The ranking keys of one standard PolicyKind, per seam. */
 struct PolicyKeys
 {
-    KeyFn fetch;  ///< FetchPolicy key; null = pure rotation.
-    KeyFn arb;    ///< ArbitrationPolicy key; null = pure rotation.
+    RankKey fetch;  ///< FetchPolicy key.
+    RankKey arb;    ///< ArbitrationPolicy key (dispatch and both units).
 };
 
+/**
+ * Every standard policy is "rotation, optionally ranked by one
+ * ThreadState key", so the implementations are a key table rather
+ * than a class hierarchy. Novel policies (per-unit, gating, adaptive,
+ * weighted) subclass the interfaces in policy.hh directly.
+ */
 PolicyKeys
 keysFor(PolicyKind kind)
 {
     switch (kind) {
       case PolicyKind::Icount:
-        return {keyFetchBuf, keyFrontEnd};
+        // Back-end ICOUNT counts everything between fetch and issue,
+        // not just the fetch buffer: prioritise the thread clogging
+        // the shared stages least.
+        return {RankKey::FetchBuf, RankKey::FrontEnd};
       case PolicyKind::RoundRobin:
-        return {nullptr, nullptr};
+        return {RankKey::None, RankKey::None};
       case PolicyKind::BrCount:
-        return {keyBranches, keyBranches};
+        return {RankKey::Branches, RankKey::Branches};
       case PolicyKind::MissCount:
-        return {keyMisses, keyMisses};
+        return {RankKey::Misses, RankKey::Misses};
       case PolicyKind::Stall:
       case PolicyKind::Flush:
       case PolicyKind::Split:
@@ -227,80 +156,49 @@ class KeyedFetchPolicy final : public FetchPolicy
 {
   public:
     KeyedFetchPolicy(PolicyKind kind, std::uint32_t nthreads)
-        : kind_(kind), key_(keysFor(kind).fetch), rot_(nthreads)
+        : FetchPolicy(nthreads), kind_(kind), key_(keysFor(kind).fetch)
     {}
 
     std::string_view name() const override { return policyName(kind_); }
 
-    void
-    fetchOrder(const std::vector<ThreadState> &threads,
-               std::vector<ThreadId> &out) override
+    Ranking
+    fetchRanking(const std::vector<ThreadState> &) const override
     {
-        if (key_)
-            rot_.rotationSortedBy(threads, key_, out);
-        else
-            rot_.rotation(out);
+        return {rotationBase(), key_};
     }
-
-    void endCycle() override { rot_.advance(); }
-    void skipCycles(std::uint64_t n) override { rot_.skip(n); }
-
-    void save(ByteWriter &w) const override { w.u32(rot_.position()); }
-    void restore(ByteReader &r) override { rot_.setPosition(r.u32()); }
 
   private:
     PolicyKind kind_;
-    KeyFn key_;
-    RotatingOrder rot_;
+    RankKey key_;
 };
 
 class KeyedArbitrationPolicy final : public ArbitrationPolicy
 {
   public:
     KeyedArbitrationPolicy(PolicyKind kind, std::uint32_t nthreads)
-        : kind_(kind), key_(keysFor(kind).arb), rot_(nthreads)
+        : ArbitrationPolicy(nthreads), kind_(kind), key_(keysFor(kind).arb)
     {}
 
     std::string_view name() const override { return policyName(kind_); }
 
-    void
-    dispatchOrder(const std::vector<ThreadState> &threads,
-                  std::vector<ThreadId> &out) override
+    Ranking
+    dispatchRanking(const std::vector<ThreadState> &) const override
     {
-        order(threads, out);
+        return {rotationBase(), key_};
     }
 
-    void
-    issueOrder(Unit unit, const std::vector<ThreadState> &threads,
-               std::vector<ThreadId> &out) override
+    Ranking
+    issueRanking(Unit, const std::vector<ThreadState> &) const override
     {
-        // The standard policies order both units (and dispatch) the
+        // The standard policies rank both units (and dispatch) the
         // same way; per-unit specialisation stays open through the
         // interface's Unit parameter.
-        (void)unit;
-        order(threads, out);
+        return {rotationBase(), key_};
     }
-
-    void endCycle() override { rot_.advance(); }
-    void skipCycles(std::uint64_t n) override { rot_.skip(n); }
-
-    void save(ByteWriter &w) const override { w.u32(rot_.position()); }
-    void restore(ByteReader &r) override { rot_.setPosition(r.u32()); }
 
   private:
-    void
-    order(const std::vector<ThreadState> &threads,
-          std::vector<ThreadId> &out)
-    {
-        if (key_)
-            rot_.rotationSortedBy(threads, key_, out);
-        else
-            rot_.rotation(out);
-    }
-
     PolicyKind kind_;
-    KeyFn key_;
-    RotatingOrder rot_;
+    RankKey key_;
 };
 
 /**
@@ -319,7 +217,7 @@ class GatingFetchPolicy final : public FetchPolicy
 {
   public:
     GatingFetchPolicy(PolicyKind kind, std::uint32_t nthreads)
-        : kind_(kind), rot_(nthreads)
+        : FetchPolicy(nthreads), kind_(kind)
     {
         MTDAE_ASSERT(kind == PolicyKind::Stall ||
                          kind == PolicyKind::Flush,
@@ -328,11 +226,10 @@ class GatingFetchPolicy final : public FetchPolicy
 
     std::string_view name() const override { return policyName(kind_); }
 
-    void
-    fetchOrder(const std::vector<ThreadState> &threads,
-               std::vector<ThreadId> &out) override
+    Ranking
+    fetchRanking(const std::vector<ThreadState> &) const override
     {
-        rot_.rotationSortedBy(threads, keyFetchBuf, out);
+        return {rotationBase(), RankKey::FetchBuf};
     }
 
     bool
@@ -341,21 +238,16 @@ class GatingFetchPolicy final : public FetchPolicy
         return t.outstandingMisses == 0;
     }
 
+    bool flushes() const override { return kind_ == PolicyKind::Flush; }
+
     bool
     shouldFlush(const ThreadState &t) const override
     {
         return kind_ == PolicyKind::Flush && t.outstandingMisses > 0;
     }
 
-    void endCycle() override { rot_.advance(); }
-    void skipCycles(std::uint64_t n) override { rot_.skip(n); }
-
-    void save(ByteWriter &w) const override { w.u32(rot_.position()); }
-    void restore(ByteReader &r) override { rot_.setPosition(r.u32()); }
-
   private:
     PolicyKind kind_;
-    RotatingOrder rot_;
 };
 
 /**
@@ -372,9 +264,7 @@ class GatingFetchPolicy final : public FetchPolicy
 class SplitArbitrationPolicy final : public ArbitrationPolicy
 {
   public:
-    explicit SplitArbitrationPolicy(std::uint32_t nthreads)
-        : rot_(nthreads)
-    {}
+    using ArbitrationPolicy::ArbitrationPolicy;
 
     std::string_view
     name() const override
@@ -382,33 +272,20 @@ class SplitArbitrationPolicy final : public ArbitrationPolicy
         return policyName(PolicyKind::Split);
     }
 
-    void
-    dispatchOrder(const std::vector<ThreadState> &threads,
-                  std::vector<ThreadId> &out) override
+    Ranking
+    dispatchRanking(const std::vector<ThreadState> &) const override
     {
-        rot_.rotationSortedBy(threads, keyFrontEnd, out);
+        return {rotationBase(), RankKey::FrontEnd};
     }
 
-    void
-    issueOrder(Unit unit, const std::vector<ThreadState> &threads,
-               std::vector<ThreadId> &out) override
+    Ranking
+    issueRanking(Unit unit, const std::vector<ThreadState> &) const override
     {
-        if (unit == Unit::AP)
-            rot_.rotationSortedBy(threads, keyMisses, out);
-        else
-            rot_.rotationSortedBy(threads, keyIqWindow, out);
+        return {rotationBase(),
+                unit == Unit::AP ? RankKey::Misses : RankKey::IqWindow};
     }
 
     bool readsWindows() const override { return true; }
-
-    void endCycle() override { rot_.advance(); }
-    void skipCycles(std::uint64_t n) override { rot_.skip(n); }
-
-    void save(ByteWriter &w) const override { w.u32(rot_.position()); }
-    void restore(ByteReader &r) override { rot_.setPosition(r.u32()); }
-
-  private:
-    RotatingOrder rot_;
 };
 
 /**
@@ -438,7 +315,7 @@ class AdaptiveFetchPolicy final : public FetchPolicy
 {
   public:
     AdaptiveFetchPolicy(std::uint32_t threshold, std::uint32_t nthreads)
-        : threshold_(threshold), rot_(nthreads)
+        : FetchPolicy(nthreads), threshold_(threshold)
     {}
 
     std::string_view
@@ -447,17 +324,14 @@ class AdaptiveFetchPolicy final : public FetchPolicy
         return policyName(PolicyKind::Adaptive);
     }
 
-    void
-    fetchOrder(const std::vector<ThreadState> &threads,
-               std::vector<ThreadId> &out) override
+    Ranking
+    fetchRanking(const std::vector<ThreadState> &threads) const override
     {
-        bool memory_phase = false;
-        for (const ThreadState &t : threads)
-            memory_phase |= t.missWindow != 0;
-        if (memory_phase)
-            rot_.rotationSortedBy(threads, keyFetchBuf, out);
-        else
-            rot_.rotation(out);
+        const bool memory_phase =
+            std::any_of(threads.begin(), threads.end(),
+                        [](const ThreadState &t) { return t.missWindow; });
+        return {rotationBase(),
+                memory_phase ? RankKey::FetchBuf : RankKey::None};
     }
 
     bool
@@ -481,15 +355,8 @@ class AdaptiveFetchPolicy final : public FetchPolicy
 
     bool readsWindows() const override { return true; }
 
-    void endCycle() override { rot_.advance(); }
-    void skipCycles(std::uint64_t n) override { rot_.skip(n); }
-
-    void save(ByteWriter &w) const override { w.u32(rot_.position()); }
-    void restore(ByteReader &r) override { rot_.setPosition(r.u32()); }
-
   private:
     std::uint32_t threshold_;
-    RotatingOrder rot_;
 };
 
 /**
@@ -502,8 +369,7 @@ class AdaptiveFetchPolicy final : public FetchPolicy
 class WeightedFetchPolicy final : public FetchPolicy
 {
   public:
-    explicit WeightedFetchPolicy(std::uint32_t nthreads) : rot_(nthreads)
-    {}
+    using FetchPolicy::FetchPolicy;
 
     std::string_view
     name() const override
@@ -511,21 +377,11 @@ class WeightedFetchPolicy final : public FetchPolicy
         return policyName(PolicyKind::Weighted);
     }
 
-    void
-    fetchOrder(const std::vector<ThreadState> &threads,
-               std::vector<ThreadId> &out) override
+    Ranking
+    fetchRanking(const std::vector<ThreadState> &) const override
     {
-        rot_.rotationSortedWeighted(threads, keyFetchBuf, out);
+        return {rotationBase(), RankKey::FetchBuf, true};
     }
-
-    void endCycle() override { rot_.advance(); }
-    void skipCycles(std::uint64_t n) override { rot_.skip(n); }
-
-    void save(ByteWriter &w) const override { w.u32(rot_.position()); }
-    void restore(ByteReader &r) override { rot_.setPosition(r.u32()); }
-
-  private:
-    RotatingOrder rot_;
 };
 
 /**
@@ -537,9 +393,7 @@ class WeightedFetchPolicy final : public FetchPolicy
 class WeightedArbitrationPolicy final : public ArbitrationPolicy
 {
   public:
-    explicit WeightedArbitrationPolicy(std::uint32_t nthreads)
-        : rot_(nthreads)
-    {}
+    using ArbitrationPolicy::ArbitrationPolicy;
 
     std::string_view
     name() const override
@@ -547,29 +401,17 @@ class WeightedArbitrationPolicy final : public ArbitrationPolicy
         return policyName(PolicyKind::Weighted);
     }
 
-    void
-    dispatchOrder(const std::vector<ThreadState> &threads,
-                  std::vector<ThreadId> &out) override
+    Ranking
+    dispatchRanking(const std::vector<ThreadState> &) const override
     {
-        rot_.rotationSortedWeighted(threads, keyFrontEnd, out);
+        return {rotationBase(), RankKey::FrontEnd, true};
     }
 
-    void
-    issueOrder(Unit unit, const std::vector<ThreadState> &threads,
-               std::vector<ThreadId> &out) override
+    Ranking
+    issueRanking(Unit, const std::vector<ThreadState> &) const override
     {
-        (void)unit;
-        rot_.rotationSortedWeighted(threads, keyFrontEnd, out);
+        return {rotationBase(), RankKey::FrontEnd, true};
     }
-
-    void endCycle() override { rot_.advance(); }
-    void skipCycles(std::uint64_t n) override { rot_.skip(n); }
-
-    void save(ByteWriter &w) const override { w.u32(rot_.position()); }
-    void restore(ByteReader &r) override { rot_.setPosition(r.u32()); }
-
-  private:
-    RotatingOrder rot_;
 };
 
 } // namespace

@@ -15,17 +15,26 @@
  *                        FLUSH schemes of the SMT fetch literature).
  *  - ArbitrationPolicy — the thread visit order for the shared dispatch
  *                        stage and for each issue unit (the slot
- *                        accounting consumes the *same* order the issue
+ *                        accounting walks the *same* ranking the issue
  *                        stage used, so the Figure 3 attribution can
  *                        never drift from the arbitration). The Unit
  *                        parameter lets a policy order the AP and the
  *                        EP by different keys (the `split` policy).
  *
+ * A policy does not order the threads itself: it describes each seam's
+ * ranking as a Ranking (its rotation base, and optionally a key,
+ * optionally divided by the thread's weight), and the Simulator walks
+ * only the threads a stage would not pass over in that order
+ * (RankedWalk). rankThreads() materializes a full order from the same
+ * description; it is the reference the walks are tested against.
+ *
  * Determinism contract: a policy may keep private per-cycle state (the
- * round-robin rotation), but its output must be a pure function of that
- * state and of the ThreadState keys it is handed — never of wall
- * clock, allocation addresses or scheduling. This is what keeps every
- * sweep byte-identical at any --jobs count.
+ * round-robin rotation), but its rankings must be a pure function of
+ * that state and of the ThreadState keys it is handed — never of wall
+ * clock, allocation addresses or scheduling — and which threads a
+ * stage visits, and in what order, must not depend on how the thread
+ * set is split into candidates. This is what keeps every sweep
+ * byte-identical at any --jobs count.
  *
  * Policies see the machine only through ThreadState: the per-context
  * keys the Simulator keeps live as the pipeline runs. They never touch
@@ -35,11 +44,13 @@
 #ifndef MTDAE_POLICY_POLICY_HH
 #define MTDAE_POLICY_POLICY_HH
 
+#include <bit>
 #include <memory>
 #include <string_view>
 #include <vector>
 
 #include "common/config.hh"
+#include "common/thread_set.hh"
 #include "common/types.hh"
 #include "isa/opcode.hh"
 
@@ -150,35 +161,290 @@ struct ThreadState
     bool operator==(const ThreadState &) const = default;
 };
 
+/** The ThreadState key a seam ranks by. */
+enum class RankKey : std::uint8_t {
+    None,      ///< no key: pure rotation (round-robin)
+    FetchBuf,  ///< fetchBufOccupancy (the ICOUNT fetch key)
+    FrontEnd,  ///< frontEndOccupancy() (back-end ICOUNT)
+    Branches,  ///< unresolvedBranches (BrCount)
+    Misses,    ///< outstandingMisses (MissCount)
+    IqWindow,  ///< iqOccupancyWindow (split's EP key)
+};
+
+/** The value of key @p k in @p t (0 for RankKey::None). */
+inline std::uint32_t
+rankKey(RankKey k, const ThreadState &t)
+{
+    switch (k) {
+      case RankKey::None: return 0;
+      case RankKey::FetchBuf: return t.fetchBufOccupancy;
+      case RankKey::FrontEnd: return t.frontEndOccupancy();
+      case RankKey::Branches: return t.unresolvedBranches;
+      case RankKey::Misses: return t.outstandingMisses;
+      case RankKey::IqWindow: return t.iqOccupancyWindow;
+    }
+    return 0;
+}
+
 /**
- * Decides which threads fetch this cycle. fetchOrder() is called once
- * per cycle; the Simulator walks the returned priority order, skips
- * ineligible threads, and fetches the first fetchThreadsPerCycle
- * eligible ones.
+ * How one seam ranks the threads this cycle: fewest-key first, with
+ * the key divided by the thread's weight when @p weighted (compared
+ * exactly, by cross-multiplication), and ties in rotation order from
+ * @p base: base, base + 1, ..., wrapping. Without a key it is the
+ * rotation itself. Because ties never depend on a sort algorithm, the
+ * ranking restricted to any subset of the threads is the full ranking
+ * with the others removed, which is what lets the Simulator walk only
+ * the threads a stage would not pass over (RankedWalk).
+ */
+struct Ranking
+{
+    ThreadId base = 0;
+    RankKey key = RankKey::None;
+    bool weighted = false;
+};
+
+/** Does thread @p a rank before thread @p b under @p r? @p threads
+ *  is indexed by tid. */
+bool rankedBefore(const Ranking &r, const std::vector<ThreadState> &threads,
+                  ThreadId a, ThreadId b);
+
+/**
+ * The reference materializer: every thread id in @p r's order, into
+ * @p out (resized to threads.size()). The Simulator never calls it; it
+ * is the order RankedWalk must reproduce (tests/test_policy.cc).
+ */
+void rankThreads(const Ranking &r, const std::vector<ThreadState> &threads,
+                 std::vector<ThreadId> &out);
+
+/**
+ * A ranking fixed for one or more walks over the threads of a
+ * universe, with the keys read once, when fixed. A walk visits the
+ * threads of a live set, given like ThreadSet::Cursor's as a word
+ * function, in the fixed order; every live thread must belong to the
+ * universe. A keyless ranking walks the live set from the rotation base
+ * and fixes nothing. A key below 64 on every thread of the universe (an
+ * occupancy, a branch or miss count) groups the universe into per-key
+ * bucket sets, walked in ascending key order, each from the rotation
+ * base, with empty buckets skipped through a mask. A wider key (the
+ * 64-cycle window sums) or a weighted ratio sorts the universe's
+ * threads. Buckets and sorted threads stay as fixed while the keys
+ * move, so a walk never meets a thread twice. Allocation-free once
+ * warm.
+ */
+class RankedWalk
+{
+  public:
+    explicit RankedWalk(std::uint32_t nthreads) : n_(nthreads) {}
+
+    /**
+     * Fix @p r over the threads of @p universe, reading their keys in
+     * @p threads now.
+     */
+    void
+    fix(const Ranking &r, const std::vector<ThreadState> &threads,
+        const ThreadSet &universe)
+    {
+        r_ = r;
+        mode_ = Mode::Rotation;
+        if (r.key != RankKey::None)
+            fixKeyed(threads, universe);
+    }
+
+    /** One walk in progress over the fixed ranking (begin()). */
+    class Cursor
+    {
+        friend class RankedWalk;
+
+        template <typename Word>
+        Cursor(const RankedWalk &walk, const Word &live)
+            : set_(walk.n_, walk.r_.base,
+                   walk.bucketWord(walk.firstKey(), live)),
+              keys_(walk.keyMask_ & (walk.keyMask_ - 1)),
+              bucket_(walk.firstKey())
+        {}
+
+        ThreadSet::Cursor set_;  ///< In the rotation or current bucket.
+        std::uint64_t keys_;     ///< Buckets after the current one.
+        std::uint32_t bucket_;   ///< The current bucket.
+        std::size_t index_ = 0;  ///< Next sorted thread.
+    };
+
+    /** A walk from the start of the fixed order, over @p live (a word
+     *  function, as next() takes). */
+    template <typename Word>
+    Cursor
+    begin(const Word &live) const
+    {
+        return Cursor(*this, live);
+    }
+
+    /**
+     * The next thread of the universe in the fixed order that is in
+     * @p live when the walk reaches it, or kNoThread at the end. A
+     * visit may change memberships as ThreadSet::Cursor allows.
+     */
+    template <typename Word>
+    ThreadId
+    next(Cursor &c, const Word &live) const
+    {
+        if (mode_ != Mode::Sorted) {
+            for (;;) {
+                const ThreadId t =
+                    c.set_.next(bucketWord(c.bucket_, live));
+                if (t != kNoThread || c.keys_ == 0)
+                    return t;
+                c.bucket_ = std::uint32_t(std::countr_zero(c.keys_));
+                c.keys_ &= c.keys_ - 1;
+                c.set_ = ThreadSet::Cursor(n_, r_.base,
+                                           bucketWord(c.bucket_, live));
+            }
+        }
+        while (c.index_ < sorted_.size()) {
+            const ThreadId t = sorted_[c.index_++];
+            if ((live(t / 64) >> (t % 64)) & 1)
+                return t;
+        }
+        return kNoThread;
+    }
+
+    /**
+     * Visit the first @p count threads of the fixed order over the
+     * whole universe, wrapping around it as often as @p count needs
+     * (the slot accounting's prefix). A keyless ranking's universe is
+     * every thread: its prefix is base, base + 1, ... mod n.
+     */
+    template <typename Visit>
+    void
+    forFirst(std::uint32_t count, Visit &&visit) const
+    {
+        if (mode_ == Mode::Rotation) {
+            for (ThreadId t = r_.base; count > 0; --count) {
+                visit(t);
+                if (++t == n_)
+                    t = 0;
+            }
+            return;
+        }
+        const auto every = [](std::size_t) { return ~std::uint64_t(0); };
+        while (count > 0) {
+            Cursor c = begin(every);
+            for (ThreadId t; count > 0 && (t = next(c, every)) != kNoThread;
+                 --count)
+                visit(t);
+        }
+    }
+
+  private:
+    /** The lowest key in the universe (0 when keyless or empty). */
+    std::uint32_t
+    firstKey() const
+    {
+        return keyMask_ ? std::uint32_t(std::countr_zero(keyMask_)) : 0;
+    }
+
+    /** Word function of bucket @p k's threads in @p live: all of
+     *  @p live in a keyless ranking, none in a sorted one. */
+    template <typename Word>
+    auto
+    bucketWord(std::uint32_t k, const Word &live) const
+    {
+        return [this, k, &live](std::size_t w) -> std::uint64_t {
+            if (mode_ == Mode::Rotation)
+                return live(w);
+            return mode_ == Mode::Buckets ? buckets_[k].word(w) & live(w)
+                                          : 0;
+        };
+    }
+
+    /** Keys below this take the bucket sets. */
+    static constexpr std::uint32_t kBuckets = 64;
+
+    enum class Mode : std::uint8_t { Rotation, Buckets, Sorted };
+
+    /** fix() for a keyed ranking. */
+    void fixKeyed(const std::vector<ThreadState> &threads,
+                  const ThreadSet &universe);
+
+    std::uint32_t n_;
+    Ranking r_;
+    Mode mode_ = Mode::Rotation;
+    std::uint64_t keyMask_ = 0;       ///< Keys of the universe.
+    std::vector<ThreadSet> buckets_;  ///< Threads by key, once keyed.
+    std::vector<std::uint32_t> bucketOf_;  ///< Each thread's bucket.
+    std::vector<ThreadId> sorted_;    ///< The universe in order.
+};
+
+/**
+ * The round-robin rotation every policy ranks over: a base thread
+ * advanced one step per cycle, wrapping at the thread count.
+ */
+class Rotation
+{
+  public:
+    explicit Rotation(std::uint32_t nthreads) : n_(nthreads) {}
+
+    /** The thread ranked first among equal keys this cycle. */
+    ThreadId base() const { return base_; }
+
+    void
+    advance()
+    {
+        if (++base_ == n_)
+            base_ = 0;
+    }
+
+    /** Advance @p cycles times in O(1). */
+    void skip(std::uint64_t cycles) { base_ = ThreadId((base_ + cycles) % n_); }
+
+    void save(ByteWriter &w) const;
+
+    /** Restore state saved by save(); throws SnapshotError on a base
+     *  that is not a thread of this machine. */
+    void restore(ByteReader &r);
+
+  private:
+    std::uint32_t n_;
+    ThreadId base_ = 0;
+};
+
+/**
+ * Decides which threads fetch this cycle. fetchRanking() describes the
+ * cycle's priority order; the Simulator walks the threads with room in
+ * their fetch buffer in that order, skips ineligible and vetoed ones,
+ * and fetches the first fetchThreadsPerCycle others.
  */
 class FetchPolicy
 {
   public:
+    explicit FetchPolicy(std::uint32_t nthreads) : rotation_(nthreads) {}
     virtual ~FetchPolicy() = default;
 
     /** Registry name ("icount", ...), for labels and error messages. */
     virtual std::string_view name() const = 0;
 
     /**
-     * Emit every thread id, highest fetch priority first, into @p out
-     * (cleared first). @p threads is indexed by tid.
+     * This cycle's fetch ranking over the keys in @p threads (indexed
+     * by tid), with rotationBase() as its base.
      */
-    virtual void fetchOrder(const std::vector<ThreadState> &threads,
-                            std::vector<ThreadId> &out) = 0;
+    virtual Ranking
+    fetchRanking(const std::vector<ThreadState> &threads) const = 0;
+
+    /** Every thread id in fetchRanking()'s order, into @p out: the
+     *  reference materializer (rankThreads). */
+    void
+    fetchOrder(const std::vector<ThreadState> &threads,
+               std::vector<ThreadId> &out) const
+    {
+        rankThreads(fetchRanking(threads), threads, out);
+    }
 
     /**
      * Gating veto: may thread @p t fetch at all this cycle? Consulted
-     * by the Simulator for every thread before the ranked walk hands
-     * out I-cache ports; a vetoed thread neither fetches nor consumes
-     * a port (ordering policies rank it, but the walk skips it — with
-     * ties broken by rotation position, that is equivalent to
-     * excluding it before ranking). Must be a pure function of @p t.
-     * Default: never veto.
+     * by the Simulator for every thread the ranked walk reaches before
+     * it hands out an I-cache port; a vetoed thread neither fetches nor
+     * consumes a port (with ties broken by rotation position, that is
+     * equivalent to excluding it before ranking). Must be a pure
+     * function of @p t. Default: never veto.
      */
     virtual bool
     mayFetch(const ThreadState &t) const
@@ -188,9 +454,15 @@ class FetchPolicy
     }
 
     /**
+     * Can shouldFlush() return true at all? The Simulator runs the
+     * flush pass only under a policy that answers true. Default: false.
+     */
+    virtual bool flushes() const { return false; }
+
+    /**
      * Squash request: should the Simulator flush thread @p t's
      * not-yet-dispatched fetch buffer this cycle? Consulted at the
-     * start of the fetch stage, before ordering; on true the Simulator
+     * start of the fetch stage, before ranking; on true the Simulator
      * returns the buffered instructions to the front of the thread's
      * stream for later re-fetch (Simulator::flushFetchBuffer) so their
      * dispatch slots go to other threads. Must be a pure function of
@@ -233,68 +505,95 @@ class FetchPolicy
      */
     virtual bool readsWindows() const { return false; }
 
-    /** Advance per-cycle state (rotations); called once per cycle. */
-    virtual void endCycle() {}
+    /** Advance the rotation; called once per cycle. */
+    void endCycle() { rotation_.advance(); }
 
-    /**
-     * Advance per-cycle state by @p n cycles at once; must leave the
-     * policy in exactly the state n endCycle() calls would (the idle
-     * fast-forward engine's byte-identity contract). The default
-     * matches the default endCycle(): no per-cycle state, no-op.
-     */
-    virtual void skipCycles(std::uint64_t n) { (void)n; }
+    /** Advance the rotation by @p n cycles at once, exactly as n
+     *  endCycle() calls would (the idle fast-forward engine). */
+    void skipCycles(std::uint64_t n) { rotation_.skip(n); }
 
-    /** Serialize private per-cycle state (rotations). Policies are
-     *  otherwise stateless, so the default writes nothing. */
-    virtual void save(ByteWriter &w) const { (void)w; }
+    /** Serialize the rotation, the policy's only state. */
+    void save(ByteWriter &w) const { rotation_.save(w); }
 
-    /** Restore state saved by save(). */
-    virtual void restore(ByteReader &r) { (void)r; }
+    /** Restore state saved by save() (Rotation::restore). */
+    void restore(ByteReader &r) { rotation_.restore(r); }
+
+  protected:
+    /** This cycle's rotation base, for the rankings. */
+    ThreadId rotationBase() const { return rotation_.base(); }
+
+  private:
+    Rotation rotation_;
 };
 
 /**
  * Decides the thread visit order of the shared back-end stages:
- * dispatch, and issue per unit. Each order is computed once per cycle,
- * the issue orders before the issue stage and the dispatch order after
- * it, each from the live keys of that moment.
+ * dispatch, and issue per unit. The Simulator fixes each ranking once
+ * per cycle, the issue rankings before the issue stage and the
+ * dispatch ranking after it, each over the live keys of that moment.
  */
 class ArbitrationPolicy
 {
   public:
+    explicit ArbitrationPolicy(std::uint32_t nthreads)
+        : rotation_(nthreads)
+    {}
     virtual ~ArbitrationPolicy() = default;
 
     /** Registry name ("round-robin", ...). */
     virtual std::string_view name() const = 0;
 
-    /** Visit order for this cycle's dispatch stage (into @p out). */
-    virtual void dispatchOrder(const std::vector<ThreadState> &threads,
-                               std::vector<ThreadId> &out) = 0;
+    /** This cycle's dispatch ranking. */
+    virtual Ranking
+    dispatchRanking(const std::vector<ThreadState> &threads) const = 0;
 
     /**
-     * Visit order for @p unit's issue this cycle (into @p out). The
-     * Simulator reuses this exact order for the unused-slot
-     * classification of the same cycle.
+     * This cycle's ranking for @p unit's issue. The Simulator walks
+     * the same fixed ranking for the unused-slot classification of the
+     * same cycle.
      */
-    virtual void issueOrder(Unit unit,
-                            const std::vector<ThreadState> &threads,
-                            std::vector<ThreadId> &out) = 0;
+    virtual Ranking issueRanking(Unit unit,
+                                 const std::vector<ThreadState> &threads)
+        const = 0;
+
+    /** Every thread id in dispatchRanking()'s order (rankThreads). */
+    void
+    dispatchOrder(const std::vector<ThreadState> &threads,
+                  std::vector<ThreadId> &out) const
+    {
+        rankThreads(dispatchRanking(threads), threads, out);
+    }
+
+    /** Every thread id in issueRanking()'s order (rankThreads). */
+    void
+    issueOrder(Unit unit, const std::vector<ThreadState> &threads,
+               std::vector<ThreadId> &out) const
+    {
+        rankThreads(issueRanking(unit, threads), threads, out);
+    }
 
     /** Does this policy read the trailing-window keys? (See
      *  FetchPolicy::readsWindows.) Default: false. */
     virtual bool readsWindows() const { return false; }
 
-    /** Advance per-cycle state (rotations); called once per cycle. */
-    virtual void endCycle() {}
+    /** Advance the rotation; called once per cycle. */
+    void endCycle() { rotation_.advance(); }
 
-    /** Advance per-cycle state by @p n cycles at once; must equal n
-     *  endCycle() calls byte for byte (see FetchPolicy::skipCycles). */
-    virtual void skipCycles(std::uint64_t n) { (void)n; }
+    /** n endCycle() calls at once (see FetchPolicy::skipCycles). */
+    void skipCycles(std::uint64_t n) { rotation_.skip(n); }
 
-    /** Serialize private per-cycle state (rotations). */
-    virtual void save(ByteWriter &w) const { (void)w; }
+    /** Serialize the rotation, the policy's only state. */
+    void save(ByteWriter &w) const { rotation_.save(w); }
 
-    /** Restore state saved by save(). */
-    virtual void restore(ByteReader &r) { (void)r; }
+    /** Restore state saved by save() (Rotation::restore). */
+    void restore(ByteReader &r) { rotation_.restore(r); }
+
+  protected:
+    /** This cycle's rotation base, for the rankings. */
+    ThreadId rotationBase() const { return rotation_.base(); }
+
+  private:
+    Rotation rotation_;
 };
 
 /** Build the fetch policy selected by @p cfg.fetchPolicy. */
