@@ -694,26 +694,26 @@ class DslKernelFactory : public TraceSourceFactory
         : text_(std::move(text)), overrides_(std::move(overrides))
     {
         CompiledKernel c = compileDsl(text_, overrides_);
-        kernel_ = std::move(c.kernel);
+        kernel_ = std::make_shared<const Kernel>(std::move(c.kernel));
 
         // A kernel named after a modelled benchmark takes that
         // benchmark's layout slot (so a copy of a built-in's text runs
         // exactly as the built-in does); anything else hashes into the
         // remaining slots below the 6-bit region-encoding limit.
-        const std::size_t idx = specFp95Index(kernel_.name);
+        const std::size_t idx = specFp95Index(kernel_->name);
         if (idx < specFp95Names().size()) {
             slot_ = idx;
         } else {
             const auto *bytes = reinterpret_cast<const std::uint8_t *>(
-                kernel_.name.data());
-            slot_ = 10 + fnv1a(bytes, kernel_.name.size()) % 50;
+                kernel_->name.data());
+            slot_ = 10 + fnv1a(bytes, kernel_->name.size()) % 50;
         }
 
         // Two factories share a warm-start prefix only when both the
         // text and every resolved param value coincide.
         const auto *text_bytes =
             reinterpret_cast<const std::uint8_t *>(text_.data());
-        fingerprint_ = "dsl:" + kernel_.name + "@" +
+        fingerprint_ = "dsl:" + kernel_->name + "@" +
                        std::to_string(fnv1a(text_bytes, text_.size()));
         for (const auto &[name, value] : c.params)
             fingerprint_ += ":" + name + "=" + numText(value);
@@ -737,14 +737,16 @@ class DslKernelFactory : public TraceSourceFactory
         return std::make_unique<DslKernelFactory>(*this);
     }
 
-    const std::string &name() const override { return kernel_.name; }
+    const std::string &name() const override { return kernel_->name; }
 
     std::string fingerprint() const override { return fingerprint_; }
 
   private:
     std::string text_;
     ParamOverrides overrides_;
-    Kernel kernel_;
+    /** Compiled, so validated, once; shared by every source make()
+     *  builds and every clone. */
+    std::shared_ptr<const Kernel> kernel_;
     std::size_t slot_ = 0;
     std::string fingerprint_;
 };

@@ -7,15 +7,17 @@ namespace mtdae {
 
 namespace {
 
-/** Each built-in model compiled from its embedded text, once per
- *  process; read-only afterwards, so every thread may share it. */
-const std::vector<Kernel> &
+/** Each built-in model compiled, and so validated, from its embedded
+ *  text, once per process; immutable afterwards, so every source on
+ *  every thread shares it. */
+const std::vector<std::shared_ptr<const Kernel>> &
 builtinKernels()
 {
-    static const std::vector<Kernel> kernels = [] {
-        std::vector<Kernel> v;
+    static const std::vector<std::shared_ptr<const Kernel>> kernels = [] {
+        std::vector<std::shared_ptr<const Kernel>> v;
         for (const BuiltinKernelText &b : builtinKernelTexts())
-            v.push_back(dsl::compileKernel(std::string(b.text)));
+            v.push_back(std::make_shared<const Kernel>(
+                dsl::compileKernel(std::string(b.text))));
         return v;
     }();
     return kernels;
@@ -81,7 +83,7 @@ workloadSourceSeed(std::uint64_t seed, ThreadId thread, std::size_t slot)
 Kernel
 buildSpecFp95(const std::string &name)
 {
-    return builtinKernels()[builtinIndex(name)];
+    return *builtinKernels()[builtinIndex(name)];
 }
 
 std::unique_ptr<KernelTraceSource>

@@ -13,6 +13,14 @@ roundUp(std::uint64_t v, std::uint64_t align)
     return (v + align - 1) / align * align;
 }
 
+/** @p kernel, validated, as an immutable shared kernel. */
+std::shared_ptr<const Kernel>
+validated(Kernel kernel)
+{
+    kernel.validate();
+    return std::make_shared<const Kernel>(std::move(kernel));
+}
+
 } // namespace
 
 void
@@ -34,20 +42,27 @@ TraceSource::restore(ByteReader &r)
 KernelTraceSource::KernelTraceSource(Kernel kernel, Addr mem_base,
                                      Addr pc_base, std::uint64_t seed,
                                      std::uint64_t iterations)
+    : KernelTraceSource(validated(std::move(kernel)), mem_base, pc_base,
+                        seed, iterations)
+{}
+
+KernelTraceSource::KernelTraceSource(std::shared_ptr<const Kernel> kernel,
+                                     Addr mem_base, Addr pc_base,
+                                     std::uint64_t seed,
+                                     std::uint64_t iterations)
     : kernel_(std::move(kernel)),
       pcBase_(pc_base),
       rng_(seed),
       iterations_(iterations ? iterations : 1),
-      streamOff_(kernel_.streams.size(), 0)
+      streamOff_(kernel_->streams.size(), 0)
 {
-    kernel_.validate();
     // Lay the streams out back to back, 4 KB-rounded with a 4 KB gap, as
     // a compiler/allocator would. Cache-resident stream sets therefore
     // occupy disjoint direct-mapped frames, while multi-MB streams
     // naturally spread over the whole index space.
     Addr base = mem_base;
-    for (std::size_t i = 0; i < kernel_.streams.size(); ++i) {
-        const StreamSpec &s = kernel_.streams[i];
+    for (std::size_t i = 0; i < kernel_->streams.size(); ++i) {
+        const StreamSpec &s = kernel_->streams[i];
         streamBase_.push_back(base);
         base += roundUp(s.footprint, 4096) + 4096;
     }
@@ -56,7 +71,7 @@ KernelTraceSource::KernelTraceSource(Kernel kernel, Addr mem_base,
 Addr
 KernelTraceSource::streamAddr(int stream_id)
 {
-    const StreamSpec &s = kernel_.streams[stream_id];
+    const StreamSpec &s = kernel_->streams[stream_id];
     std::uint64_t &off = streamOff_[stream_id];
     Addr a;
     switch (s.kind) {
@@ -96,7 +111,7 @@ KernelTraceSource::next(TraceInst &out)
     if (done_)
         return false;
 
-    const KOp &o = kernel_.ops[opIdx_];
+    const KOp &o = kernel_->ops[opIdx_];
 
     out = TraceInst{};
     out.op = o.op;
@@ -196,7 +211,7 @@ KernelTraceSource::restore(ByteReader &r)
     opIdx_ = r.u64();
     emitted_ = r.u64();
     done_ = r.b();
-    if (!done_ && opIdx_ >= kernel_.ops.size())
+    if (!done_ && opIdx_ >= kernel_->ops.size())
         throw SnapshotError("kernel op index out of range in snapshot");
 }
 

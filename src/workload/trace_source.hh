@@ -98,7 +98,7 @@ class KernelTraceSource : public TraceSource
 {
   public:
     /**
-     * @param kernel   validated kernel to expand
+     * @param kernel   kernel to expand; Kernel::validate() checks it here
      * @param mem_base  base of this instance's data region
      * @param pc_base   base of this instance's code region
      * @param seed     RNG seed (gathers and data-dependent branches)
@@ -108,8 +108,19 @@ class KernelTraceSource : public TraceSource
                       std::uint64_t seed,
                       std::uint64_t iterations = std::uint64_t(1) << 62);
 
+    /**
+     * Expand a kernel shared with other sources, without a copy.
+     *
+     * @param kernel an immutable kernel Kernel::validate() accepted
+     *               (KernelBuilder::build() validates every kernel it
+     *               builds, so every compiled kernel qualifies)
+     */
+    KernelTraceSource(std::shared_ptr<const Kernel> kernel, Addr mem_base,
+                      Addr pc_base, std::uint64_t seed,
+                      std::uint64_t iterations = std::uint64_t(1) << 62);
+
     bool next(TraceInst &out) override;
-    const std::string &name() const override { return kernel_.name; }
+    const std::string &name() const override { return kernel_->name; }
     void save(ByteWriter &w) const override;
     void restore(ByteReader &r) override;
 
@@ -117,12 +128,12 @@ class KernelTraceSource : public TraceSource
     std::uint64_t emitted() const { return emitted_; }
 
     /** The expanded kernel. */
-    const Kernel &kernel() const { return kernel_; }
+    const Kernel &kernel() const { return *kernel_; }
 
   private:
     Addr streamAddr(int stream_id);
 
-    Kernel kernel_;
+    std::shared_ptr<const Kernel> kernel_;
     Addr pcBase_;
     Rng rng_;
     std::uint64_t iterations_;
