@@ -266,6 +266,39 @@ TEST(SnapshotContainer, RejectsInFlightRegisterOutOfRange)
     EXPECT_THROW(fresh.restoreSnapshot(snap), SnapshotError);
 }
 
+TEST(SnapshotContainer, RejectsPolicyRotationOutOfRange)
+{
+    // Each policy saves its rotation base, which names a thread of the
+    // machine, and the stage walks start from it: a base at or past
+    // the thread count must be refused, not wrapped. The fetch and the
+    // issue policy's bases are the two u32s before the slot counts and
+    // the seven trailing counters.
+    const SimConfig cfg = testConfig(2);
+    Simulator sim = makeSim(cfg, streamingKernel(), 20);
+    for (int c = 0; c < 41; ++c)
+        sim.step();
+    const Snapshot good = sim.saveSnapshot();
+    const std::size_t tail = (2 * kNumSlotUses + 7) * 8;
+    ASSERT_GE(good.payload.size(), tail + 8);
+    const std::size_t fetch_at = good.payload.size() - tail - 8;
+    for (const std::size_t at : {fetch_at, fetch_at + 4}) {
+        ByteReader saved(good.payload.data() + at, 4);
+        ASSERT_EQ(saved.u32(), 1u) << "41 cycles on 2 threads, at " << at;
+        for (const std::uint32_t base : {2u, 3u, 0xffffffffu}) {
+            ByteWriter w;
+            w.u32(base);
+            const Bytes bytes = w.take();
+            Snapshot bad = good;
+            std::copy(bytes.begin(), bytes.end(), bad.payload.begin() + at);
+            Simulator fresh = makeSim(cfg, streamingKernel(), 20);
+            EXPECT_THROW(fresh.restoreSnapshot(bad), SnapshotError)
+                << "base " << base << " at " << at;
+        }
+    }
+    Simulator fresh = makeSim(cfg, streamingKernel(), 20);
+    EXPECT_NO_THROW(fresh.restoreSnapshot(good));
+}
+
 TEST(SnapshotContainer, RejectsInconsistentPerceivedTracker)
 {
     // The tracker's payload as save() lays it out: slots (stalls,
