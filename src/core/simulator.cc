@@ -761,6 +761,8 @@ Simulator::finishCycle()
     fetchPolicy_->endCycle();
     issuePolicy_->endCycle();
     now_ += 1;
+    if (now_ >= parkWake_)
+        releaseParked();
     // A policy reading the windows gets this cycle's samples now, so
     // all of next cycle's consultations see the same windows.
     if (windowsRead_)
@@ -982,6 +984,8 @@ Simulator::trySkipIdle(std::uint64_t max_cycles)
             issuePolicy_->skipCycles(bulk);
             now_ += bulk;
             n -= bulk;
+            if (now_ >= parkWake_)
+                releaseParked();
             if (windowsRead_)
                 syncAllWindows();
         }
@@ -1047,8 +1051,6 @@ Simulator::stepImpl()
 
     mem_.beginCycle(now_);
     processCompletions();
-    if (now_ >= parkWake_)
-        releaseParked();
     mark(Stage::Complete);
     fixIssueRankings();
     mark(Stage::Snapshot);

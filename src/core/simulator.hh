@@ -285,6 +285,9 @@ class Simulator
         return parked_.at(t).loadAddr;
     }
 
+    /** loadParkedUntil() for thread @p t's ROB-head store. */
+    Cycle storeParkedUntil(ThreadId t) const { return parked_.at(t).store; }
+
     /** heldLoad() for thread @p t's ROB-head store (graduation). */
     std::optional<Addr>
     heldStore(ThreadId t) const
@@ -452,11 +455,12 @@ class Simulator
      *  until @p until, if that is after now_. */
     void park(ThreadSet &parked, ThreadSet &stage, ThreadId t, Cycle until);
     /** Release every parked head whose deadline has come (now_ has
-     *  reached parkWake_). */
+     *  reached parkWake_); called wherever now_ advances. */
     void releaseParked();
     void graduateStage();
-    /** Policy endCycle()s, now_ advance, and the window sync of a
-     *  policy that reads the windows (windowsRead_). */
+    /** Policy endCycle()s, now_ advance, the release of parked heads
+     *  whose deadline came, and the window sync of a policy that reads
+     *  the windows (windowsRead_). */
     void finishCycle();
 
     // --- Lazily kept per-thread statistics -----------------------------

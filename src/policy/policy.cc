@@ -46,13 +46,36 @@ rankThreads(const Ranking &r, const std::vector<ThreadState> &threads,
         });
 }
 
+namespace {
+
+/** Call @p f with a function object that reads key @p k of a thread. */
+template <typename F>
+decltype(auto)
+withKey(RankKey k, F &&f)
+{
+    switch (k) {
+      case RankKey::FetchBuf:
+        return f([](const ThreadState &t) { return t.fetchBufOccupancy; });
+      case RankKey::FrontEnd:
+        return f([](const ThreadState &t) { return t.frontEndOccupancy(); });
+      case RankKey::Branches:
+        return f([](const ThreadState &t) { return t.unresolvedBranches; });
+      case RankKey::Misses:
+        return f([](const ThreadState &t) { return t.outstandingMisses; });
+      case RankKey::IqWindow:
+        return f([](const ThreadState &t) { return t.iqOccupancyWindow; });
+      case RankKey::None:
+        break;
+    }
+    return f([](const ThreadState &) { return std::uint32_t(0); });
+}
+
+} // namespace
+
 void
 RankedWalk::fixKeyed(const std::vector<ThreadState> &threads,
                      const ThreadSet &universe)
 {
-    keyMask_ = 0;
-    if (r_.key == RankKey::None)
-        return;
     const auto members = [&](std::size_t w) { return universe.word(w); };
     if (!r_.weighted) {
         if (buckets_.empty()) {
@@ -65,19 +88,22 @@ RankedWalk::fixKeyed(const std::vector<ThreadState> &threads,
         // saw it; one outside this universe may linger in a stale one,
         // harmlessly, since every walk reads the buckets through a live
         // set within the universe.
-        bool narrow = true;
-        ThreadSet::Cursor c(n_, 0, members);
-        for (ThreadId t; narrow && (t = c.next(members)) != kNoThread;) {
-            const std::uint32_t k = rankKey(r_.key, threads[t]);
-            narrow = k < kBuckets;
-            if (narrow && bucketOf_[t] != k) {
-                if (bucketOf_[t] != kBuckets)
-                    buckets_[bucketOf_[t]].erase(t);
-                buckets_[k].insert(t);
-                bucketOf_[t] = k;
+        const bool narrow = withKey(r_.key, [&](auto key) {
+            ThreadSet::Cursor c(n_, 0, members);
+            for (ThreadId t; (t = c.next(members)) != kNoThread;) {
+                const std::uint32_t k = key(threads[t]);
+                if (k >= kBuckets)
+                    return false;
+                if (bucketOf_[t] != k) {
+                    if (bucketOf_[t] != kBuckets)
+                        buckets_[bucketOf_[t]].erase(t);
+                    buckets_[k].insert(t);
+                    bucketOf_[t] = k;
+                }
+                keyMask_ |= std::uint64_t(1) << k;
             }
-            keyMask_ |= std::uint64_t(narrow) << (k % kBuckets);
-        }
+            return true;
+        });
         if (narrow) {
             mode_ = Mode::Buckets;
             return;

@@ -246,6 +246,7 @@ class RankedWalk
     {
         r_ = r;
         mode_ = Mode::Rotation;
+        keyMask_ = 0;
         if (r.key != RankKey::None)
             fixKeyed(threads, universe);
     }
@@ -287,7 +288,9 @@ class RankedWalk
     ThreadId
     next(Cursor &c, const Word &live) const
     {
-        if (mode_ != Mode::Sorted) {
+        if (mode_ == Mode::Rotation)
+            return c.set_.next(live);
+        if (mode_ == Mode::Buckets) {
             for (;;) {
                 const ThreadId t =
                     c.set_.next(bucketWord(c.bucket_, live));

@@ -546,11 +546,9 @@ TEST(PolicySweep, AblateGatingCoversItsGrid)
 
 TEST(PolicyContract, EveryOrderIsAFullPermutation)
 {
-    // The contract Simulator::accountSlots leans on (its
-    // reasons[s % reasons.size()] round-robin asserts a non-empty
-    // order): every policy's visit order is a permutation of all
-    // thread ids — never empty, never duplicated, never filtered.
-    // Eligibility is the Simulator's job, applied after the policy.
+    // Every policy's reference order is a permutation of all thread
+    // ids — never empty, never duplicated, never filtered. Eligibility
+    // is the Simulator's job: its stage sets filter the ranking.
     Rng rng(0x6f72646572);
     for (std::uint32_t n : {1u, 2u, 3u, 6u}) {
         auto ts = blankStates(n);
@@ -597,6 +595,122 @@ TEST(PolicyContract, EveryOrderIsAFullPermutation)
                         << policyName(ik) << " issue n=" << n;
                 }
                 pol->endCycle();
+            }
+        }
+    }
+}
+
+/** @p order restricted to the members of @p subset. */
+Order
+filtered(const Order &order, const ThreadSet &subset)
+{
+    Order out;
+    for (const ThreadId t : order)
+        if (subset.contains(t))
+            out.push_back(t);
+    return out;
+}
+
+/**
+ * Check @p r, whose reference order over @p ts is @p ref, against the
+ * walks of @p walk: fixed over @p universe and walked over @p live (a
+ * subset of it), the walk visits ref filtered to @p live; fixed over
+ * every thread, forFirst(k) yields ref's first k threads, wrapping.
+ */
+void
+expectWalksMatch(RankedWalk &walk, const Ranking &r,
+                 const std::vector<ThreadState> &ts, const Order &ref,
+                 const ThreadSet &universe, const ThreadSet &live,
+                 const std::string &what)
+{
+    const auto n = std::uint32_t(ts.size());
+    walk.fix(r, ts, universe);
+    const auto word = [&](std::size_t w) { return live.word(w); };
+    Order got;
+    RankedWalk::Cursor c = walk.begin(word);
+    for (ThreadId t; (t = walk.next(c, word)) != kNoThread;)
+        got.push_back(t);
+    EXPECT_EQ(got, filtered(ref, live)) << what;
+
+    ThreadSet all(n);
+    all.fill();
+    walk.fix(r, ts, all);
+    for (const std::uint32_t count : {1u, 3u, n, n + 3, 2 * n + 1}) {
+        Order prefix;
+        walk.forFirst(count, [&](ThreadId t) { prefix.push_back(t); });
+        Order want;
+        for (std::uint32_t i = 0; i < count; ++i)
+            want.push_back(ref[i % n]);
+        EXPECT_EQ(prefix, want) << what << " prefix of " << count;
+    }
+}
+
+TEST(PolicyContract, RankedWalksMatchTheReferenceOrders)
+{
+    // The Simulator never materializes an order: it fixes each seam's
+    // Ranking and walks only the threads of a stage set. For every
+    // policy and seam, over random keys, weights, rotations and
+    // candidate subsets, on machines of one set word and of several,
+    // with keys inside and beyond the bucket range, the walk must visit
+    // exactly the reference order (fetchOrder, dispatchOrder,
+    // issueOrder) filtered to the subset, and the slot accounting's
+    // prefix must be the reference order's. One RankedWalk per seam
+    // serves every trial, so buckets left by earlier rankings are in
+    // play.
+    Rng rng(0x77616c6b);
+    for (const std::uint32_t n : {1u, 2u, 5u, 64u, 65u, 130u}) {
+        RankedWalk walk(n);
+        for (int trial = 0; trial < 9; ++trial) {
+            const bool wide = trial % 3 == 2;
+            auto ts = blankStates(n);
+            for (auto &t : ts) {
+                t.fetchBufOccupancy = std::uint32_t(rng.uniform(wide ? 90 : 17));
+                t.apQueueOccupancy = std::uint32_t(rng.uniform(17));
+                t.iqOccupancy = std::uint32_t(rng.uniform(wide ? 49 : 9));
+                t.unresolvedBranches = std::uint32_t(rng.uniform(5));
+                t.outstandingMisses = std::uint32_t(rng.uniform(wide ? 130 : 4));
+                t.iqOccupancyWindow = std::uint32_t(rng.uniform(wide ? 3000 : 60));
+                t.missWindow = rng.bernoulli(0.1) ? 1 : 0;
+                t.weight = trial % 2 ? 1 + std::uint32_t(rng.uniform(5)) : 1;
+            }
+            const double density = 0.1 + 0.4 * (trial % 3);
+            ThreadSet universe(n);
+            ThreadSet live(n);
+            for (ThreadId t = 0; t < n; ++t)
+                if (rng.bernoulli(density)) {
+                    universe.insert(t);
+                    if (rng.bernoulli(0.8))
+                        live.insert(t);
+                }
+            const std::uint64_t cycles = rng.uniform(3 * n + 1);
+            const std::string at = " n=" + std::to_string(n) + " trial " +
+                                   std::to_string(trial);
+            Order ref;
+            for (const PolicyKind fk : fetchPolicies()) {
+                auto pol = makeFetchPolicy(
+                    threadedCfg(n, fk, PolicyKind::RoundRobin));
+                pol->skipCycles(cycles);
+                pol->fetchOrder(ts, ref);
+                expectWalksMatch(walk, pol->fetchRanking(ts), ts, ref,
+                                 universe, live,
+                                 std::string(policyName(fk)) + " fetch" + at);
+            }
+            for (const PolicyKind ik : issuePolicies()) {
+                auto pol = makeArbitrationPolicy(
+                    threadedCfg(n, PolicyKind::Icount, ik));
+                pol->skipCycles(cycles);
+                pol->dispatchOrder(ts, ref);
+                expectWalksMatch(walk, pol->dispatchRanking(ts), ts, ref,
+                                 universe, live,
+                                 std::string(policyName(ik)) + " dispatch" +
+                                     at);
+                for (const Unit u : {Unit::AP, Unit::EP}) {
+                    pol->issueOrder(u, ts, ref);
+                    expectWalksMatch(walk, pol->issueRanking(u, ts), ts, ref,
+                                     universe, live,
+                                     std::string(policyName(ik)) + " issue " +
+                                         (u == Unit::AP ? "AP" : "EP") + at);
+                }
             }
         }
     }

@@ -304,6 +304,13 @@ TEST_P(LiveKeyFuzzTest, LiveKeysMatchRecomputation)
     // is a graduable head, a class marked blocked belongs to a head
     // that fails a gate, a thread waiting to dispatch fails
     // canDispatch, and one waiting to graduate has a head that cannot.
+    // Each stage set holds exactly the threads the stage would not pass
+    // over, by the same facts recomputed: the issue sets from the
+    // queues, the classes and the parking, the fetch set from the
+    // buffer; the dispatch and graduation sets, whose missing members
+    // are the wait marks, only threads with work, the rest justified by
+    // the checks above. Each parked mask holds the held heads whose
+    // deadline has not come.
     // A few save/restore round trips check what restore rebuilds.
     const std::uint64_t seed = GetParam();
     Rng rng(deriveSeed(0x73636163, seed));
@@ -377,6 +384,44 @@ TEST_P(LiveKeyFuzzTest, LiveKeysMatchRecomputation)
                 ASSERT_TRUE(ctx.storeDataReady(head))
                     << k.name << " t" << t << " at cycle " << sim.now();
             }
+            using Set = Simulator::StageSet;
+            const bool load_parked =
+                sim.heldLoad(t) && sim.now() < sim.loadParkedUntil(t);
+            const bool store_parked =
+                sim.heldStore(t) && sim.now() < sim.storeParkedUntil(t);
+            ASSERT_EQ(sim.loadParked(t), load_parked)
+                << k.name << " t" << t << " at cycle " << sim.now();
+            ASSERT_EQ(sim.storeParked(t), store_parked)
+                << k.name << " t" << t << " at cycle " << sim.now();
+            for (const Unit unit : {Unit::AP, Unit::EP}) {
+                const auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
+                const std::optional<StallClass> cls =
+                    sim.cachedStallClass(unit, t);
+                const bool blocked =
+                    cls && (cls->reason == SlotUse::WaitMem ||
+                            cls->reason == SlotUse::WaitFu ||
+                            (!cfg.decoupled && !queue.empty() &&
+                             queue.front()->seq != ctx.nextIssueSeq));
+                ASSERT_EQ(sim.cachedBlocked(unit, t), blocked && !queue.empty())
+                    << k.name << " t" << t << " unit " << int(unit);
+                ASSERT_EQ(sim.stageVisits(unit == Unit::AP ? Set::IssueAp
+                                                           : Set::IssueEp,
+                                          t),
+                          !queue.empty() && !blocked &&
+                              !(unit == Unit::AP && load_parked))
+                    << k.name << " t" << t << " unit " << int(unit)
+                    << " at cycle " << sim.now();
+            }
+            ASSERT_EQ(sim.stageVisits(Set::Fetch, t),
+                      ctx.fetchBuf.size() < cfg.fetchBufferSize)
+                << k.name << " t" << t << " at cycle " << sim.now();
+            ASSERT_TRUE(!sim.stageVisits(Set::Dispatch, t) ||
+                        (!ctx.fetchBuf.empty() &&
+                         ctx.rob.size() < cfg.robEntries))
+                << k.name << " t" << t << " at cycle " << sim.now();
+            ASSERT_TRUE(!sim.stageVisits(Set::Graduate, t) ||
+                        (!ctx.rob.empty() && !store_parked))
+                << k.name << " t" << t << " at cycle " << sim.now();
             if (sim.dispatchWaiting(t)) {
                 ASSERT_FALSE(ctx.fetchBuf.empty()) << k.name << " t" << t;
                 ASSERT_FALSE(sim.canDispatch(ctx))
