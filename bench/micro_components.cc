@@ -110,36 +110,6 @@ BENCHMARK(BM_SimulatorCycles)->Arg(1)->Arg(4)->Arg(8)->Arg(64);
 
 // --- Hot-loop micros (docs/PERFORMANCE.md) ----------------------------
 
-/** One cycle of policy ranking on a 64-context machine: the icount
- *  fetch order plus the round-robin dispatch and issue orders, over
- *  the live keys of a run 2000 cycles past its start. */
-static void
-BM_PolicyOrder64(benchmark::State &state)
-{
-    SimConfig cfg = paperConfig(64, true, 16);
-    cfg.warmupInsts = 0;
-    std::vector<std::unique_ptr<TraceSource>> sources;
-    for (ThreadId t = 0; t < cfg.numThreads; ++t)
-        sources.push_back(makeSuiteMixSource(t, 1));
-    Simulator sim(cfg, std::move(sources));
-    for (int c = 0; c < 2000; ++c)
-        sim.step();
-    const std::vector<ThreadState> keys = sim.policyKeys();
-    const auto fetch = makeFetchPolicy(cfg);
-    const auto arb = makeArbitrationPolicy(cfg);
-    std::vector<ThreadId> order;
-    for (auto _ : state) {
-        fetch->fetchOrder(keys, order);
-        arb->dispatchOrder(keys, order);
-        arb->issueOrder(Unit::AP, keys, order);
-        arb->issueOrder(Unit::EP, keys, order);
-        benchmark::DoNotOptimize(order.data());
-        fetch->endCycle();
-        arb->endCycle();
-    }
-}
-BENCHMARK(BM_PolicyOrder64);
-
 /** Store-forwarding lookup against a full-size SAQ: Arg(0) = the
  *  reference linear walk, Arg(1) = the word-count index the issue
  *  stage uses (Context::saqForwardsFast). */
