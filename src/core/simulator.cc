@@ -150,7 +150,7 @@ Simulator::processCompletions()
         di->state = InstState::Completed;
         // The ROB head, or the producer of a store head's data, ends a
         // graduation wait.
-        if (!storeParked(ev.tid))
+        if (!graduateSet_.contains(ev.tid) && !storeParked(ev.tid))
             graduateSet_.insert(ev.tid);
 
         if (di->ti.dst.valid()) {
