@@ -9,10 +9,12 @@
  *
  * The accounting invariant: every nanosecond of a profiled step() lands
  * in exactly one stage bucket, so the buckets sum to totalNs exactly
- * (tests/test_profile.cc asserts this). The policy-ranking calls (the
- * issue, dispatch and fetch orders) are marked apart from the stages
- * that walk those orders and credited to Stage::Snapshot, whose name
- * predates the live policy keys.
+ * (tests/test_profile.cc asserts this). Fixing each cycle's policy
+ * rankings (the issue, dispatch and fetch RankedWalk::fix calls) is
+ * marked apart from the stages that walk them and credited to
+ * Stage::Snapshot, whose name predates the live policy keys. A keyless
+ * ranking fixes nothing, so under round-robin arbitration the bucket
+ * holds little beyond the clock reads that delimit it.
  *
  * Next to the stage buckets, the profile counts the outcome of every
  * idle-skip probe of the run loop (SkipProbe): why a cycle was stepped
@@ -43,7 +45,7 @@ enum class Stage : std::uint8_t {
     Dispatch,  ///< rename/dispatch from the fetch buffers
     Fetch,     ///< flush checks + fetch walk + predictor
     Graduate,  ///< in-order retirement from the ROBs
-    Snapshot,  ///< policy ranking: issue, dispatch and fetch orders
+    Snapshot,  ///< fixing the issue, dispatch and fetch rankings
     Other,     ///< policy endCycle, the per-cycle window sync of a
                ///< policy that reads the windows, loop overhead
     Skipped,   ///< fast-forwarded quiescent spans (trySkipIdle)

@@ -46,32 +46,6 @@ rankThreads(const Ranking &r, const std::vector<ThreadState> &threads,
         });
 }
 
-namespace {
-
-/** Call @p f with a function object that reads key @p k of a thread. */
-template <typename F>
-decltype(auto)
-withKey(RankKey k, F &&f)
-{
-    switch (k) {
-      case RankKey::FetchBuf:
-        return f([](const ThreadState &t) { return t.fetchBufOccupancy; });
-      case RankKey::FrontEnd:
-        return f([](const ThreadState &t) { return t.frontEndOccupancy(); });
-      case RankKey::Branches:
-        return f([](const ThreadState &t) { return t.unresolvedBranches; });
-      case RankKey::Misses:
-        return f([](const ThreadState &t) { return t.outstandingMisses; });
-      case RankKey::IqWindow:
-        return f([](const ThreadState &t) { return t.iqOccupancyWindow; });
-      case RankKey::None:
-        break;
-    }
-    return f([](const ThreadState &) { return std::uint32_t(0); });
-}
-
-} // namespace
-
 void
 RankedWalk::fixKeyed(const std::vector<ThreadState> &threads,
                      const ThreadSet &universe)

@@ -171,19 +171,37 @@ enum class RankKey : std::uint8_t {
     IqWindow,  ///< iqOccupancyWindow (split's EP key)
 };
 
+/**
+ * The key table: call @p f with a function object that reads key @p k
+ * of a ThreadState (0 for RankKey::None), so a loop over threads
+ * switches on the key once.
+ */
+template <typename F>
+decltype(auto)
+withKey(RankKey k, F &&f)
+{
+    switch (k) {
+      case RankKey::FetchBuf:
+        return f([](const ThreadState &t) { return t.fetchBufOccupancy; });
+      case RankKey::FrontEnd:
+        return f([](const ThreadState &t) { return t.frontEndOccupancy(); });
+      case RankKey::Branches:
+        return f([](const ThreadState &t) { return t.unresolvedBranches; });
+      case RankKey::Misses:
+        return f([](const ThreadState &t) { return t.outstandingMisses; });
+      case RankKey::IqWindow:
+        return f([](const ThreadState &t) { return t.iqOccupancyWindow; });
+      case RankKey::None:
+        break;
+    }
+    return f([](const ThreadState &) { return std::uint32_t(0); });
+}
+
 /** The value of key @p k in @p t (0 for RankKey::None). */
 inline std::uint32_t
 rankKey(RankKey k, const ThreadState &t)
 {
-    switch (k) {
-      case RankKey::None: return 0;
-      case RankKey::FetchBuf: return t.fetchBufOccupancy;
-      case RankKey::FrontEnd: return t.frontEndOccupancy();
-      case RankKey::Branches: return t.unresolvedBranches;
-      case RankKey::Misses: return t.outstandingMisses;
-      case RankKey::IqWindow: return t.iqOccupancyWindow;
-    }
-    return 0;
+    return withKey(k, [&](auto key) { return key(t); });
 }
 
 /**
