@@ -66,9 +66,6 @@ class ThreadSet
         return (std::size_t(nthreads) + 63) / 64;
     }
 
-    /** The thread count the set ranges over. */
-    std::uint32_t universe() const { return n_; }
-
     /** Word @p w: threads [64w, 64w + 64). */
     std::uint64_t word(std::size_t w) const { return words_[w]; }
 
@@ -102,14 +99,7 @@ class ThreadSet
         w = (w & ~bit(t)) | (std::uint64_t(in) << (t % 64));
     }
 
-    void
-    clear()
-    {
-        for (std::size_t w = 0; w < wordsFor(n_); ++w)
-            words_[w] = 0;
-    }
-
-    /** Insert every thread below universe(). */
+    /** Insert every thread of the machine. */
     void
     fill()
     {

@@ -62,8 +62,8 @@ Simulator::rebuildDerived()
         dispatchSet_.assign(t, dispatchable(t));
         fetchSet_.assign(t, keys_[t].fetchBufOccupancy < cfg_.fetchBufferSize);
         graduateSet_.assign(t, keys_[t].robOccupancy > 0);
-        all_.insert(t);
     }
+    all_.fill();
 }
 
 // ---------------------------------------------------------------------
