@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "common/types.hh"
 
@@ -25,8 +26,9 @@ namespace mtdae {
  * serve every machine size with one code path.
  *
  * A Cursor takes the set it walks as a word function, `w -> word w`,
- * rather than as a ThreadSet: a stage walks an expression over several
- * sets (say, queued & ~blocked) without materializing it.
+ * rather than as a ThreadSet, so a walk can visit an expression over
+ * several sets (a ranking's key bucket within a stage set) without
+ * materializing it.
  */
 class ThreadSet
 {
@@ -43,19 +45,19 @@ class ThreadSet
     {}
 
     // words_ points into the object itself up to 64 threads, so a move
-    // re-aims it.
-    ThreadSet(ThreadSet &&o) noexcept
-        : n_(o.n_), inline_(o.inline_), heap_(std::move(o.heap_)),
-          words_(heap_ ? heap_.get() : &inline_)
-    {}
+    // re-aims it, and leaves the source an empty set of no threads.
+    ThreadSet(ThreadSet &&o) noexcept { *this = std::move(o); }
 
     ThreadSet &
     operator=(ThreadSet &&o) noexcept
     {
-        n_ = o.n_;
-        inline_ = o.inline_;
+        if (this == &o)
+            return *this;
+        n_ = std::exchange(o.n_, 0);
+        inline_ = std::exchange(o.inline_, 0);
         heap_ = std::move(o.heap_);
         words_ = heap_ ? heap_.get() : &inline_;
+        o.words_ = &o.inline_;
         return *this;
     }
 
