@@ -11,9 +11,11 @@
  *
  * The policy arguments take the names `mtdae help` lists for
  * --fetch-policy / --issue-policy (icount, round-robin, brcount,
- * misscount, plus the fetch-only gating policies stall/flush and the
- * issue-only per-unit split — see docs/POLICIES.md), e.g.:
+ * misscount, weighted, the fetch-only stall, flush and adaptive, and
+ * the issue-only split; see docs/POLICIES.md), e.g.:
  * mix_explorer 4 64 1 0 stall split
+ * A policy given on the wrong seam is a ConfigError, reported as a
+ * usage error like any other invalid machine.
  */
 
 #include <cstdlib>
@@ -44,18 +46,15 @@ run(int argc, char **argv)
     for (int i : {5, 6}) {
         if (argc <= i)
             break;
-        const bool is_fetch = i == 5;
-        PolicyKind &slot = is_fetch ? cfg.fetchPolicy : cfg.issuePolicy;
+        PolicyKind &slot = i == 5 ? cfg.fetchPolicy : cfg.issuePolicy;
         if (!parsePolicy(argv[i], slot)) {
-            std::cerr << "mix_explorer: unknown policy '" << argv[i]
-                      << "' (try icount, round-robin, brcount,"
-                         " misscount, stall, flush, split)\n";
-            return 2;
-        }
-        if (is_fetch ? !policyIsFetch(slot) : !policyIsIssue(slot)) {
-            std::cerr << "mix_explorer: '" << argv[i] << "' is not a "
-                      << (is_fetch ? "fetch" : "dispatch/issue")
-                      << " policy\n";
+            std::cerr << "mix_explorer: unknown policy '" << argv[i] << "'";
+            const char *sep = " (try ";
+            for (const PolicyKind k : allPolicies()) {
+                std::cerr << sep << policyName(k);
+                sep = ", ";
+            }
+            std::cerr << ")\n";
             return 2;
         }
     }

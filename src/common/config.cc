@@ -7,104 +7,6 @@
 
 namespace mtdae {
 
-const char *
-policyName(PolicyKind k)
-{
-    switch (k) {
-      case PolicyKind::Icount:
-        return "icount";
-      case PolicyKind::RoundRobin:
-        return "round-robin";
-      case PolicyKind::BrCount:
-        return "brcount";
-      case PolicyKind::MissCount:
-        return "misscount";
-      case PolicyKind::Stall:
-        return "stall";
-      case PolicyKind::Flush:
-        return "flush";
-      case PolicyKind::Split:
-        return "split";
-      case PolicyKind::Adaptive:
-        return "adaptive";
-      case PolicyKind::Weighted:
-        return "weighted";
-    }
-    MTDAE_PANIC("unreachable PolicyKind");
-}
-
-bool
-parsePolicy(const std::string &s, PolicyKind &out)
-{
-    for (const PolicyKind k : allPolicies()) {
-        if (s == policyName(k)) {
-            out = k;
-            return true;
-        }
-    }
-    return false;
-}
-
-const std::vector<PolicyKind> &
-allPolicies()
-{
-    static const std::vector<PolicyKind> kinds = {
-        PolicyKind::Icount,
-        PolicyKind::RoundRobin,
-        PolicyKind::BrCount,
-        PolicyKind::MissCount,
-        PolicyKind::Stall,
-        PolicyKind::Flush,
-        PolicyKind::Split,
-        PolicyKind::Adaptive,
-        PolicyKind::Weighted,
-    };
-    return kinds;
-}
-
-const std::vector<PolicyKind> &
-fetchPolicies()
-{
-    static const std::vector<PolicyKind> kinds = {
-        PolicyKind::Icount,
-        PolicyKind::RoundRobin,
-        PolicyKind::BrCount,
-        PolicyKind::MissCount,
-        PolicyKind::Stall,
-        PolicyKind::Flush,
-        PolicyKind::Adaptive,
-        PolicyKind::Weighted,
-    };
-    return kinds;
-}
-
-const std::vector<PolicyKind> &
-issuePolicies()
-{
-    static const std::vector<PolicyKind> kinds = {
-        PolicyKind::Icount,
-        PolicyKind::RoundRobin,
-        PolicyKind::BrCount,
-        PolicyKind::MissCount,
-        PolicyKind::Split,
-        PolicyKind::Weighted,
-    };
-    return kinds;
-}
-
-bool
-policyIsFetch(PolicyKind k)
-{
-    return k != PolicyKind::Split;
-}
-
-bool
-policyIsIssue(PolicyKind k)
-{
-    return k != PolicyKind::Stall && k != PolicyKind::Flush &&
-           k != PolicyKind::Adaptive;
-}
-
 SimConfig
 SimConfig::scaledForLatency(std::uint32_t l2_latency) const
 {
@@ -152,16 +54,8 @@ SimConfig::validate() const
 {
     if (numThreads == 0)
         reject("numThreads must be >= 1");
-    if (!policyIsFetch(fetchPolicy))
-        reject("'", policyName(fetchPolicy),
-               "' is not a fetch policy (valid: icount, "
-               "round-robin, brcount, misscount, stall, flush, "
-               "adaptive, weighted)");
-    if (!policyIsIssue(issuePolicy))
-        reject("'", policyName(issuePolicy),
-               "' is not a dispatch/issue policy (valid: icount, "
-               "round-robin, brcount, misscount, split, "
-               "weighted)");
+    requirePolicySeam(fetchPolicy, true);
+    requirePolicySeam(issuePolicy, false);
     for (const std::uint32_t w : threadWeights)
         if (w == 0)
             reject("thread weights must be >= 1");

@@ -22,15 +22,16 @@ namespace mtdae {
  * policy is a pure function of simulation state, so swept results stay
  * byte-identical at any worker count.
  *
- * The first four kinds are pure *ordering* policies and are valid on
- * both seams (fetch and dispatch/issue). Stall and Flush are fetch
- * *gating* policies — they can veto a thread's fetch entirely, not just
- * de-prioritise it — and Split is a per-unit issue policy; each is
- * valid on one seam only (policyIsFetch / policyIsIssue, enforced by
- * SimConfig::validate()). Adaptive is a phase-reactive fetch policy
- * (gating and ranking both switch on the trailing outstanding-miss
- * window), and Weighted consumes the per-thread priority weights
- * (SimConfig::threadWeights) on either seam.
+ * Each kind is one row of the policy table (src/policy/policy.cc): its
+ * name, the seams it may serve, its ranking key per seam, and its fetch
+ * gate. The functions below read that table. The first four kinds are
+ * pure *ordering* policies, valid on both seams (fetch and
+ * dispatch/issue). Stall and Flush are fetch *gating* policies (they
+ * can veto a thread's fetch entirely, not just de-prioritise it), Split
+ * is a per-unit issue policy, and Adaptive is a phase-reactive fetch
+ * policy; each is valid on one seam only. Weighted consumes the
+ * per-thread priority weights (SimConfig::threadWeights) on either
+ * seam.
  */
 enum class PolicyKind : std::uint8_t {
     Icount,      ///< Fewest buffered instructions first (the paper's
@@ -72,6 +73,13 @@ bool policyIsFetch(PolicyKind k);
 
 /** True when @p k may be used as the dispatch/issue policy. */
 bool policyIsIssue(PolicyKind k);
+
+/**
+ * Throw ConfigError unless @p k may be used as the fetch policy
+ * (@p fetch) or as the dispatch/issue policy; the message names the
+ * kinds that may.
+ */
+void requirePolicySeam(PolicyKind k, bool fetch);
 
 /**
  * A SimConfig that describes no buildable machine. Thrown by

@@ -11,18 +11,16 @@ namespace mtdae {
 
 Simulator::Simulator(const SimConfig &cfg,
                      std::vector<std::unique_ptr<TraceSource>> sources)
-    : cfg_(cfg),
-      mem_(cfg),
-      fetchPolicy_(makeFetchPolicy(cfg)),
-      issuePolicy_(makeArbitrationPolicy(cfg)),
-      windowsRead_(fetchPolicy_->readsWindows() ||
-                   issuePolicy_->readsWindows()),
-      flushes_(fetchPolicy_->flushes()),
+    : cfg_((cfg.validate(), cfg)),  // before anything is built from it
+      mem_(cfg_),
+      fetchPolicy_(cfg_),
+      issuePolicy_(cfg_),
+      windowsRead_(fetchPolicy_.readsWindows() ||
+                   issuePolicy_.readsWindows()),
       issueRank_{RankedWalk(cfg.numThreads), RankedWalk(cfg.numThreads)},
       dispatchRank_(cfg.numThreads),
       fetchRank_(cfg.numThreads)
 {
-    cfg_.validate();
     MTDAE_ASSERT(sources.size() == cfg_.numThreads,
                  "need exactly one trace source per hardware context (",
                  sources.size(), " given, ", cfg_.numThreads, " threads)");
@@ -346,7 +344,7 @@ Simulator::fixIssueRankings()
 {
     for (const Unit unit : {Unit::AP, Unit::EP})
         issueRank_[std::size_t(unit)].fix(
-            issuePolicy_->issueRanking(unit, keys_), keys_, all_);
+            issuePolicy_.issueRanking(unit, keys_), keys_, all_);
 }
 
 void
@@ -605,10 +603,10 @@ Simulator::flushStage()
     // Gating pass, before the fetch ranking: a flush-style policy
     // squashes the pressured threads' not-yet-dispatched buffers,
     // handing their dispatch slots to the other threads.
-    if (!flushes_)
+    if (!fetchPolicy_.flushes())
         return;
     for (const ThreadState &key : keys_)
-        if (key.fetchBufOccupancy > 0 && fetchPolicy_->shouldFlush(key))
+        if (key.fetchBufOccupancy > 0 && fetchPolicy_.shouldFlush(key))
             flushFetchBuffer(*contexts_[key.tid]);
 }
 
@@ -627,7 +625,7 @@ Simulator::fetchStage()
          ports > 0 && (t = fetchRank_.next(c, live)) != kNoThread;) {
         Context &ctx = *contexts_[t];
         if (!ctx.fetchEligible(cfg_, now_) ||
-            !fetchPolicy_->mayFetch(keys_[t]))
+            !fetchPolicy_.mayFetch(keys_[t]))
             continue;
         fetchThread(ctx);
         ports -= 1;
@@ -758,8 +756,8 @@ Simulator::finishCycle()
 {
     // One rotation step per cycle, matching the historical rrIssue_/
     // rrDispatch_/rrFetch_ counters this layer replaced.
-    fetchPolicy_->endCycle();
-    issuePolicy_->endCycle();
+    fetchPolicy_.endCycle();
+    issuePolicy_.endCycle();
     now_ += 1;
     if (now_ >= parkWake_)
         releaseParked();
@@ -834,13 +832,13 @@ Simulator::quiescent(SkipProbe &blocker)
     for (const ThreadState &key : keys_) {
         Context &ctx = *contexts_[key.tid];
         if (key.fetchBufOccupancy > 0 &&
-            (fetchPolicy_->shouldFlush(key) || canDispatch(ctx))) {
+            (fetchPolicy_.shouldFlush(key) || canDispatch(ctx))) {
             blocker = SkipProbe::FrontEnd;
             return false;
         }
         if (ctx.fetchEligible(cfg_, now_)) {
-            if (!fetchPolicy_->mayFetch(key)) {
-                if (!fetchPolicy_->vetoStable(key)) {
+            if (!fetchPolicy_.mayFetch(key)) {
+                if (!fetchPolicy_.vetoStable(key)) {
                     blocker = SkipProbe::UnstableVeto;
                     return false;
                 }
@@ -879,12 +877,11 @@ Simulator::nextWakeCycle() const
         const Cycle resume = ctx.fetchResumeAt;
         if (resume > now_ && resume < wake && ctx.fetchEligible(cfg_, resume))
             wake = resume;
-        // A parked head retries when its deadline, the next fill, lands.
-        for (const Cycle until : {parked_[t].load, parked_[t].store})
-            if (until > now_ && until < wake)
-                wake = until;
     }
-    return wake;
+    // A parked head retries when its deadline, the next fill, lands.
+    // Every deadline after now_ is a parked head's, and finishCycle
+    // released the expired ones, so parkWake_ is the earliest of them.
+    return std::min(wake, parkWake_);
 }
 
 void
@@ -945,7 +942,7 @@ Simulator::trySkipIdle(std::uint64_t max_cycles)
     // EP by the windowed IQ occupancy) sees them evolve for up to
     // kIqWindow cycles after the last dispatch; microstep until they
     // saturate and the visit orders become purely rotation-periodic.
-    if (issuePolicy_->readsWindows()) {
+    if (issuePolicy_.readsWindows()) {
         std::uint64_t head =
             n < Context::kIqWindow ? n : Context::kIqWindow;
         for (; head > 0; --head, --n)
@@ -980,8 +977,8 @@ Simulator::trySkipIdle(std::uint64_t max_cycles)
                          "stall class invalidated inside an idle span");
             for (std::uint64_t &cycles : freeSlotCycles_)
                 cycles += bulk;
-            fetchPolicy_->skipCycles(bulk);
-            issuePolicy_->skipCycles(bulk);
+            fetchPolicy_.skipCycles(bulk);
+            issuePolicy_.skipCycles(bulk);
             now_ += bulk;
             n -= bulk;
             if (now_ >= parkWake_)
@@ -1056,14 +1053,14 @@ Simulator::stepImpl()
     mark(Stage::Snapshot);
     issueStage();
     mark(Stage::Issue);
-    dispatchRank_.fix(issuePolicy_->dispatchRanking(keys_), keys_,
+    dispatchRank_.fix(issuePolicy_.dispatchRanking(keys_), keys_,
                       dispatchSet_);
     mark(Stage::Snapshot);
     dispatchStage();
     mark(Stage::Dispatch);
     flushStage();
     mark(Stage::Fetch);
-    fetchRank_.fix(fetchPolicy_->fetchRanking(keys_), keys_, fetchSet_);
+    fetchRank_.fix(fetchPolicy_.fetchRanking(keys_), keys_, fetchSet_);
     mark(Stage::Snapshot);
     fetchStage();
     mark(Stage::Fetch);

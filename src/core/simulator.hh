@@ -170,7 +170,8 @@ class Simulator
 {
   public:
     /**
-     * @param cfg     machine configuration (validated here)
+     * @param cfg     machine configuration, validated before anything
+     *                is built from it (throws ConfigError)
      * @param sources one trace source per hardware context
      */
     Simulator(const SimConfig &cfg,
@@ -398,12 +399,6 @@ class Simulator
     /** The configuration in force. */
     const SimConfig &config() const { return cfg_; }
 
-    /** The fetch arbitration policy in force. */
-    const FetchPolicy &fetchPolicy() const { return *fetchPolicy_; }
-
-    /** The dispatch/issue arbitration policy in force. */
-    const ArbitrationPolicy &issuePolicy() const { return *issuePolicy_; }
-
   private:
     void processCompletions();
     /** Fix both units' issue rankings over every thread (the walks of
@@ -589,8 +584,8 @@ class Simulator
 
     // Thread arbitration (src/policy/policy.hh): the policies, the keys
     // they rank by and each seam's ranking, fixed for its walks.
-    std::unique_ptr<FetchPolicy> fetchPolicy_;
-    std::unique_ptr<ArbitrationPolicy> issuePolicy_;
+    FetchPolicy fetchPolicy_;
+    ArbitrationPolicy issuePolicy_;
     /**
      * The policy keys of every context, indexed by tid, updated in
      * place wherever the Context state they mirror changes (fetch,
@@ -603,9 +598,6 @@ class Simulator
     /** A policy in force reads the window keys: sync every context's
      *  windows at the end of every cycle. */
     bool windowsRead_ = false;
-    /** The fetch policy flushes at all (FetchPolicy::flushes): run the
-     *  flush pass. */
-    bool flushes_ = false;
     /**
      * Per thread, the cycles before which its AP-queue head load and
      * its ROB-head store are known to be refused by the L1: issue skips

@@ -135,8 +135,8 @@ Simulator::saveSnapshot()
         w.u64(contexts_[ev.tid]->rob.indexOf(ev.inst));
     });
 
-    fetchPolicy_->save(w);
-    issuePolicy_->save(w);
+    fetchPolicy_.save(w);
+    issuePolicy_.save(w);
 
     for (const std::uint64_t count : slotsAp_.counts)
         w.u64(count);
@@ -210,8 +210,8 @@ Simulator::restoreSnapshot(const Snapshot &snap)
         events_.push(ev);
     }
 
-    fetchPolicy_->restore(r);
-    issuePolicy_->restore(r);
+    fetchPolicy_.restore(r, now_);
+    issuePolicy_.restore(r, now_);
 
     for (std::uint64_t &count : slotsAp_.counts)
         count = r.u64();

@@ -1,6 +1,7 @@
 #include "policy/policy.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 
 #include "common/log.hh"
@@ -101,355 +102,213 @@ Rotation::save(ByteWriter &w) const
 }
 
 void
-Rotation::restore(ByteReader &r)
+Rotation::restore(ByteReader &r, Cycle now)
 {
     const std::uint32_t base = r.u32();
-    if (base >= n_)
+    if (base != now % n_)
         throw SnapshotError("policy rotation base " + std::to_string(base) +
-                            " is not a thread of a " + std::to_string(n_) +
-                            "-thread machine");
+                            " is out of phase with cycle " +
+                            std::to_string(now) + " on a " +
+                            std::to_string(n_) + "-thread machine");
     base_ = base;
 }
 
 namespace {
 
-/** The ranking keys of one standard PolicyKind, per seam. */
-struct PolicyKeys
-{
-    RankKey fetch;  ///< FetchPolicy key.
-    RankKey arb;    ///< ArbitrationPolicy key (dispatch and both units).
+/**
+ * The policy table: one row per PolicyKind, in enum order, which is
+ * also the registry order of allPolicies() and of each seam's list
+ * (the goldens pin the ablate-policy grid in that order). It is
+ * docs/POLICIES.md's reference table as code: FetchPolicy and
+ * ArbitrationPolicy read their row, and a new policy is a PolicyKind
+ * value and a row. Every key ranks fewest first, ties in rotation
+ * order.
+ */
+constexpr PolicyRow kPolicies[] = {
+    // The paper's ICOUNT fetch: fewest fetched, undispatched
+    // instructions first. Back-end ICOUNT counts everything between
+    // fetch and issue, not just the fetch buffer: prioritise the
+    // thread clogging the shared stages least.
+    {.kind = PolicyKind::Icount, .name = "icount", .fetch = true,
+     .issue = true, .fetchKey = RankKey::FetchBuf,
+     .dispatchKey = RankKey::FrontEnd, .apKey = RankKey::FrontEnd,
+     .epKey = RankKey::FrontEnd},
+    // Pure rotation: the paper's dispatch and issue.
+    {.kind = PolicyKind::RoundRobin, .name = "round-robin", .fetch = true,
+     .issue = true},
+    {.kind = PolicyKind::BrCount, .name = "brcount", .fetch = true,
+     .issue = true, .fetchKey = RankKey::Branches,
+     .dispatchKey = RankKey::Branches, .apKey = RankKey::Branches,
+     .epKey = RankKey::Branches},
+    {.kind = PolicyKind::MissCount, .name = "misscount", .fetch = true,
+     .issue = true, .fetchKey = RankKey::Misses,
+     .dispatchKey = RankKey::Misses, .apKey = RankKey::Misses,
+     .epKey = RankKey::Misses},
+    // The STALL / FLUSH fetch-gating schemes: ICOUNT ordering, but a
+    // thread with an outstanding L1 load miss may not fetch at all.
+    // FLUSH additionally asks the Simulator to squash the gated
+    // thread's not-yet-dispatched fetch buffer, handing its dispatch
+    // slots to the other threads; the squashed instructions are
+    // replayed once the miss resolves. On the decoupled machine this
+    // gates the *AP's* runahead on miss pressure while the EP keeps
+    // draining its Instruction Queue: the gating never touches
+    // already-dispatched work.
+    {.kind = PolicyKind::Stall, .name = "stall", .fetch = true,
+     .fetchKey = RankKey::FetchBuf, .gate = FetchGate::Stall},
+    {.kind = PolicyKind::Flush, .name = "flush", .fetch = true,
+     .fetchKey = RankKey::FetchBuf, .gate = FetchGate::Flush},
+    // Per-unit arbitration exploiting the decoupled AP/EP split: the
+    // AP, the unit that *generates* miss traffic, visits threads with
+    // the fewest outstanding L1 load misses first (don't pile more
+    // runahead onto a thread already waiting on memory), while the EP,
+    // the unit that *drains* the decoupling queues, visits threads by
+    // trailing 64-cycle IQ occupancy, fewest first (reward threads
+    // that keep their IQ drained; a thread whose IQ has been backed up
+    // all window long is EP-bound and yields). Dispatch uses the
+    // front-end ICOUNT key, which balances the shared rename
+    // bandwidth.
+    {.kind = PolicyKind::Split, .name = "split", .issue = true,
+     .dispatchKey = RankKey::FrontEnd, .apKey = RankKey::Misses,
+     .epKey = RankKey::IqWindow},
+    // The phase-reactive fetch policy: both its gating and its ranking
+    // switch on the trailing outstanding-miss window. A thread is
+    // vetoed (STALL-style, never flushed) only while it has an
+    // outstanding L1 load miss AND its miss window has reached
+    // threshold * kPolicyWindowCycles, i.e. it has averaged at least
+    // `threshold` outstanding misses over the whole window: a single
+    // cold miss in an otherwise-hitting phase never gates, sustained
+    // miss pressure does. While every thread's miss window is zero
+    // (decoupling hides everything) the ranking is pure rotation; the
+    // moment any window is non-zero it takes the ICOUNT key, which
+    // balances the front end under contention. The veto is unstable
+    // while a gateable thread's window is still converging
+    // (FetchPolicy::vetoStable): the idle fast-forward engine steps
+    // those cycles instead of skipping them, which keeps --cycle-skip
+    // byte-identical.
+    {.kind = PolicyKind::Adaptive, .name = "adaptive", .fetch = true,
+     .fetchKey = RankKey::FetchBuf, .gate = FetchGate::Adaptive},
+    // ICOUNT with each thread's key divided by its priority weight
+    // (exactly, via cross-multiplication): the fetch-buffer occupancy
+    // at fetch, the front-end occupancy at dispatch and both issue
+    // units. A weight-4 foreground thread gets a fetch port as long as
+    // it holds fewer than 4x the buffered instructions of a weight-1
+    // background thread, and may clog the shared stages proportionally
+    // more before yielding its turn; uniform weights reduce to plain
+    // icount. Pure ordering, no gating.
+    {.kind = PolicyKind::Weighted, .name = "weighted", .fetch = true,
+     .issue = true, .fetchKey = RankKey::FetchBuf,
+     .dispatchKey = RankKey::FrontEnd, .apKey = RankKey::FrontEnd,
+     .epKey = RankKey::FrontEnd, .weighted = true},
 };
 
-/**
- * Every standard policy is "rotation, optionally ranked by one
- * ThreadState key", so the implementations are a key table rather
- * than a class hierarchy. Novel policies (per-unit, gating, adaptive,
- * weighted) subclass the interfaces in policy.hh directly.
- */
-PolicyKeys
-keysFor(PolicyKind kind)
+static_assert(
+    [] {
+        for (std::size_t i = 0; i < std::size(kPolicies); ++i)
+            if (std::size_t(kPolicies[i].kind) != i)
+                return false;
+        return true;
+    }(),
+    "the policy table has one row per PolicyKind, in enum order");
+
+const PolicyRow &
+rowOf(PolicyKind k)
 {
-    switch (kind) {
-      case PolicyKind::Icount:
-        // Back-end ICOUNT counts everything between fetch and issue,
-        // not just the fetch buffer: prioritise the thread clogging
-        // the shared stages least.
-        return {RankKey::FetchBuf, RankKey::FrontEnd};
-      case PolicyKind::RoundRobin:
-        return {RankKey::None, RankKey::None};
-      case PolicyKind::BrCount:
-        return {RankKey::Branches, RankKey::Branches};
-      case PolicyKind::MissCount:
-        return {RankKey::Misses, RankKey::Misses};
-      case PolicyKind::Stall:
-      case PolicyKind::Flush:
-      case PolicyKind::Split:
-      case PolicyKind::Adaptive:
-      case PolicyKind::Weighted:
-        break;  // gating/per-unit/adaptive/weighted have own classes
-    }
-    MTDAE_PANIC("keysFor() on the non-keyed policy '",
-                policyName(kind), "'");
+    MTDAE_ASSERT(std::size_t(k) < std::size(kPolicies), "unknown PolicyKind ",
+                 int(k));
+    return kPolicies[std::size_t(k)];
 }
 
-class KeyedFetchPolicy final : public FetchPolicy
+/** The kinds of the rows @p keep admits, in table order. */
+template <typename Keep>
+std::vector<PolicyKind>
+kindsWhere(Keep keep)
 {
-  public:
-    KeyedFetchPolicy(PolicyKind kind, std::uint32_t nthreads)
-        : FetchPolicy(nthreads), kind_(kind), key_(keysFor(kind).fetch)
-    {}
-
-    std::string_view name() const override { return policyName(kind_); }
-
-    Ranking
-    fetchRanking(const std::vector<ThreadState> &) const override
-    {
-        return {rotationBase(), key_};
-    }
-
-  private:
-    PolicyKind kind_;
-    RankKey key_;
-};
-
-class KeyedArbitrationPolicy final : public ArbitrationPolicy
-{
-  public:
-    KeyedArbitrationPolicy(PolicyKind kind, std::uint32_t nthreads)
-        : ArbitrationPolicy(nthreads), kind_(kind), key_(keysFor(kind).arb)
-    {}
-
-    std::string_view name() const override { return policyName(kind_); }
-
-    Ranking
-    dispatchRanking(const std::vector<ThreadState> &) const override
-    {
-        return {rotationBase(), key_};
-    }
-
-    Ranking
-    issueRanking(Unit, const std::vector<ThreadState> &) const override
-    {
-        // The standard policies rank both units (and dispatch) the
-        // same way; per-unit specialisation stays open through the
-        // interface's Unit parameter.
-        return {rotationBase(), key_};
-    }
-
-  private:
-    PolicyKind kind_;
-    RankKey key_;
-};
-
-/**
- * The STALL / FLUSH fetch-gating schemes: ICOUNT ordering (rotation
- * ranked by fetch-buffer occupancy), but a thread with an
- * outstanding L1 load miss may not fetch at all. FLUSH additionally
- * asks the Simulator to squash the gated thread's not-yet-dispatched
- * fetch buffer, handing its dispatch slots to the other threads; the
- * squashed instructions are replayed once the miss resolves.
- *
- * On the decoupled machine this gates the *AP's* runahead on miss
- * pressure while the EP keeps draining its Instruction Queue — the
- * gating never touches already-dispatched work.
- */
-class GatingFetchPolicy final : public FetchPolicy
-{
-  public:
-    GatingFetchPolicy(PolicyKind kind, std::uint32_t nthreads)
-        : FetchPolicy(nthreads), kind_(kind)
-    {
-        MTDAE_ASSERT(kind == PolicyKind::Stall ||
-                         kind == PolicyKind::Flush,
-                     "GatingFetchPolicy built from a non-gating kind");
-    }
-
-    std::string_view name() const override { return policyName(kind_); }
-
-    Ranking
-    fetchRanking(const std::vector<ThreadState> &) const override
-    {
-        return {rotationBase(), RankKey::FetchBuf};
-    }
-
-    bool
-    mayFetch(const ThreadState &t) const override
-    {
-        return t.outstandingMisses == 0;
-    }
-
-    bool flushes() const override { return kind_ == PolicyKind::Flush; }
-
-    bool
-    shouldFlush(const ThreadState &t) const override
-    {
-        return kind_ == PolicyKind::Flush && t.outstandingMisses > 0;
-    }
-
-  private:
-    PolicyKind kind_;
-};
-
-/**
- * Per-unit arbitration exploiting the decoupled AP/EP split: the AP —
- * the unit that *generates* miss traffic — visits threads with the
- * fewest outstanding L1 load misses first (don't pile more runahead
- * onto a thread already waiting on memory), while the EP — the unit
- * that *drains* the decoupling queues — visits threads by trailing
- * 64-cycle IQ occupancy, fewest first (reward threads that keep their
- * IQ drained; a thread whose IQ has been backed up all window long is
- * EP-bound and yields). Dispatch uses the front-end ICOUNT key, which
- * balances the shared rename bandwidth.
- */
-class SplitArbitrationPolicy final : public ArbitrationPolicy
-{
-  public:
-    using ArbitrationPolicy::ArbitrationPolicy;
-
-    std::string_view
-    name() const override
-    {
-        return policyName(PolicyKind::Split);
-    }
-
-    Ranking
-    dispatchRanking(const std::vector<ThreadState> &) const override
-    {
-        return {rotationBase(), RankKey::FrontEnd};
-    }
-
-    Ranking
-    issueRanking(Unit unit, const std::vector<ThreadState> &) const override
-    {
-        return {rotationBase(),
-                unit == Unit::AP ? RankKey::Misses : RankKey::IqWindow};
-    }
-
-    bool readsWindows() const override { return true; }
-};
-
-/**
- * The phase-reactive fetch policy (ROADMAP item 4): both its gating
- * and its ranking switch on the trailing outstanding-miss window.
- *
- *  - Gating: a thread is vetoed (STALL-style, never flushed) only
- *    while it has an outstanding L1 load miss AND its miss window has
- *    reached threshold * kPolicyWindowCycles — i.e. it has averaged at
- *    least `threshold` outstanding misses over the whole trailing
- *    window. A single cold miss in an otherwise-hitting phase never
- *    gates; sustained miss pressure does.
- *  - Ranking: when every thread's miss window is zero (perceived
- *    memory latency near zero — decoupling is hiding everything),
- *    ranking degenerates to pure round-robin; the moment any window is
- *    non-zero the policy switches to the ICOUNT key (fetch-buffer
- *    occupancy), which balances the front end under contention.
- *
- * Both decisions are pure functions of the ThreadState snapshots, so
- * the determinism contract holds unchanged. The veto is *unstable*
- * while a gated-or-gateable thread's window is still converging
- * (vetoStable() below): the idle fast-forward engine then steps those
- * cycles instead of skipping them, which is what keeps --cycle-skip
- * byte-identical for this policy.
- */
-class AdaptiveFetchPolicy final : public FetchPolicy
-{
-  public:
-    AdaptiveFetchPolicy(std::uint32_t threshold, std::uint32_t nthreads)
-        : FetchPolicy(nthreads), threshold_(threshold)
-    {}
-
-    std::string_view
-    name() const override
-    {
-        return policyName(PolicyKind::Adaptive);
-    }
-
-    Ranking
-    fetchRanking(const std::vector<ThreadState> &threads) const override
-    {
-        const bool memory_phase =
-            std::any_of(threads.begin(), threads.end(),
-                        [](const ThreadState &t) { return t.missWindow; });
-        return {rotationBase(),
-                memory_phase ? RankKey::FetchBuf : RankKey::None};
-    }
-
-    bool
-    mayFetch(const ThreadState &t) const override
-    {
-        return t.outstandingMisses == 0 ||
-               t.missWindow < threshold_ * kPolicyWindowCycles;
-    }
-
-    bool
-    vetoStable(const ThreadState &t) const override
-    {
-        // With no outstanding miss the gate cannot engage no matter
-        // where the window moves; otherwise the verdict is frozen only
-        // once every window slot equals the (frozen) current value, so
-        // further samples of it change nothing. A sum comparison is
-        // NOT enough: a mixed ring can sum to outstanding * window and
-        // still decay below the threshold as it slides.
-        return t.outstandingMisses == 0 || t.missWindowUniform;
-    }
-
-    bool readsWindows() const override { return true; }
-
-  private:
-    std::uint32_t threshold_;
-};
-
-/**
- * Weighted fetch: ICOUNT with each thread's fetch-buffer occupancy
- * divided by its priority weight (exactly, via cross-multiplication).
- * A weight-4 foreground thread gets a port as long as it holds fewer
- * than 4x the buffered instructions of a weight-1 background thread;
- * uniform weights reduce to plain icount. Pure ordering — no gating.
- */
-class WeightedFetchPolicy final : public FetchPolicy
-{
-  public:
-    using FetchPolicy::FetchPolicy;
-
-    std::string_view
-    name() const override
-    {
-        return policyName(PolicyKind::Weighted);
-    }
-
-    Ranking
-    fetchRanking(const std::vector<ThreadState> &) const override
-    {
-        return {rotationBase(), RankKey::FetchBuf, true};
-    }
-};
-
-/**
- * Weighted dispatch/issue: back-end ICOUNT (front-end occupancy) with
- * the same weight division, on dispatch and both issue units alike. A
- * heavy thread may clog the shared stages proportionally more before
- * yielding its turn.
- */
-class WeightedArbitrationPolicy final : public ArbitrationPolicy
-{
-  public:
-    using ArbitrationPolicy::ArbitrationPolicy;
-
-    std::string_view
-    name() const override
-    {
-        return policyName(PolicyKind::Weighted);
-    }
-
-    Ranking
-    dispatchRanking(const std::vector<ThreadState> &) const override
-    {
-        return {rotationBase(), RankKey::FrontEnd, true};
-    }
-
-    Ranking
-    issueRanking(Unit, const std::vector<ThreadState> &) const override
-    {
-        return {rotationBase(), RankKey::FrontEnd, true};
-    }
-};
+    std::vector<PolicyKind> kinds;
+    for (const PolicyRow &row : kPolicies)
+        if (keep(row))
+            kinds.push_back(row.kind);
+    return kinds;
+}
 
 } // namespace
 
-std::unique_ptr<FetchPolicy>
-makeFetchPolicy(const SimConfig &cfg)
+const char *
+policyName(PolicyKind k)
 {
-    MTDAE_ASSERT(policyIsFetch(cfg.fetchPolicy),
-                 "'", policyName(cfg.fetchPolicy),
-                 "' is not a fetch policy (SimConfig::validate "
-                 "should have rejected it)");
-    if (cfg.fetchPolicy == PolicyKind::Stall ||
-        cfg.fetchPolicy == PolicyKind::Flush)
-        return std::make_unique<GatingFetchPolicy>(cfg.fetchPolicy,
-                                                   cfg.numThreads);
-    if (cfg.fetchPolicy == PolicyKind::Adaptive)
-        return std::make_unique<AdaptiveFetchPolicy>(
-            cfg.adaptiveMissThreshold, cfg.numThreads);
-    if (cfg.fetchPolicy == PolicyKind::Weighted)
-        return std::make_unique<WeightedFetchPolicy>(cfg.numThreads);
-    return std::make_unique<KeyedFetchPolicy>(cfg.fetchPolicy,
-                                              cfg.numThreads);
+    return rowOf(k).name;
 }
 
-std::unique_ptr<ArbitrationPolicy>
-makeArbitrationPolicy(const SimConfig &cfg)
+bool
+parsePolicy(const std::string &s, PolicyKind &out)
 {
-    MTDAE_ASSERT(policyIsIssue(cfg.issuePolicy),
-                 "'", policyName(cfg.issuePolicy),
-                 "' is not a dispatch/issue policy (SimConfig::validate "
-                 "should have rejected it)");
-    if (cfg.issuePolicy == PolicyKind::Split)
-        return std::make_unique<SplitArbitrationPolicy>(cfg.numThreads);
-    if (cfg.issuePolicy == PolicyKind::Weighted)
-        return std::make_unique<WeightedArbitrationPolicy>(
-            cfg.numThreads);
-    return std::make_unique<KeyedArbitrationPolicy>(cfg.issuePolicy,
-                                                    cfg.numThreads);
+    for (const PolicyRow &row : kPolicies) {
+        if (s == row.name) {
+            out = row.kind;
+            return true;
+        }
+    }
+    return false;
 }
+
+const std::vector<PolicyKind> &
+allPolicies()
+{
+    static const std::vector<PolicyKind> kinds =
+        kindsWhere([](const PolicyRow &) { return true; });
+    return kinds;
+}
+
+const std::vector<PolicyKind> &
+fetchPolicies()
+{
+    static const std::vector<PolicyKind> kinds =
+        kindsWhere([](const PolicyRow &row) { return row.fetch; });
+    return kinds;
+}
+
+const std::vector<PolicyKind> &
+issuePolicies()
+{
+    static const std::vector<PolicyKind> kinds =
+        kindsWhere([](const PolicyRow &row) { return row.issue; });
+    return kinds;
+}
+
+bool
+policyIsFetch(PolicyKind k)
+{
+    return rowOf(k).fetch;
+}
+
+bool
+policyIsIssue(PolicyKind k)
+{
+    return rowOf(k).issue;
+}
+
+void
+requirePolicySeam(PolicyKind k, bool fetch)
+{
+    if (fetch ? policyIsFetch(k) : policyIsIssue(k))
+        return;
+    std::string valid;
+    for (const PolicyKind v : fetch ? fetchPolicies() : issuePolicies())
+        valid += (valid.empty() ? "" : ", ") + std::string(policyName(v));
+    throw ConfigError("'" + std::string(policyName(k)) + "' is not a " +
+                      (fetch ? "fetch" : "dispatch/issue") +
+                      " policy (valid: " + valid + ")");
+}
+
+FetchPolicy::FetchPolicy(const SimConfig &cfg)
+    : row_((requirePolicySeam(cfg.fetchPolicy, true), rowOf(cfg.fetchPolicy))),
+      threshold_(cfg.adaptiveMissThreshold),
+      rotation_(cfg.numThreads)
+{}
+
+ArbitrationPolicy::ArbitrationPolicy(const SimConfig &cfg)
+    : row_((requirePolicySeam(cfg.issuePolicy, false),
+            rowOf(cfg.issuePolicy))),
+      rotation_(cfg.numThreads)
+{}
 
 } // namespace mtdae

@@ -21,6 +21,12 @@
  *                        parameter lets a policy order the AP and the
  *                        EP by different keys (the `split` policy).
  *
+ * A policy is data: one row of the policy table (PolicyRow, kPolicies
+ * in policy.cc) per PolicyKind, holding its name, the seams it may
+ * serve, its key on each seam, its fetch gate and whether it divides
+ * the keys by the thread weights. Both classes are concrete and final
+ * and read their row.
+ *
  * A policy does not order the threads itself: it describes each seam's
  * ranking as a Ranking (its rotation base, and optionally a key,
  * optionally divided by the thread's weight), and the Simulator walks
@@ -28,13 +34,13 @@
  * (RankedWalk). rankThreads() materializes a full order from the same
  * description; it is the reference the walks are tested against.
  *
- * Determinism contract: a policy may keep private per-cycle state (the
- * round-robin rotation), but its rankings must be a pure function of
- * that state and of the ThreadState keys it is handed — never of wall
- * clock, allocation addresses or scheduling — and which threads a
- * stage visits, and in what order, must not depend on how the thread
- * set is split into candidates. This is what keeps every sweep
- * byte-identical at any --jobs count.
+ * Determinism contract: a policy's only state is the round-robin
+ * rotation, and its rankings must be a pure function of that state and
+ * of the ThreadState keys it is handed — never of wall clock,
+ * allocation addresses or scheduling — and which threads a stage
+ * visits, and in what order, must not depend on how the thread set is
+ * split into candidates. This is what keeps every sweep byte-identical
+ * at any --jobs count.
  *
  * Policies see the machine only through ThreadState: the per-context
  * keys the Simulator keeps live as the pipeline runs. They never touch
@@ -44,6 +50,7 @@
 #ifndef MTDAE_POLICY_POLICY_HH
 #define MTDAE_POLICY_POLICY_HH
 
+#include <algorithm>
 #include <bit>
 #include <memory>
 #include <string_view>
@@ -397,7 +404,9 @@ class RankedWalk
 
 /**
  * The round-robin rotation every policy ranks over: a base thread
- * advanced one step per cycle, wrapping at the thread count.
+ * advanced one step per cycle, wrapping at the thread count. It starts
+ * at 0 on cycle 0 and advances on every cycle, stepped or skipped, so
+ * its base is always the cycle number mod the thread count.
  */
 class Rotation
 {
@@ -419,36 +428,76 @@ class Rotation
 
     void save(ByteWriter &w) const;
 
-    /** Restore state saved by save(); throws SnapshotError on a base
-     *  that is not a thread of this machine. */
-    void restore(ByteReader &r);
+    /** Restore state saved by save() on cycle @p now; throws
+     *  SnapshotError on a base other than @p now mod the thread count. */
+    void restore(ByteReader &r, Cycle now);
 
   private:
     std::uint32_t n_;
     ThreadId base_ = 0;
 };
 
+/** A fetch policy's gate: which threads it vetoes, and which it
+ *  flushes. */
+enum class FetchGate : std::uint8_t {
+    None,      ///< never veto
+    Stall,     ///< veto a thread with an outstanding L1 load miss
+    Flush,     ///< Stall, and squash the vetoed thread's fetch buffer
+    Adaptive,  ///< veto past the trailing miss-window threshold, and
+               ///< rank without a key while no thread has a miss window
+};
+
 /**
- * Decides which threads fetch this cycle. fetchRanking() describes the
- * cycle's priority order; the Simulator walks the threads with room in
- * their fetch buffer in that order, skips ineligible and vetoed ones,
- * and fetches the first fetchThreadsPerCycle others.
+ * One row of the policy table (policy.cc): everything a PolicyKind
+ * does. A policy ranks each seam it serves by a key (RankKey::None:
+ * pure rotation), divided by the thread's weight when `weighted`; the
+ * keys of a seam it may not serve stay None.
  */
-class FetchPolicy
+struct PolicyRow
+{
+    PolicyKind kind;                    ///< The row's index in the table.
+    const char *name;                   ///< CLI spelling ("icount", ...).
+    bool fetch = false;                 ///< Valid as SimConfig::fetchPolicy.
+    bool issue = false;                 ///< Valid as SimConfig::issuePolicy.
+    RankKey fetchKey = RankKey::None;
+    FetchGate gate = FetchGate::None;
+    RankKey dispatchKey = RankKey::None;
+    RankKey apKey = RankKey::None;      ///< The AP's issue key.
+    RankKey epKey = RankKey::None;      ///< The EP's issue key.
+    bool weighted = false;
+};
+
+/**
+ * Decides which threads fetch this cycle, by the row of
+ * SimConfig::fetchPolicy. fetchRanking() describes the cycle's priority
+ * order; the Simulator walks the threads with room in their fetch
+ * buffer in that order, skips ineligible and vetoed ones, and fetches
+ * the first fetchThreadsPerCycle others.
+ */
+class FetchPolicy final
 {
   public:
-    explicit FetchPolicy(std::uint32_t nthreads) : rotation_(nthreads) {}
-    virtual ~FetchPolicy() = default;
+    /** Throws ConfigError when cfg.fetchPolicy is not a fetch policy. */
+    explicit FetchPolicy(const SimConfig &cfg);
 
     /** Registry name ("icount", ...), for labels and error messages. */
-    virtual std::string_view name() const = 0;
+    std::string_view name() const { return row_.name; }
 
     /**
      * This cycle's fetch ranking over the keys in @p threads (indexed
-     * by tid), with rotationBase() as its base.
+     * by tid): the row's key, which the adaptive gate drops while every
+     * thread's miss window is empty.
      */
-    virtual Ranking
-    fetchRanking(const std::vector<ThreadState> &threads) const = 0;
+    Ranking
+    fetchRanking(const std::vector<ThreadState> &threads) const
+    {
+        RankKey key = row_.fetchKey;
+        if (row_.gate == FetchGate::Adaptive &&
+            std::none_of(threads.begin(), threads.end(),
+                         [](const ThreadState &t) { return t.missWindow; }))
+            key = RankKey::None;
+        return {rotation_.base(), key, row_.weighted};
+    }
 
     /** Every thread id in fetchRanking()'s order, into @p out: the
      *  reference materializer (rankThreads). */
@@ -464,21 +513,30 @@ class FetchPolicy
      * by the Simulator for every thread the ranked walk reaches before
      * it hands out an I-cache port; a vetoed thread neither fetches nor
      * consumes a port (with ties broken by rotation position, that is
-     * equivalent to excluding it before ranking). Must be a pure
-     * function of @p t. Default: never veto.
+     * equivalent to excluding it before ranking). A pure function of
+     * @p t.
      */
-    virtual bool
+    bool
     mayFetch(const ThreadState &t) const
     {
-        (void)t;
+        switch (row_.gate) {
+          case FetchGate::None:
+            return true;
+          case FetchGate::Stall:
+          case FetchGate::Flush:
+            return t.outstandingMisses == 0;
+          case FetchGate::Adaptive:
+            // In 64 bits: past 2^26 the u32 product would wrap.
+            return t.outstandingMisses == 0 ||
+                   t.missWindow <
+                       std::uint64_t(threshold_) * kPolicyWindowCycles;
+        }
         return true;
     }
 
-    /**
-     * Can shouldFlush() return true at all? The Simulator runs the
-     * flush pass only under a policy that answers true. Default: false.
-     */
-    virtual bool flushes() const { return false; }
+    /** Can shouldFlush() return true at all (a flush gate)? The
+     *  Simulator runs the flush pass only then. */
+    bool flushes() const { return row_.gate == FetchGate::Flush; }
 
     /**
      * Squash request: should the Simulator flush thread @p t's
@@ -486,14 +544,12 @@ class FetchPolicy
      * start of the fetch stage, before ranking; on true the Simulator
      * returns the buffered instructions to the front of the thread's
      * stream for later re-fetch (Simulator::flushFetchBuffer) so their
-     * dispatch slots go to other threads. Must be a pure function of
-     * @p t. Default: never flush.
+     * dispatch slots go to other threads. A pure function of @p t.
      */
-    virtual bool
+    bool
     shouldFlush(const ThreadState &t) const
     {
-        (void)t;
-        return false;
+        return flushes() && t.outstandingMisses > 0;
     }
 
     /**
@@ -503,28 +559,34 @@ class FetchPolicy
      * (Simulator::trySkipIdle) may only treat a vetoed thread as
      * dormant when its veto is stable: trailing windows keep evolving
      * through an idle span, so a verdict that reads them can flip
-     * mid-span even though the machine does nothing. A policy whose
-     * mayFetch() ignores the window fields returns true
-     * unconditionally (the default); the adaptive policy returns true
-     * only once the miss window is uniformly frozen
-     * (ThreadState::missWindowUniform — the sum test is insufficient).
-     * Must be a pure function of @p t.
+     * mid-span even though the machine does nothing. Only the adaptive
+     * gate reads them. With no outstanding miss it cannot engage no
+     * matter where the window moves; otherwise its verdict is frozen
+     * only once every window slot equals the (frozen) current value
+     * (ThreadState::missWindowUniform). A sum comparison is not
+     * enough: a mixed ring can sum to outstanding * window and still
+     * decay below the threshold as it slides.
      */
-    virtual bool
+    bool
     vetoStable(const ThreadState &t) const
     {
-        (void)t;
-        return true;
+        return row_.gate != FetchGate::Adaptive || t.outstandingMisses == 0 ||
+               t.missWindowUniform;
     }
 
     /**
      * Does this policy read the trailing-window keys
      * (ThreadState::iqOccupancyWindow, ::missWindow,
-     * ::missWindowUniform)? The Simulator samples the windows lazily,
-     * and brings every context's up to date each cycle only while a
-     * policy in force answers true. Default: false.
+     * ::missWindowUniform): an adaptive gate or a window key? The
+     * Simulator samples the windows lazily, and brings every context's
+     * up to date each cycle only while a policy in force answers true.
      */
-    virtual bool readsWindows() const { return false; }
+    bool
+    readsWindows() const
+    {
+        return row_.gate == FetchGate::Adaptive ||
+               row_.fetchKey == RankKey::IqWindow;
+    }
 
     /** Advance the rotation; called once per cycle. */
     void endCycle() { rotation_.advance(); }
@@ -536,46 +598,51 @@ class FetchPolicy
     /** Serialize the rotation, the policy's only state. */
     void save(ByteWriter &w) const { rotation_.save(w); }
 
-    /** Restore state saved by save() (Rotation::restore). */
-    void restore(ByteReader &r) { rotation_.restore(r); }
-
-  protected:
-    /** This cycle's rotation base, for the rankings. */
-    ThreadId rotationBase() const { return rotation_.base(); }
+    /** Restore state saved by save() on cycle @p now
+     *  (Rotation::restore). */
+    void restore(ByteReader &r, Cycle now) { rotation_.restore(r, now); }
 
   private:
+    PolicyRow row_;
+    std::uint32_t threshold_;  ///< SimConfig::adaptiveMissThreshold
     Rotation rotation_;
 };
 
 /**
- * Decides the thread visit order of the shared back-end stages:
- * dispatch, and issue per unit. The Simulator fixes each ranking once
- * per cycle, the issue rankings before the issue stage and the
- * dispatch ranking after it, each over the live keys of that moment.
+ * Decides the thread visit order of the shared back-end stages,
+ * dispatch and issue per unit, by the row of SimConfig::issuePolicy.
+ * The Simulator fixes each ranking once per cycle, the issue rankings
+ * before the issue stage and the dispatch ranking after it, each over
+ * the live keys of that moment.
  */
-class ArbitrationPolicy
+class ArbitrationPolicy final
 {
   public:
-    explicit ArbitrationPolicy(std::uint32_t nthreads)
-        : rotation_(nthreads)
-    {}
-    virtual ~ArbitrationPolicy() = default;
+    /** Throws ConfigError when cfg.issuePolicy is not a dispatch/issue
+     *  policy. */
+    explicit ArbitrationPolicy(const SimConfig &cfg);
 
     /** Registry name ("round-robin", ...). */
-    virtual std::string_view name() const = 0;
+    std::string_view name() const { return row_.name; }
 
     /** This cycle's dispatch ranking. */
-    virtual Ranking
-    dispatchRanking(const std::vector<ThreadState> &threads) const = 0;
+    Ranking
+    dispatchRanking(const std::vector<ThreadState> &) const
+    {
+        return {rotation_.base(), row_.dispatchKey, row_.weighted};
+    }
 
     /**
      * This cycle's ranking for @p unit's issue. The Simulator walks
      * the same fixed ranking for the unused-slot classification of the
      * same cycle.
      */
-    virtual Ranking issueRanking(Unit unit,
-                                 const std::vector<ThreadState> &threads)
-        const = 0;
+    Ranking
+    issueRanking(Unit unit, const std::vector<ThreadState> &) const
+    {
+        return {rotation_.base(),
+                unit == Unit::AP ? row_.apKey : row_.epKey, row_.weighted};
+    }
 
     /** Every thread id in dispatchRanking()'s order (rankThreads). */
     void
@@ -593,9 +660,15 @@ class ArbitrationPolicy
         rankThreads(issueRanking(unit, threads), threads, out);
     }
 
-    /** Does this policy read the trailing-window keys? (See
-     *  FetchPolicy::readsWindows.) Default: false. */
-    virtual bool readsWindows() const { return false; }
+    /** Does this policy read the trailing-window keys: a window key
+     *  on some seam? (See FetchPolicy::readsWindows.) */
+    bool
+    readsWindows() const
+    {
+        return row_.dispatchKey == RankKey::IqWindow ||
+               row_.apKey == RankKey::IqWindow ||
+               row_.epKey == RankKey::IqWindow;
+    }
 
     /** Advance the rotation; called once per cycle. */
     void endCycle() { rotation_.advance(); }
@@ -606,22 +679,28 @@ class ArbitrationPolicy
     /** Serialize the rotation, the policy's only state. */
     void save(ByteWriter &w) const { rotation_.save(w); }
 
-    /** Restore state saved by save() (Rotation::restore). */
-    void restore(ByteReader &r) { rotation_.restore(r); }
-
-  protected:
-    /** This cycle's rotation base, for the rankings. */
-    ThreadId rotationBase() const { return rotation_.base(); }
+    /** Restore state saved by save() on cycle @p now
+     *  (Rotation::restore). */
+    void restore(ByteReader &r, Cycle now) { rotation_.restore(r, now); }
 
   private:
+    PolicyRow row_;
     Rotation rotation_;
 };
 
-/** Build the fetch policy selected by @p cfg.fetchPolicy. */
-std::unique_ptr<FetchPolicy> makeFetchPolicy(const SimConfig &cfg);
+/** The fetch policy selected by @p cfg.fetchPolicy. */
+inline std::unique_ptr<FetchPolicy>
+makeFetchPolicy(const SimConfig &cfg)
+{
+    return std::make_unique<FetchPolicy>(cfg);
+}
 
-/** Build the arbitration policy selected by @p cfg.issuePolicy. */
-std::unique_ptr<ArbitrationPolicy> makeArbitrationPolicy(const SimConfig &cfg);
+/** The arbitration policy selected by @p cfg.issuePolicy. */
+inline std::unique_ptr<ArbitrationPolicy>
+makeArbitrationPolicy(const SimConfig &cfg)
+{
+    return std::make_unique<ArbitrationPolicy>(cfg);
+}
 
 } // namespace mtdae
 

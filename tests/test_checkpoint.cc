@@ -268,11 +268,13 @@ TEST(SnapshotContainer, RejectsInFlightRegisterOutOfRange)
 
 TEST(SnapshotContainer, RejectsPolicyRotationOutOfRange)
 {
-    // Each policy saves its rotation base, which names a thread of the
-    // machine, and the stage walks start from it: a base at or past
-    // the thread count must be refused, not wrapped. The fetch and the
-    // issue policy's bases are the two u32s before the slot counts and
-    // the seven trailing counters.
+    // Each policy saves its rotation base, and the stage walks start
+    // from it. The rotation advances once per cycle from 0, so a base
+    // other than the cycle mod the thread count must be refused: one at
+    // or past the thread count, and one that names a thread but is out
+    // of phase (0 on cycle 41 of 2 threads). The fetch and the issue
+    // policy's bases are the two u32s before the slot counts and the
+    // seven trailing counters.
     const SimConfig cfg = testConfig(2);
     Simulator sim = makeSim(cfg, streamingKernel(), 20);
     for (int c = 0; c < 41; ++c)
@@ -284,7 +286,7 @@ TEST(SnapshotContainer, RejectsPolicyRotationOutOfRange)
     for (const std::size_t at : {fetch_at, fetch_at + 4}) {
         ByteReader saved(good.payload.data() + at, 4);
         ASSERT_EQ(saved.u32(), 1u) << "41 cycles on 2 threads, at " << at;
-        for (const std::uint32_t base : {2u, 3u, 0xffffffffu}) {
+        for (const std::uint32_t base : {0u, 2u, 3u, 0xffffffffu}) {
             ByteWriter w;
             w.u32(base);
             const Bytes bytes = w.take();

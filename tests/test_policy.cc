@@ -96,15 +96,25 @@ TEST(PolicyNames, FactoriesReportTheirRegistryName)
 
 TEST(PolicyNames, ValidateRejectsWrongSeamAssignment)
 {
+    // validate() and the policy constructors name the valid kinds.
     SimConfig bad_issue;
     bad_issue.issuePolicy = PolicyKind::Stall;
     EXPECT_THROW(test::withMessage([&] { bad_issue.validate(); },
                                    "not a dispatch/issue policy"),
                  ConfigError);
+    EXPECT_THROW(test::withMessage([&] { makeArbitrationPolicy(bad_issue); },
+                                   "(valid: icount, round-robin, brcount, "
+                                   "misscount, split, weighted)"),
+                 ConfigError);
     SimConfig bad_fetch;
     bad_fetch.fetchPolicy = PolicyKind::Split;
     EXPECT_THROW(test::withMessage([&] { bad_fetch.validate(); },
                                    "not a fetch policy"),
+                 ConfigError);
+    EXPECT_THROW(test::withMessage([&] { makeFetchPolicy(bad_fetch); },
+                                   "(valid: icount, round-robin, brcount, "
+                                   "misscount, stall, flush, adaptive, "
+                                   "weighted)"),
                  ConfigError);
 }
 

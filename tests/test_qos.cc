@@ -90,6 +90,12 @@ TEST(AdaptiveGate, GatesExactlyAtThresholdTimesWindow)
     EXPECT_FALSE(pol->mayFetch(t));
     t.missWindow = 2 * kPolicyWindowCycles + 1;
     EXPECT_FALSE(pol->mayFetch(t));
+
+    // A threshold whose gate lies past every u32 window never gates
+    // (threshold * 64 once wrapped to 0 and gated on any miss).
+    cfg.adaptiveMissThreshold = 1u << 26;
+    t.missWindow = 0xffffffffu;
+    EXPECT_TRUE(makeFetchPolicy(cfg)->mayFetch(t));
 }
 
 TEST(AdaptiveGate, NeverGatesWithoutAnOutstandingMiss)

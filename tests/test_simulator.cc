@@ -137,6 +137,24 @@ TEST(Simulator, RequiresOneSourcePerThread)
     EXPECT_DEATH(Simulator(cfg, std::move(sources)), "one trace source");
 }
 
+TEST(Simulator, RejectsAnInvalidConfigBeforeBuildingAnything)
+{
+    // Each of these once reached a policy or the memory system before
+    // validation and aborted (a wrong-seam policy) or divided by zero
+    // (a zero line size or bus width) instead of throwing.
+    SimConfig split_fetch = testConfig(2);
+    split_fetch.fetchPolicy = PolicyKind::Split;
+    SimConfig stall_issue = testConfig(2);
+    stall_issue.issuePolicy = PolicyKind::Stall;
+    SimConfig zero_line = testConfig(2);
+    zero_line.l1LineBytes = 0;
+    SimConfig zero_bus = testConfig(2);
+    zero_bus.busBytesPerCycle = 0;
+    for (const SimConfig &cfg :
+         {split_fetch, stall_issue, zero_line, zero_bus})
+        EXPECT_THROW(makeSim(cfg, streamingKernel()), ConfigError);
+}
+
 TEST(Simulator, StoreDataArrivesFromTheEp)
 {
     // An FP store whose data comes from a long FP chain must graduate
