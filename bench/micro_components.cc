@@ -166,7 +166,8 @@ BENCHMARK(BM_SimulatorStepProfiled)->Arg(0)->Arg(1);
 
 /** A 2-context non-decoupled machine at L2=256, driven through
  *  Simulator::run so the idle-skip engine takes part: most heads wait
- *  for a fill, parked on a refused load or store or blocked on a miss.
+ *  for a fill: a refused load or store waiting, or a head blocked on a
+ *  miss.
  *  Items are graduated instructions. */
 static void
 BM_RunStalledNonDecoupled(benchmark::State &state)

@@ -101,6 +101,25 @@ class ThreadSet
         w = (w & ~bit(t)) | (std::uint64_t(in) << (t % 64));
     }
 
+    /** Make this set @p a ∪ @p b, all three over the same threads. */
+    void
+    assignUnion(const ThreadSet &a, const ThreadSet &b)
+    {
+        assert(n_ == a.n_ && n_ == b.n_);
+        for (std::size_t w = 0; w < wordsFor(n_); ++w)
+            words_[w] = a.words_[w] | b.words_[w];
+    }
+
+    /** True when the set has a member. */
+    bool
+    any() const
+    {
+        for (std::size_t w = 0; w < wordsFor(n_); ++w)
+            if (words_[w] != 0)
+                return true;
+        return false;
+    }
+
     /** Insert every thread of the machine. */
     void
     fill()

@@ -39,10 +39,11 @@ Simulator::rebuildDerived()
         ctxp->windowsAt = now_;
         keys_.push_back(ctxp->policyState(cfg_, now_));
     }
-    parked_.assign(n, Parking{});
-    parkedLoads_ = ThreadSet(n);
-    parkedStores_ = ThreadSet(n);
-    parkWake_ = kNoCycle;
+    for (Waiters *w : {&loads_, &stores_}) {
+        w->at.assign(n, Waiter{});
+        w->set = ThreadSet(n);
+    }
+    waitingLines_.assign(kLineBuckets, 0);
     for (std::size_t u = 0; u < heads_.size(); ++u) {
         heads_[u].assign(n, HeadClass{});
         dirtyHeads_[u].resize(n);
@@ -54,6 +55,7 @@ Simulator::rebuildDerived()
     fetchSet_ = ThreadSet(n);
     graduateSet_ = ThreadSet(n);
     all_ = ThreadSet(n);
+    admitted_ = ThreadSet(n);
     for (ThreadId t = 0; t < n; ++t) {
         for (const Unit unit : {Unit::AP, Unit::EP})
             issueSet_[std::size_t(unit)].assign(t, queued(unit, t) > 0);
@@ -148,7 +150,7 @@ Simulator::processCompletions()
         di->state = InstState::Completed;
         // The ROB head, or the producer of a store head's data, ends a
         // graduation wait.
-        if (!graduateSet_.contains(ev.tid) && !storeParked(ev.tid))
+        if (!graduateSet_.contains(ev.tid) && !stores_.set.contains(ev.tid))
             graduateSet_.insert(ev.tid);
 
         if (di->ti.dst.valid()) {
@@ -216,19 +218,17 @@ Simulator::tryIssue(Context &ctx, DynInst &di)
         } else {
             const MemResult r = mem_.load(di.ti.addr, now_);
             if (!r.accepted) {
-                // No free MSHR, or the frame filling another line: only
-                // a landing fill frees either, and the head cannot turn
-                // forwardable (every older store has issued), so the
-                // load would be refused, side-effect free, every cycle
-                // until the next fill. Port pressure: next cycle.
-                if (r.reject != MemReject::NoPort) {
-                    parked_[ctx.tid].load = mem_.nextFillCycle();
-                    parked_[ctx.tid].loadAddr = di.ti.addr;
-                    park(parkedLoads_, issueSet_[std::size_t(Unit::AP)],
-                         ctx.tid, parked_[ctx.tid].load);
-                }
+                // No free MSHR, or the frame filling another line: the
+                // head cannot turn forwardable (every older store has
+                // issued), so it waits for the event that can admit it
+                // (Waiter). Port pressure: next cycle.
+                if (r.reject != MemReject::NoPort)
+                    wait(loads_, issueSet_[std::size_t(Unit::AP)], ctx.tid,
+                         di.ti.addr, r.reject);
                 return false;
             }
+            if (r.miss() && !r.merged)
+                wakeLine(mem_.lineOf(di.ti.addr));
             ready_at = r.readyAt;
             if (r.miss()) {
                 syncWindows(ctx);
@@ -272,16 +272,16 @@ Simulator::issueUnit(Unit unit, std::uint32_t &slots)
     const std::size_t u = std::size_t(unit);
     const RankedWalk &rank = issueRank_[u];
     std::uint32_t issued = 0;
-    // A head whose clean class proves it blocked, or a load parked
-    // until a fill, is not in the set: it waits for its event without
-    // a Context access.
-    const ThreadSet &set = issueSet_[u];
+    // A head whose clean class proves it blocked, or a waiting load, is
+    // not in the set: it waits for its event without a Context access.
+    // With an MSHR free the AP walk visits the waiting loads too.
+    const bool admit = unit == Unit::AP && admits(issueSet_[u], loads_);
+    const ThreadSet &set = admit ? admitted_ : issueSet_[u];
     const auto live = [&](std::size_t w) { return set.word(w); };
     RankedWalk::Cursor c = rank.begin(live);
     for (ThreadId t; slots > 0 && (t = rank.next(c, live)) != kNoThread;) {
-        if (unit == Unit::AP && parked_[t].loadAddr &&
-            !mayAttempt(parked_[t].load, parked_[t].loadAddr, parkedLoads_,
-                        issueSet_[u], t))
+        if (admit && loads_.set.contains(t) &&
+            !mayAttempt(loads_, issueSet_[u], t))
             continue;
         ThreadState &key = keys_[t];
         std::uint32_t &queued =
@@ -637,66 +637,85 @@ Simulator::fetchStage()
 // ---------------------------------------------------------------------
 
 bool
-Simulator::mayAttempt(Cycle &until, std::optional<Addr> &held,
-                      ThreadSet &parked, ThreadSet &stage, ThreadId t)
+Simulator::mayAttempt(Waiters &w, ThreadSet &stage, ThreadId t)
 {
-    assert(held && now_ >= until && "a parked head is not in its stage set");
-    const MemReject why = mem_.refusal(*held);
-    if (why == MemReject::None) {
-        held.reset();  // the attempt this returns to is accepted
-        return true;
+    // Its line was not allocated since it waits (wakeLine), so with no
+    // MSHR free the L1 refuses it.
+    Waiter &h = w.at[t];
+    if (now_ < h.until || !mem_.mshrFree())
+        return false;
+    const MemReject why = mem_.refusal(h.addr);
+    if (why == MemReject::NoMshr || why == MemReject::Conflict) {
+        h.until = waitUntil(h.line, why);
+        return false;
     }
-    if (why != MemReject::NoPort) {
-        until = mem_.nextFillCycle();
-        park(parked, stage, t, until);
-    }
-    return false;
+    unwait(w, stage, t);
+    return why == MemReject::None;
 }
 
 void
-Simulator::park(ThreadSet &parked, ThreadSet &stage, ThreadId t,
-                Cycle until)
+Simulator::wait(Waiters &w, ThreadSet &stage, ThreadId t, Addr addr,
+                MemReject why)
 {
-    if (until <= now_)
-        return;
-    parked.insert(t);
+    assert(!w.set.contains(t) && "a waiting head is not attempted");
+    const std::uint64_t line = mem_.lineOf(addr);
+    w.at[t] = Waiter{addr, line, waitUntil(line, why)};
+    w.set.insert(t);
     stage.erase(t);
-    parkWake_ = std::min(parkWake_, until);
+    waitingLines_[line % kLineBuckets] += 1;
 }
 
 void
-Simulator::releaseParked()
+Simulator::unwait(Waiters &w, ThreadSet &stage, ThreadId t)
 {
-    parkWake_ = kNoCycle;
-    for (const bool store : {false, true}) {
-        // A released head is held, so it is queued (a ROB head), it
-        // passed its gates (no blocked class), and it waits for nothing.
-        ThreadSet &parked = store ? parkedStores_ : parkedLoads_;
-        ThreadSet &stage =
-            store ? graduateSet_ : issueSet_[std::size_t(Unit::AP)];
-        const auto members = [&](std::size_t w) { return parked.word(w); };
+    // A waiting head is queued (a ROB head) and passed its gates (no
+    // blocked class), so back in the set it waits for nothing.
+    assert(waitingLines_[w.at[t].line % kLineBuckets] > 0);
+    w.set.erase(t);
+    stage.insert(t);
+    waitingLines_[w.at[t].line % kLineBuckets] -= 1;
+}
+
+bool
+Simulator::admits(const ThreadSet &stage, const Waiters &w)
+{
+    if (!mem_.mshrFree() || !w.set.any())
+        return false;
+    admitted_.assignUnion(stage, w.set);
+    return true;
+}
+
+void
+Simulator::wakeLine(std::uint64_t line)
+{
+    if (waitingLines_[line % kLineBuckets] == 0)
+        return;
+    // A walk in progress, as any access could allocate a line, walks
+    // the union of its stage set and the waiters (admits()), so moving a
+    // woken head from one to the other changes nothing it visits.
+    const auto wake = [&](Waiters &w, ThreadSet &stage) {
+        const auto members = [&](std::size_t i) { return w.set.word(i); };
         ThreadSet::Cursor c(cfg_.numThreads, 0, members);
-        for (ThreadId t; (t = c.next(members)) != kNoThread;) {
-            const Cycle until = store ? parked_[t].store : parked_[t].load;
-            if (until <= now_) {
-                parked.erase(t);
-                stage.insert(t);
-            } else {
-                parkWake_ = std::min(parkWake_, until);
-            }
-        }
-    }
+        for (ThreadId t; (t = c.next(members)) != kNoThread;)
+            if (w.at[t].line == line)
+                unwait(w, stage, t);
+    };
+    wake(loads_, issueSet_[std::size_t(Unit::AP)]);
+    wake(stores_, graduateSet_);
 }
 
 void
 Simulator::graduateStage()
 {
-    const auto live = [&](std::size_t w) { return graduateSet_.word(w); };
+    // With an MSHR free the walk visits the waiting stores too; a store
+    // whose line a load allocated this cycle is back in the set.
+    const bool admit = admits(graduateSet_, stores_);
+    const ThreadSet &set = admit ? admitted_ : graduateSet_;
+    const auto live = [&](std::size_t w) { return set.word(w); };
     ThreadSet::Cursor c(cfg_.numThreads, 0, live);
     for (ThreadId t; (t = c.next(live)) != kNoThread;) {
-        if (parked_[t].storeAddr &&
-            !mayAttempt(parked_[t].store, parked_[t].storeAddr,
-                        parkedStores_, graduateSet_, t))
+        if (admit && stores_.set.contains(t) &&
+            !mayAttempt(stores_, graduateSet_, t))
             continue;
         Context &ctx = *contexts_[t];
         std::uint32_t width = cfg_.graduateWidth;
@@ -713,17 +732,14 @@ Simulator::graduateStage()
                 const MemResult r = mem_.store(di.ti.addr, now_);
                 if (!r.accepted) {
                     // No free MSHR, or its frame filling another line:
-                    // only a landing fill frees either, so the store
-                    // would be refused, side-effect free, every cycle
-                    // until the next one. Port pressure: next cycle.
-                    if (r.reject != MemReject::NoPort) {
-                        parked_[t].store = mem_.nextFillCycle();
-                        parked_[t].storeAddr = di.ti.addr;
-                        park(parkedStores_, graduateSet_, t,
-                             parked_[t].store);
-                    }
+                    // the store waits for the event that can admit it
+                    // (Waiter). Port pressure: next cycle.
+                    if (r.reject != MemReject::NoPort)
+                        wait(stores_, graduateSet_, t, di.ti.addr, r.reject);
                     break;
                 }
+                if (r.miss() && !r.merged)
+                    wakeLine(mem_.lineOf(di.ti.addr));
                 MTDAE_ASSERT(!ctx.saq.empty() &&
                              ctx.saq.front().inst == &di &&
                              ctx.saq.front().addrValid,
@@ -759,8 +775,6 @@ Simulator::finishCycle()
     fetchPolicy_.endCycle();
     issuePolicy_.endCycle();
     now_ += 1;
-    if (now_ >= parkWake_)
-        releaseParked();
     // A policy reading the windows gets this cycle's samples now, so
     // all of next cycle's consultations see the same windows.
     if (windowsRead_)
@@ -784,9 +798,11 @@ Simulator::quiescent(SkipProbe &blocker)
         const Context &ctx = *contexts_[t];
 
         // Graduation: a Completed ROB head would graduate this cycle,
-        // unless it is a store parked until the next fill (a wake
-        // source): until then the L1 refuses it without side effects.
-        if (!ctx.rob.empty() && now_ >= parked_[t].store) {
+        // unless it is a store waiting for an event that cannot come
+        // this cycle (a wake source): until then the L1 refuses it
+        // without side effects.
+        if (!ctx.rob.empty() &&
+            !(stores_.set.contains(t) && waitBlocked(stores_.at[t]))) {
             const DynInst &head = ctx.rob.front();
             if (head.state == InstState::Completed &&
                 (!head.isStoreOp || ctx.storeDataReady(head))) {
@@ -797,7 +813,7 @@ Simulator::quiescent(SkipProbe &blocker)
 
         // Issue: a unit-queue head passing its gates would issue, or at
         // least attempt an access (a load denied a port retries next
-        // cycle; one parked until the next fill does not). Only the
+        // cycle; a blocked waiting one does not). Only the
         // heads matter: issueUnit stops a thread's unit at the first
         // non-issuable instruction, and with both heads stuck neither
         // two-pass round can unblock the other unit.
@@ -807,7 +823,8 @@ Simulator::quiescent(SkipProbe &blocker)
             return di->isStoreOp ? ctx.storeAddrReady(*di)
                                  : ctx.operandsReady(*di);
         };
-        if ((!ctx.apQ.empty() && now_ >= parked_[t].load &&
+        if ((!ctx.apQ.empty() &&
+             !(loads_.set.contains(t) && waitBlocked(loads_.at[t])) &&
              head_can_issue(ctx.apQ.front())) ||
             (!ctx.iq.empty() && head_can_issue(ctx.iq.front()))) {
             blocker = SkipProbe::Issuable;
@@ -878,10 +895,11 @@ Simulator::nextWakeCycle() const
         if (resume > now_ && resume < wake && ctx.fetchEligible(cfg_, resume))
             wake = resume;
     }
-    // A parked head retries when its deadline, the next fill, lands.
-    // Every deadline after now_ is a parked head's, and finishCycle
-    // released the expired ones, so parkWake_ is the earliest of them.
-    return std::min(wake, parkWake_);
+    // A waiting head, blocked since the span is quiescent, may be
+    // admitted once the next fill lands (waitBlocked).
+    if (loads_.set.any() || stores_.set.any())
+        wake = std::min(wake, mem_.nextFillCycle());
+    return wake;
 }
 
 void
@@ -981,8 +999,6 @@ Simulator::trySkipIdle(std::uint64_t max_cycles)
             issuePolicy_.skipCycles(bulk);
             now_ += bulk;
             n -= bulk;
-            if (now_ >= parkWake_)
-                releaseParked();
             if (windowsRead_)
                 syncAllWindows();
         }

@@ -11,11 +11,12 @@
  *      ArbitrationPolicy's visit order, full simultaneous issue; slot
  *      accounting — over the same visit order — and perceived-latency
  *      attribution, both from stall classes cached per queue head; a
- *      load the L1 refuses for want of an MSHR or a frame parks its
- *      thread's AP queue until the next fill lands and is then
- *      re-checked through the L1's probe, and a head whose cached
- *      class proves it blocked is skipped until the event that
- *      invalidates the class)
+ *      load the L1 refuses for want of an MSHR or a frame waits, its
+ *      thread's AP queue unvisited, for the event that can admit it —
+ *      an MSHR free, its frame's fill, its line allocated by another
+ *      access — and is then re-checked through the L1's probe; a head
+ *      whose cached class proves it blocked is skipped until the event
+ *      that invalidates the class)
  *   4. dispatch (rename, steer to AP queue / EP Instruction Queue,
  *      allocate ROB and SAQ entries; threads visited in the
  *      ArbitrationPolicy's dispatch order; a thread whose head found
@@ -31,8 +32,8 @@
  *   6. graduate (in-order retirement; stores write the cache here; a
  *      thread whose ROB head is incomplete, or a store without its
  *      data, waits for a completion in the thread; one whose head store
- *      the L1 refuses for want of an MSHR or a frame is parked until
- *      the next fill lands, then re-checked through the L1's probe)
+ *      the L1 refuses for want of an MSHR or a frame waits, as a
+ *      refused load does, for the event that can admit it)
  *
  * Thread arbitration is pluggable (src/policy/policy.hh), selected by
  * SimConfig::fetchPolicy / SimConfig::issuePolicy. Each seam's policy
@@ -48,9 +49,10 @@
  * and a head's stall class is recomputed only after an event that can
  * change it, so under policies that do not read the windows no cycle
  * walks every context for either. A blocked head waits for its event
- * the same way, in every stage and in the idle-skip engine: a parked
- * load or store is no activity, and its deadline is a wake source. So
- * a cycle touches a Context only where something can happen.
+ * the same way, in every stage and in the idle-skip engine: a waiting
+ * load or store is no activity while its event cannot come, and the
+ * cycle it can is a wake source. So a cycle touches a Context only
+ * where something can happen.
  */
 
 #ifndef MTDAE_CORE_SIMULATOR_HH
@@ -262,46 +264,59 @@ class Simulator
     {
         const std::size_t u = std::size_t(unit);
         return !heads_[u].at(t).dirty && queued(unit, t) > 0 &&
-               !(unit == Unit::AP && loadParked(t)) &&
+               !(unit == Unit::AP && loads_.set.contains(t)) &&
                !issueSet_[u].contains(t);
     }
 
     /**
-     * The cycle before which thread @p t's AP-queue head load is parked:
-     * refused by the L1 for want of an MSHR or by a frame conflict, it
-     * is not retried until the next fill lands. Not parked when this is
-     * not after now().
+     * A load or store head the L1 refused for want of an MSHR
+     * (MemReject::NoMshr) or by a frame filling another line
+     * (MemReject::Conflict), held out of its stage set until an event
+     * that can admit it:
+     * - its frame's fill, for a Conflict refusal: the head is not
+     *   attempted before `until`;
+     * - an MSHR free when its stage's walk starts: the walk visits the
+     *   waiting heads too, in its order, and attempts each whose
+     *   `until` has come while an MSHR is still free;
+     * - its line allocated by another access (a primary miss), however
+     *   many MSHRs are left: the head would merge, so it leaves the
+     *   waiters at once. That covers a load that allocates the line
+     *   before graduation runs, and a head its walk did not reach
+     *   (issue ran out of slots) before the line was allocated.
+     * Every attempt this skips would be refused without side effect,
+     * because an MSHR frees only as a fill lands, a line becomes
+     * resident or filling only through an access that allocates it,
+     * and a pending fill is never cancelled. An attempt re-checks the
+     * head through MemorySystem::refusal() before it touches the
+     * Context: a frame refusal waits again, a port refusal retries next
+     * cycle in the stage set.
      */
-    Cycle loadParkedUntil(ThreadId t) const { return parked_.at(t).load; }
-
-    /**
-     * The address of thread @p t's AP-queue head load while it is held:
-     * refused for want of an MSHR or by a frame conflict and not
-     * attempted since, so past its deadline issue re-checks it through
-     * MemorySystem::refusal() before touching the Context.
-     */
-    std::optional<Addr>
-    heldLoad(ThreadId t) const
+    struct Waiter
     {
-        return parked_.at(t).loadAddr;
+        Addr addr = 0;           ///< The refused access's address.
+        std::uint64_t line = 0;  ///< Its L1 line (MemorySystem::lineOf).
+        /** The cycle the frame's fill of another line lands, for a
+         *  Conflict refusal; 0 for NoMshr. Once it has landed, the
+         *  head waits as one refused for an MSHR. */
+        Cycle until = 0;
+    };
+
+    /** Thread @p t's AP-queue head load while it waits (Waiter), or
+     *  nothing. Issue leaves a waiting AP queue unvisited. */
+    std::optional<Waiter>
+    waitingLoad(ThreadId t) const
+    {
+        return loads_.set.contains(t) ? std::optional(loads_.at[t])
+                                      : std::nullopt;
     }
 
-    /** loadParkedUntil() for thread @p t's ROB-head store. */
-    Cycle storeParkedUntil(ThreadId t) const { return parked_.at(t).store; }
-
-    /** heldLoad() for thread @p t's ROB-head store (graduation). */
-    std::optional<Addr>
-    heldStore(ThreadId t) const
+    /** waitingLoad() for thread @p t's ROB-head store (graduation). */
+    std::optional<Waiter>
+    waitingStore(ThreadId t) const
     {
-        return parked_.at(t).storeAddr;
+        return stores_.set.contains(t) ? std::optional(stores_.at[t])
+                                       : std::nullopt;
     }
-
-    /** True while thread @p t's held load is parked: held, and its
-     *  deadline after now(). Issue leaves the AP queue unvisited. */
-    bool loadParked(ThreadId t) const { return parkedLoads_.contains(t); }
-
-    /** loadParked() for the held ROB-head store (graduation). */
-    bool storeParked(ThreadId t) const { return parkedStores_.contains(t); }
 
     /** The threads each pipeline stage walks (stageVisits). */
     enum class StageSet : std::uint8_t {
@@ -310,11 +325,12 @@ class Simulator
 
     /**
      * Is thread @p t in stage @p s's set: would the stage, reached now,
-     * visit it rather than pass it over? Issue: the unit's queue holds
-     * a head that is not cachedBlocked(), and on the AP not
-     * loadParked(). Dispatch: a buffered instruction, room in the ROB,
-     * not dispatchWaiting(). Fetch: room in the fetch buffer.
-     * Graduation: a ROB head, not graduateWaiting(), not storeParked().
+     * visit it whatever the L1's state? Issue: the unit's queue holds a
+     * head that is not cachedBlocked(), and on the AP no waitingLoad().
+     * Dispatch: a buffered instruction, room in the ROB, not
+     * dispatchWaiting(). Fetch: room in the fetch buffer. Graduation: a
+     * ROB head, not graduateWaiting(), no waitingStore(). A waiting
+     * head is visited besides, when its walk starts with an MSHR free.
      */
     bool
     stageVisits(StageSet s, ThreadId t) const
@@ -369,7 +385,7 @@ class Simulator
     bool
     graduateWaiting(ThreadId t) const
     {
-        return keys_.at(t).robOccupancy > 0 && !storeParked(t) &&
+        return keys_.at(t).robOccupancy > 0 && !stores_.set.contains(t) &&
                !graduateSet_.contains(t);
     }
 
@@ -435,27 +451,64 @@ class Simulator
      * first squashed instruction (nothing younger was ever fetched).
      */
     void flushFetchBuffer(Context &ctx);
+    /** The waiting heads of one stage (Waiter): each thread's record,
+     *  meaningful while the thread is in the set. */
+    struct Waiters
+    {
+        std::vector<Waiter> at;
+        ThreadSet set;
+    };
     /**
-     * May thread @p t's @p held head, which the L1 refused and whose
-     * deadline @p until has come (so it is not in @p parked), be
-     * attempted now? The L1's side-effect-free probe of the held
-     * address decides: accepted clears the hold and returns true, a
-     * port refusal passes over the head this cycle, and an MSHR or
-     * frame refusal parks it again at the next fill, the deadline the
-     * real attempt would set.
+     * May thread @p t's head, waiting in @p w and reached by its stage's
+     * walk, be attempted now? Before its frame's fill, or with no MSHR
+     * free, no. Otherwise the L1's side-effect-free probe of its
+     * address decides: accepted returns the head to its @p stage set
+     * and true, a port refusal returns it there to retry next cycle,
+     * and an MSHR or frame refusal waits again, as the real attempt
+     * would.
      */
-    bool mayAttempt(Cycle &until, std::optional<Addr> &held,
-                    ThreadSet &parked, ThreadSet &stage, ThreadId t);
-    /** Hold thread @p t's head in @p parked, out of its @p stage set,
-     *  until @p until, if that is after now_. */
-    void park(ThreadSet &parked, ThreadSet &stage, ThreadId t, Cycle until);
-    /** Release every parked head whose deadline has come (now_ has
-     *  reached parkWake_); called wherever now_ advances. */
-    void releaseParked();
+    bool mayAttempt(Waiters &w, ThreadSet &stage, ThreadId t);
+    /** Hold thread @p t's head, refused by the L1 for @p why (NoMshr or
+     *  Conflict) at @p addr, in @p w and out of its @p stage set. */
+    void wait(Waiters &w, ThreadSet &stage, ThreadId t, Addr addr,
+              MemReject why);
+    /** Waiter::until of a head refused for @p why at @p line. */
+    Cycle
+    waitUntil(std::uint64_t line, MemReject why) const
+    {
+        return why == MemReject::Conflict ? mem_.frameFillCycle(line) : 0;
+    }
+    /** Return thread @p t's head from @p w to its @p stage set. */
+    void unwait(Waiters &w, ThreadSet &stage, ThreadId t);
+    /**
+     * Does a walk of @p stage starting now visit the heads waiting in
+     * @p w too (some wait, and an MSHR is free)? If so, admitted_ holds
+     * the union to walk. During a walk only the visited thread changes
+     * sets, or a woken one moves from the waiters into the stage set,
+     * so the union stays the one the walk would read live.
+     */
+    bool admits(const ThreadSet &stage, const Waiters &w);
+    /** An access allocated @p line: every head waiting for it would
+     *  merge, so each returns to its stage set. */
+    void wakeLine(std::uint64_t line);
+    /**
+     * True while waiting head @p w is refused at every cycle up to the
+     * next fill with no L1 access (a quiescent span makes none): no
+     * fill lands this cycle, and its frame still fills another line or
+     * no MSHR is free. The next fill is the wake (nextWakeCycle) even
+     * for a head whose frame fills later: that steps the cycle a fill
+     * lands, as for every waiter, and keeps the skip statistics the
+     * skip goldens pin.
+     */
+    bool
+    waitBlocked(const Waiter &w) const
+    {
+        return mem_.nextFillCycle() > now_ &&
+               (w.until > now_ || !mem_.mshrFree());
+    }
     void graduateStage();
-    /** Policy endCycle()s, now_ advance, the release of parked heads
-     *  whose deadline came, and the window sync of a policy that reads
-     *  the windows (windowsRead_). */
+    /** Policy endCycle()s, now_ advance, and the window sync of a policy
+     *  that reads the windows (windowsRead_). */
     void finishCycle();
 
     // --- Lazily kept per-thread statistics -----------------------------
@@ -480,7 +533,8 @@ class Simulator
         chargeStalls(unit, t);
         h.dirty = true;
         issueSet_[u].assign(t, queued(unit, t) > 0 &&
-                                   !(unit == Unit::AP && loadParked(t)));
+                                   !(unit == Unit::AP &&
+                                     loads_.set.contains(t)));
         dirtyHeads_[u].push_back(t);
     }
     /** Charge a clean class's perceived stalls up to this cycle. */
@@ -491,7 +545,7 @@ class Simulator
      *  cycle with a free slot. */
     void classifyDirtyHeads(Unit unit);
     /** Rebuild every derived structure from the simulated state at
-     *  now_: keys, parking, wait marks, window sync points, stall
+     *  now_: keys, waiters (none), wait marks, window sync points, stall
      *  classes, stage sets. */
     void rebuildDerived();
 
@@ -521,8 +575,8 @@ class Simulator
      * simulated state except the per-cycle bookkeeping idleStepStats()
      * reproduces: no completion event is due, no ROB head can graduate,
      * no queue head can issue (or attempt a memory access), no thread
-     * can dispatch, fetch or flush. A load or store parked until the
-     * next fill is neither issuable nor graduable: until its deadline
+     * can dispatch, fetch or flush. A waiting load or store is neither
+     * issuable nor graduable while waitBlocked(): until the next fill
      * the L1 refuses it without side effects. Conservative: any doubt
      * returns false, naming the first failed condition in @p blocker,
      * and the cycle is stepped normally.
@@ -530,15 +584,14 @@ class Simulator
     bool quiescent(SkipProbe &blocker);
     /**
      * Earliest cycle after now_ at which quiescence could end: the
-     * completion-event head, every gated thread's fetchResumeAt, and
-     * the earliest parking deadline after now_ (the fill a parked load
-     * or store waits for). kNoCycle when nothing is pending. The
-     * memory system is no wake source: its model is analytic (a
-     * reservation is a timestamp the next access reads), nothing
-     * accesses it inside a quiescent span, every load fill is a
-     * completion event, and trySkipIdle's catch-up beginCycle lands
-     * the L1 fills, those of a span ending at a parking deadline
-     * included.
+     * completion-event head, every gated thread's fetchResumeAt, and,
+     * while a load or store waits, the next fill (waitBlocked).
+     * kNoCycle when nothing is pending. The memory system is otherwise
+     * no wake source: its model is analytic (a reservation is a
+     * timestamp the next access reads), nothing accesses it inside a
+     * quiescent span, every load fill is a completion event, and
+     * trySkipIdle's catch-up beginCycle lands the L1 fills, those of a
+     * span ending at a fill a head waits for included.
      */
     Cycle nextWakeCycle() const;
     /**
@@ -599,38 +652,25 @@ class Simulator
      *  windows at the end of every cycle. */
     bool windowsRead_ = false;
     /**
-     * Per thread, the cycles before which its AP-queue head load and
-     * its ROB-head store are known to be refused by the L1: issue skips
-     * the thread's AP queue, and graduation the thread, until then.
-     * Set when the head is refused for want of an MSHR or by a frame
-     * conflict, to MemorySystem::nextFillCycle(), since only a landing
-     * fill frees either. The refused head's address is held with it:
-     * past the deadline, mayAttempt() re-checks the address through
-     * MemorySystem::refusal() and visits the Context only when the L1
-     * would accept. That is exact because a held head cannot change
+     * The waiting AP-queue head loads (issue) and ROB-head stores
+     * (graduation), per thread (Waiter). A waiting head is out of its
+     * stage set; its walk adds the waiters when it starts with an MSHR
+     * free, and wakeLine() returns those whose line an access
+     * allocates. Waiting is exact because a waiting head cannot change
      * (its queue or ROB does not move), its gates stay passed (ready
-     * registers stay ready, a held load cannot turn forwardable), and
-     * a refusal has no side effect. A parked head does not break
-     * quiescence, and its deadline is a wake source. Derived state:
-     * cleared on restore, never serialized (a restored run re-attempts
-     * once and parks again).
+     * registers stay ready, a waiting load cannot turn forwardable),
+     * and a refusal has no side effect. A waitBlocked() head does not
+     * break quiescence, and the next fill is a wake source. Derived
+     * state: empty after a restore, never serialized (a restored run
+     * re-attempts each head once and it waits again).
      */
-    struct Parking
-    {
-        Cycle load = 0;
-        Cycle store = 0;
-        std::optional<Addr> loadAddr;
-        std::optional<Addr> storeAddr;
-    };
-    std::vector<Parking> parked_;
-    /** The threads whose held load (store) is parked: held, with its
-     *  deadline after now_. A parked head leaves its stage set until
-     *  the earliest deadline, parkWake_, when releaseParked() returns
-     *  the expired ones; a released head stays held, and the stage
-     *  re-checks it through mayAttempt() when its walk reaches it. */
-    ThreadSet parkedLoads_;
-    ThreadSet parkedStores_;
-    Cycle parkWake_ = kNoCycle;
+    Waiters loads_;
+    Waiters stores_;
+    /** The waiting loads and stores per bucket of L1 lines (the line
+     *  mod kLineBuckets): an allocation whose bucket is empty wakes no
+     *  one, so wakeLine() scans the waiters only on a bucket hit. */
+    static constexpr std::size_t kLineBuckets = 1024;
+    std::vector<std::uint32_t> waitingLines_;
     /**
      * The stage sets: per stage, the threads it would not pass over,
      * one bit per context, walked in the stage's ranking. Each is
@@ -638,7 +678,7 @@ class Simulator
      * marks and blocked classes as its own bits, not beside them:
      * - issue, per unit: a queued head whose class is not clean and
      *   blocked (WaitMem, WaitFu or, not decoupled, not next in program
-     *   order), and on the AP no parked load. A classification that
+     *   order), and on the AP no waiting load. A classification that
      *   proves the head blocked removes the thread until the head is
      *   invalidated (invalidateHead), which re-derives its bit.
      * - dispatch: a buffered instruction, room in the ROB, and no wait
@@ -650,7 +690,7 @@ class Simulator
      *   leaves only by dispatch or flush, so nothing else can make
      *   canDispatch true.
      * - fetch: room in the fetch buffer.
-     * - graduation: a ROB head, no wait mark and no parked store. A ROB
+     * - graduation: a ROB head, no wait mark and no waiting store. A ROB
      *   head that is incomplete, or a store whose data register is not
      *   ready, removes the thread until any completion in the thread
      *   (the head, or the producer of the data register, which renames
@@ -663,6 +703,7 @@ class Simulator
     ThreadSet fetchSet_;
     ThreadSet graduateSet_;
     ThreadSet all_;  ///< every thread (the issue rankings' universe)
+    ThreadSet admitted_;  ///< a stage set and its waiters (admits())
     /** Each seam's ranking of this cycle, with its keys read once: the
      *  issue rankings before the issue stage, over every thread (both
      *  passes walk them, and the slot accounting reads their first

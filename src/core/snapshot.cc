@@ -230,8 +230,8 @@ Simulator::restoreSnapshot(const Snapshot &snap)
 
     // Derived state: the live policy keys follow the restored contexts,
     // the windows are synced to now_, every stall class awaits
-    // recomputation, no load or store is parked or held (a parked head
-    // re-attempts once, is refused without side effects, and parks
+    // recomputation, no load or store waits (a head that waited
+    // re-attempts once, is refused without side effects, and waits
     // again), and every thread is awake to dispatch and graduate.
     rebuildDerived();
 }

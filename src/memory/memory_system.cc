@@ -8,7 +8,7 @@
 namespace mtdae {
 
 MemorySystem::MemorySystem(const SimConfig &cfg)
-    : lineBytes_(cfg.l1LineBytes),
+    : lineBits_(std::uint32_t(std::countr_zero(cfg.l1LineBytes))),
       ports_(cfg.l1Ports),
       l1HitLatency_(cfg.l1HitLatency),
       l2Latency_(cfg.l2Latency),
@@ -19,6 +19,8 @@ MemorySystem::MemorySystem(const SimConfig &cfg)
       dram_(cfg),
       l2_(cfg, dram_)
 {
+    MTDAE_ASSERT(std::has_single_bit(cfg.l1LineBytes),
+                 "the L1 line size must be a power of two");
     const std::uint32_t frames = cfg.l1Bytes / cfg.l1LineBytes;
     MTDAE_ASSERT((frames & (frames - 1)) == 0,
                  "direct-mapped L1 needs a power-of-two frame count");
@@ -59,23 +61,29 @@ MemorySystem::beginCycle(Cycle now)
     nextFillAt_ = next;
 }
 
+bool
+MemorySystem::holds(std::uint64_t line) const
+{
+    const Line &l1 = lines_[frameOf(line)];
+    // An MSHR fills exactly one frame and a frame has at most one
+    // filling MSHR, so the frame's pending index finds it in O(1).
+    if (l1.pendingMshr >= 0)
+        return mshrs_[std::size_t(l1.pendingMshr)].lineAddr == line;
+    return l1.valid && l1.tag == tagOf(line);
+}
+
 MemReject
-MemorySystem::refusal(Addr addr) const
+MemorySystem::refusalOf(std::uint64_t line) const
 {
     if (portsUsed_ >= ports_)
         return MemReject::NoPort;
-    const std::uint64_t line = lineOf(addr);
-    const Line &l1 = lines_[frameOf(line)];
-    // An MSHR fills exactly one frame and a frame has at most one
-    // filling MSHR, so the frame's pending index finds it in O(1): the
-    // same line merges into it, another line waits for the frame.
-    if (l1.pendingMshr >= 0)
-        return mshrs_[std::size_t(l1.pendingMshr)].lineAddr == line
-            ? MemReject::None : MemReject::Conflict;
-    // A resident line hits; a primary miss needs a free MSHR.
-    if ((!l1.valid || l1.tag != tagOf(line)) && mshrsInUse_ == mshrs_.size())
-        return MemReject::NoMshr;
-    return MemReject::None;
+    // A resident line hits and a filling one merges; another line waits
+    // for a filling frame, and a primary miss for a free MSHR.
+    if (holds(line))
+        return MemReject::None;
+    if (lines_[frameOf(line)].pendingMshr >= 0)
+        return MemReject::Conflict;
+    return mshrFree() ? MemReject::None : MemReject::NoMshr;
 }
 
 MemResult
@@ -83,18 +91,18 @@ MemorySystem::access(Addr addr, bool is_store, Cycle now)
 {
     MTDAE_ASSERT(now == currentCycle_, "access outside beginCycle interval");
     MemResult res;
-    res.reject = refusal(addr);
+    const std::uint64_t line = lineOf(addr);
+    res.reject = refusalOf(line);
     if (res.reject != MemReject::None)
         return res;
     ++portsUsed_;
     res.accepted = true;
 
-    const std::uint64_t line = lineOf(addr);
     const std::uint32_t frame = frameOf(line);
     Line &l1 = lines_[frame];
 
-    // Secondary miss: refusal() let a pending fill through only for the
-    // same line, so merge into it. Counted as a delayed hit for the
+    // Secondary miss: refusalOf() let a pending fill through only for
+    // the same line, so merge into it. Counted as a delayed hit for the
     // miss-ratio statistics.
     if (l1.pendingMshr >= 0) {
         Mshr &m = mshrs_[std::size_t(l1.pendingMshr)];
@@ -123,7 +131,7 @@ MemorySystem::access(Addr addr, bool is_store, Cycle now)
         return res;
     }
 
-    // Primary miss: refusal() found an MSHR free.
+    // Primary miss: refusalOf() found an MSHR free.
     const auto m = std::find_if(mshrs_.begin(), mshrs_.end(),
                                 [](const Mshr &x) { return !x.valid; });
     MTDAE_ASSERT(m != mshrs_.end(), "MSHR accounting out of sync");

@@ -122,9 +122,37 @@ class MemorySystem
      * MemReject::None when it would be accepted; loads and stores are
      * refused alike. Side-effect free. Every access consults this
      * decision first, so the refusal rules exist once: the core
-     * re-checks a parked head through it without touching its Context.
+     * re-checks a waiting head through it without touching its Context.
      */
-    MemReject refusal(Addr addr) const;
+    MemReject refusal(Addr addr) const { return refusalOf(lineOf(addr)); }
+
+    /** The L1 line holding @p addr (the address over the line size). */
+    std::uint64_t lineOf(Addr addr) const { return addr >> lineBits_; }
+
+    /**
+     * True when @p line is resident or filling, so an access to it hits
+     * or merges and needs no MSHR. Only an access that allocates the
+     * line (a primary miss) makes it so.
+     */
+    bool holds(std::uint64_t line) const;
+
+    /** True while an MSHR is free for a primary miss. MSHRs free only
+     *  in beginCycle(), as fills land. */
+    bool mshrFree() const { return mshrsInUse_ < mshrs_.size(); }
+
+    /**
+     * Cycle the fill pending in @p line's frame lands, whichever line it
+     * brings (kNoCycle when the frame is not filling). A pending fill is
+     * never cancelled, so an access to another line of the frame is
+     * refused MemReject::Conflict at every cycle before this one.
+     */
+    Cycle
+    frameFillCycle(std::uint64_t line) const
+    {
+        const Line &l1 = lines_[frameOf(line)];
+        return l1.pendingMshr >= 0
+            ? mshrs_[std::size_t(l1.pendingMshr)].readyAt : kNoCycle;
+    }
 
     /** Number of MSHRs currently in flight. */
     std::uint32_t mshrsInUse() const { return mshrsInUse_; }
@@ -169,10 +197,10 @@ class MemorySystem
     Cycle nextEventCycle(Cycle now) const;
 
     /**
-     * Cycle the earliest in-flight L1 fill lands (kNoCycle when none).
-     * Only a landing fill frees an MSHR or a line frame, so an access
-     * refused with MemReject::NoMshr or MemReject::Conflict is refused
-     * again at every cycle before this one.
+     * Cycle the earliest in-flight L1 fill lands (kNoCycle when none):
+     * the next cycle an MSHR can come free, so an access refused with
+     * MemReject::NoMshr is refused again at every cycle before it. The
+     * core's idle-skip engine wakes a head that waits for an MSHR here.
      */
     Cycle nextFillCycle() const { return nextFillAt_; }
 
@@ -201,8 +229,9 @@ class MemorySystem
     };
 
     MemResult access(Addr addr, bool is_store, Cycle now);
+    /** refusal() of an access to @p line. */
+    MemReject refusalOf(std::uint64_t line) const;
 
-    std::uint64_t lineOf(Addr a) const { return a / lineBytes_; }
     std::uint32_t frameOf(std::uint64_t line) const
     {
         return static_cast<std::uint32_t>(line & frameMask_);
@@ -212,7 +241,7 @@ class MemorySystem
         return line >> frameBits_;
     }
 
-    std::uint32_t lineBytes_;
+    std::uint32_t lineBits_;  ///< log2 of the (power-of-two) line size
     std::uint32_t frameBits_;
     std::uint64_t frameMask_;
     std::uint32_t ports_;

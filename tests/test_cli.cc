@@ -97,6 +97,8 @@ TEST(CliParse, RejectsUnknownAndMalformedFlags)
               std::string::npos);
     EXPECT_NE(parseErr({"run", "--frobnicate"}).find("frobnicate"),
               std::string::npos);
+    EXPECT_EQ(parseErr({"run", "--fetch-policy=bogus"}),
+              "bad value 'bogus' for --fetch-policy");
     parseErr({"run", "--insts=0"});
     parseErr({"run", "--format=xml"});
     parseErr({"run", "--latencies=1,x"});
@@ -298,6 +300,14 @@ TEST(CliDriver, InvalidMachineIsAUsageError)
              "gshareHistoryBits must be in 1..32"},
             {{"run", "--predictor=gshare", "--gshare-bits=40"},
              "gshareHistoryBits must be in 1..32"},
+            // A known policy on the wrong seam: the message lists the
+            // seam's valid policies.
+            {{"run", "--fetch-policy=split"},
+             "'split' is not a fetch policy (valid: icount, round-robin, "
+             "brcount, misscount, stall, flush, adaptive, weighted)"},
+            {{"run", "--issue-policy=stall"},
+             "'stall' is not a dispatch/issue policy (valid: icount, "
+             "round-robin, brcount, misscount, split, weighted)"},
         };
     for (auto [args, message] : cases) {
         args.insert(args.end(), {"--insts=100", "--quiet", "--json"});

@@ -321,14 +321,18 @@ class RefusalFuzzTest
 
 TEST_P(RefusalFuzzTest, RefusedUntilTheNextFillWithoutSideEffects)
 {
-    // Only a landing fill frees an MSHR or a line frame, so an access
-    // refused with NoMshr or Conflict at cycle c must be refused again
-    // at every cycle before the nextFillCycle() read at c, whatever
+    // Only a landing fill frees an MSHR, and a pending fill is never
+    // cancelled, so an access refused with NoMshr at cycle c must be
+    // refused again at every cycle before the nextFillCycle() read at
+    // c, and one refused with Conflict at every cycle before its
+    // frame's fill (frameFillCycle(), which may come later), whatever
     // other accesses come in between; and a refusal changes no state.
-    // The simulator parks refused loads at issue, and refused stores at
-    // graduation, on exactly this contract, and re-checks them through
-    // refusal(): before every access, that probe must change nothing
-    // and predict the access's outcome exactly.
+    // The simulator makes refused loads at issue, and refused stores at
+    // graduation, wait on exactly this contract, and re-checks them
+    // through refusal(): before every access, that probe must change
+    // nothing and predict the access's outcome exactly, and agree with
+    // the accessors the waiting reads (holds, frameFillCycle,
+    // mshrFree).
     const auto [perfect, seed] = GetParam();
     Rng rng(deriveSeed(0x72656675, seed));
     SimConfig cfg = memConfig();
@@ -348,7 +352,7 @@ TEST_P(RefusalFuzzTest, RefusedUntilTheNextFillWithoutSideEffects)
         MemReject why;
     };
     std::vector<Refused> open;
-    std::uint64_t parked = 0, retried = 0;
+    std::uint64_t refused = 0, retried = 0;
     for (Cycle now = 0; now < 3000; ++now) {
         mem.beginCycle(now);
         std::erase_if(open, [&](const Refused &f) { return now >= f.until; });
@@ -364,7 +368,8 @@ TEST_P(RefusalFuzzTest, RefusedUntilTheNextFillWithoutSideEffects)
                 ASSERT_FALSE(r.accepted)
                     << "address " << f.addr << " refused ("
                     << int(f.why) << ") at " << f.at << ", accepted at "
-                    << now << " before the fill due at " << f.until;
+                    << now << " before the fill it waits for, due at "
+                    << f.until;
                 ++retried;
                 continue;
             }
@@ -375,6 +380,14 @@ TEST_P(RefusalFuzzTest, RefusedUntilTheNextFillWithoutSideEffects)
             const MemReject probe = mem.refusal(addr);
             if (check) {
                 ASSERT_EQ(stateOf(mem), before) << "the probe changed state";
+            }
+            const std::uint64_t line = mem.lineOf(addr);
+            if (probe != MemReject::NoPort) {
+                const bool filling = mem.frameFillCycle(line) != kNoCycle;
+                ASSERT_EQ(probe == MemReject::None,
+                          mem.holds(line) || (!filling && mem.mshrFree()));
+                ASSERT_EQ(probe == MemReject::Conflict,
+                          filling && !mem.holds(line));
             }
             const MemResult r =
                 store ? mem.store(addr, now) : mem.load(addr, now);
@@ -388,15 +401,18 @@ TEST_P(RefusalFuzzTest, RefusedUntilTheNextFillWithoutSideEffects)
             }
             if (r.reject == MemReject::NoMshr ||
                 r.reject == MemReject::Conflict) {
-                ASSERT_GT(mem.nextFillCycle(), now);
-                open.push_back({addr, now, mem.nextFillCycle(), r.reject});
-                ++parked;
+                const Cycle until = r.reject == MemReject::Conflict
+                    ? mem.frameFillCycle(line) : mem.nextFillCycle();
+                ASSERT_GT(until, now);
+                ASSERT_GE(until, mem.nextFillCycle());
+                open.push_back({addr, now, until, r.reject});
+                ++refused;
             } else {
                 ASSERT_EQ(r.reject, MemReject::NoPort);
             }
         }
     }
-    EXPECT_GT(parked, 0u);
+    EXPECT_GT(refused, 0u);
     EXPECT_GT(retried, 0u);
 }
 

@@ -299,18 +299,20 @@ TEST_P(LiveKeyFuzzTest, LiveKeysMatchRecomputation)
     // walk it replaced in the issue stage, every cached stall class of
     // a queue head against a from-scratch classification
     // (Context::stallClass), the walk the cache replaced, and the facts
-    // the stages pass over a thread on: a held load passes its gates
-    // and is not forwardable (so only the L1 refuses it), a held store
-    // is a graduable head, a class marked blocked belongs to a head
-    // that fails a gate, a thread waiting to dispatch fails
+    // the stages pass over a thread on: a waiting load passes its
+    // gates and is not forwardable (so only the L1 refuses it), a
+    // waiting store is a graduable head, the L1 holds neither's line
+    // (resident or filling: an access allocating it would have woken
+    // the head), and a conflict waiter whose frame has not filled waits
+    // for that frame's pending fill; a class marked blocked belongs to
+    // a head that fails a gate, a thread waiting to dispatch fails
     // canDispatch, and one waiting to graduate has a head that cannot.
     // Each stage set holds exactly the threads the stage would not pass
     // over, by the same facts recomputed: the issue sets from the
-    // queues, the classes and the parking, the fetch set from the
+    // queues, the classes and the waiting loads, the fetch set from the
     // buffer; the dispatch and graduation sets, whose missing members
-    // are the wait marks, only threads with work, the rest justified by
-    // the checks above. Each parked mask holds the held heads whose
-    // deadline has not come.
+    // are the wait marks and the waiting stores, only threads with
+    // work, the rest justified by the checks above.
     // A few save/restore round trips check what restore rebuilds.
     const std::uint64_t seed = GetParam();
     Rng rng(deriveSeed(0x73636163, seed));
@@ -333,7 +335,7 @@ TEST_P(LiveKeyFuzzTest, LiveKeysMatchRecomputation)
 
     Simulator sim = makeSim(cfg, k, 200);
     // Now and then a save/restore round trip rebuilds the derived
-    // state (keys, parking, classes, miss-window runs) mid-run; its own
+    // state (keys, waiters, classes, miss-window runs) mid-run; its own
     // stream leaves the configuration draws as they were.
     Rng restores(deriveSeed(0x72657374, seed));
     std::uint64_t steps = 0;
@@ -361,38 +363,48 @@ TEST_P(LiveKeyFuzzTest, LiveKeysMatchRecomputation)
                     << ", from scratch " << int(ref.reason) << "/"
                     << ref.token;
             }
-            // A parked head is held until the L1 accepts it.
-            const std::optional<Addr> held_load = sim.heldLoad(t);
-            ASSERT_TRUE(held_load || sim.loadParkedUntil(t) <= sim.now());
-            if (held_load) {
+            // A waiting head is held until the L1 can admit it.
+            const std::optional<Simulator::Waiter> load_waits =
+                sim.waitingLoad(t);
+            if (load_waits) {
                 ASSERT_FALSE(ctx.apQ.empty()) << k.name << " t" << t;
                 const DynInst &head = *ctx.apQ.front();
                 ASSERT_TRUE(head.isLoadOp) << k.name << " t" << t;
-                ASSERT_EQ(*held_load, head.ti.addr) << k.name << " t" << t;
+                ASSERT_EQ(load_waits->addr, head.ti.addr)
+                    << k.name << " t" << t;
                 ASSERT_TRUE(cfg.decoupled || head.seq == ctx.nextIssueSeq);
                 ASSERT_TRUE(ctx.operandsReady(head))
                     << k.name << " t" << t << " at cycle " << sim.now();
                 ASSERT_FALSE(ctx.saqForwards(head.seq, head.ti.addr))
                     << k.name << " t" << t << " at cycle " << sim.now();
             }
-            if (const std::optional<Addr> held = sim.heldStore(t)) {
+            const std::optional<Simulator::Waiter> store_waits =
+                sim.waitingStore(t);
+            if (store_waits) {
                 ASSERT_FALSE(ctx.rob.empty()) << k.name << " t" << t;
                 const DynInst &head = ctx.rob.front();
                 ASSERT_TRUE(head.isStoreOp) << k.name << " t" << t;
-                ASSERT_EQ(*held, head.ti.addr) << k.name << " t" << t;
+                ASSERT_EQ(store_waits->addr, head.ti.addr)
+                    << k.name << " t" << t;
                 ASSERT_EQ(head.state, InstState::Completed);
                 ASSERT_TRUE(ctx.storeDataReady(head))
                     << k.name << " t" << t << " at cycle " << sim.now();
             }
+            const MemorySystem &mem = sim.memory();
+            for (const auto &w : {load_waits, store_waits}) {
+                if (!w)
+                    continue;
+                ASSERT_EQ(w->line, mem.lineOf(w->addr));
+                ASSERT_FALSE(mem.holds(w->line))
+                    << k.name << " t" << t << " at cycle " << sim.now()
+                    << ": a waiting head's line is resident or filling";
+                // A fill due at now() lands when the cycle begins.
+                if (w->until >= sim.now()) {
+                    ASSERT_EQ(mem.frameFillCycle(w->line), w->until)
+                        << k.name << " t" << t << " at cycle " << sim.now();
+                }
+            }
             using Set = Simulator::StageSet;
-            const bool load_parked =
-                sim.heldLoad(t) && sim.now() < sim.loadParkedUntil(t);
-            const bool store_parked =
-                sim.heldStore(t) && sim.now() < sim.storeParkedUntil(t);
-            ASSERT_EQ(sim.loadParked(t), load_parked)
-                << k.name << " t" << t << " at cycle " << sim.now();
-            ASSERT_EQ(sim.storeParked(t), store_parked)
-                << k.name << " t" << t << " at cycle " << sim.now();
             for (const Unit unit : {Unit::AP, Unit::EP}) {
                 const auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
                 const std::optional<StallClass> cls =
@@ -408,7 +420,7 @@ TEST_P(LiveKeyFuzzTest, LiveKeysMatchRecomputation)
                                                            : Set::IssueEp,
                                           t),
                           !queue.empty() && !blocked &&
-                              !(unit == Unit::AP && load_parked))
+                              !(unit == Unit::AP && load_waits))
                     << k.name << " t" << t << " unit " << int(unit)
                     << " at cycle " << sim.now();
             }
@@ -420,7 +432,7 @@ TEST_P(LiveKeyFuzzTest, LiveKeysMatchRecomputation)
                          ctx.rob.size() < cfg.robEntries))
                 << k.name << " t" << t << " at cycle " << sim.now();
             ASSERT_TRUE(!sim.stageVisits(Set::Graduate, t) ||
-                        (!ctx.rob.empty() && !store_parked))
+                        (!ctx.rob.empty() && !store_waits))
                 << k.name << " t" << t << " at cycle " << sim.now();
             if (sim.dispatchWaiting(t)) {
                 ASSERT_FALSE(ctx.fetchBuf.empty()) << k.name << " t" << t;

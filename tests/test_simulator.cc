@@ -266,3 +266,130 @@ TEST(Simulator, TinyQueuesStillDrainCorrectly)
         sim.step();
     EXPECT_EQ(sim.totalGraduated(), streamingKernel().ops.size() * 500);
 }
+
+namespace {
+
+/** A fixed instruction sequence, then the end of the trace. */
+class ScriptedSource : public TraceSource
+{
+  public:
+    explicit ScriptedSource(std::vector<TraceInst> insts)
+        : insts_(std::move(insts))
+    {}
+
+    bool
+    next(TraceInst &out) override
+    {
+        if (at_ == insts_.size())
+            return false;
+        out = insts_[at_++];
+        return true;
+    }
+
+    const std::string &name() const override { return name_; }
+
+  private:
+    std::vector<TraceInst> insts_;
+    std::size_t at_ = 0;
+    std::string name_ = "scripted";
+};
+
+/** An integer load into r@p dst, or a store when @p dst is kNone,
+ *  with no address or data register to wait for. */
+TraceInst
+memOp(Addr addr, std::uint8_t dst)
+{
+    TraceInst ti;
+    ti.op = dst == RegRef::kNone ? Opcode::StI : Opcode::LdI;
+    ti.addr = addr;
+    ti.pc = 0x400;
+    if (dst != RegRef::kNone)
+        ti.dst = RegRef::intReg(dst);
+    return ti;
+}
+
+/** A simulator running one scripted trace per context of @p cfg. */
+Simulator
+scriptedSim(const SimConfig &cfg, std::vector<std::vector<TraceInst>> traces)
+{
+    std::vector<std::unique_ptr<TraceSource>> sources;
+    for (auto &trace : traces)
+        sources.push_back(std::make_unique<ScriptedSource>(std::move(trace)));
+    return Simulator(cfg, std::move(sources));
+}
+
+} // namespace
+
+// The two tests below pin cases where an access the L1 refused for want
+// of an MSHR becomes admissible without an MSHR coming free for it: the
+// line it wants is allocated by another access, so it would merge into
+// that fill. The expected results were recorded before refused accesses
+// waited by refusal reason, and every field must stay as it was, with
+// idle skipping on and off.
+
+TEST(Simulator, WaitingStoreMergesIntoALineALoadAllocates)
+{
+    // One MSHR. The store at the ROB head is refused (the MSHR fills
+    // 0x20040's line), and a younger load to another word of its line,
+    // 0x10008, is refused at issue. When the fill lands (cycle 20), the
+    // load takes the freed MSHR for the store's line before graduation
+    // runs, so no MSHR is free there; the store must still be attempted,
+    // merge into the load's fill and graduate that cycle, not wait for
+    // the next fill and hit.
+    for (const bool skip : {true, false}) {
+        SimConfig cfg = testConfig();
+        cfg.warmupInsts = 0;
+        cfg.mshrs = 1;
+        cfg.cycleSkip = skip;
+        const std::vector<TraceInst> trace = {
+            memOp(0x10000, RegRef::kNone), memOp(0x20040, 1),
+            memOp(0x10008, 2)};
+
+        Simulator stepped = scriptedSim(cfg, {trace});
+        while (stepped.now() < 21)
+            stepped.step();
+        EXPECT_EQ(stepped.totalGraduated(), 2u) << "skip " << skip;
+
+        Simulator sim = scriptedSim(cfg, {trace});
+        const RunResult r = sim.run(1000);
+        EXPECT_EQ(r.cycles, 39u) << "skip " << skip;
+        EXPECT_EQ(r.insts, 3u);
+        EXPECT_DOUBLE_EQ(r.mergedRatio, 1.0 / 3.0);
+        EXPECT_DOUBLE_EQ(r.loadMissRatio, 1.0);
+        EXPECT_DOUBLE_EQ(r.storeMissRatio, 0.0);
+        EXPECT_DOUBLE_EQ(r.avgFillLatency, 18.0);
+        EXPECT_EQ(r.cyclesSkipped, skip ? 32u : 0u);
+        EXPECT_EQ(r.skipEvents, skip ? 2u : 0u);
+    }
+}
+
+TEST(Simulator, WaitingLoadMergesIntoALineAllocatedPastTheIssueSlots)
+{
+    // One MSHR, one AP unit, two contexts. Thread 0's first load takes
+    // the MSHR; its second load, to 0x10000, and thread 1's load, to
+    // another word of that line, are refused. When the fill lands
+    // (cycle 20, thread 0 first in the rotation) thread 0's load takes
+    // the freed MSHR for the line and the only issue slot, so thread 1's
+    // load is not reached. Next cycle no MSHR is free, yet thread 1's
+    // load must be attempted and merge into that fill (ready at 38),
+    // not wait for the fill to land and hit (ready at 39).
+    for (const bool skip : {true, false}) {
+        SimConfig cfg = testConfig(2);
+        cfg.warmupInsts = 0;
+        cfg.mshrs = 1;
+        cfg.apUnits = 1;
+        cfg.cycleSkip = skip;
+        Simulator sim = scriptedSim(
+            cfg, {{memOp(0x30040, 1), memOp(0x10000, 2)},
+                  {memOp(0x10008, 1)}});
+        const RunResult r = sim.run(1000);
+        EXPECT_EQ(r.cycles, 39u) << "skip " << skip;
+        EXPECT_EQ(r.insts, 3u);
+        EXPECT_DOUBLE_EQ(r.mergedRatio, 1.0 / 3.0);
+        EXPECT_DOUBLE_EQ(r.loadMissRatio, 2.0 / 3.0);
+        EXPECT_DOUBLE_EQ(r.avgFillLatency, 18.0);
+        EXPECT_EQ(r.threadInsts, (std::vector<std::uint64_t>{2, 1}));
+        EXPECT_EQ(r.cyclesSkipped, skip ? 32u : 0u);
+        EXPECT_EQ(r.skipEvents, skip ? 2u : 0u);
+    }
+}

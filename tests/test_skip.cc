@@ -7,12 +7,13 @@
  * pair, both memory backends, built-in and DSL kernels, and
  * checkpoints taken at any cycle — while the skip counters themselves
  * stay observability-only. The engine wakes only on core events (the
- * completion heap, redirected fetch, and the deadline of a load or
- * store parked until the next fill); a span may cover fills, port and
- * bank timers, because the memory model is analytic and nothing
- * accesses it inside a span. The byte-identity matrix covers the
- * finite backend, where that matters most, and a non-decoupled machine
- * short of MSHRs, where most heads wait parked.
+ * completion heap, redirected fetch, and the next fill while a load or
+ * store the L1 refused for want of an MSHR or a frame waits for it); a
+ * span may cover fills, port and bank timers, because the memory model
+ * is analytic and nothing accesses it inside a span. The byte-identity
+ * matrix covers the finite backend, where that matters most, and a
+ * non-decoupled machine short of MSHRs, where most heads wait to be
+ * admitted.
  *
  * MemorySystem::nextEventCycle() is no wake source any more, but it
  * stays, with its never-under-report contract (no hierarchy state
@@ -89,8 +90,8 @@ struct MatrixCase
     bool perfectL2;
     /** Non-zero: a non-decoupled machine at L2=256 with this many
      *  MSHRs, where ready loads and ROB-head stores are refused for
-     *  want of an MSHR or a frame and most spans end at a parking
-     *  deadline. */
+     *  want of an MSHR or a frame and most spans end at the fill a
+     *  waiting head needs. */
     std::uint32_t stalledMshrs = 0;
 };
 
@@ -256,9 +257,9 @@ TEST(SkipCounters, HighLatencyStallsAreActuallySkipped)
 TEST(SkipCounters, RefusedLoadStallsAreSkipped)
 {
     // A strided kernel with 2 MSHRs at L2=256: its ready loads are
-    // refused for want of an MSHR and park until the next fill, which
+    // refused for want of an MSHR and wait for the next fill, which
     // must not break quiescence. The bar is half because skipping only
-    // the parked stores already covers about a third of these cycles.
+    // the waiting stores already covers about a third of these cycles.
     SimConfig cfg = testConfig(1, true, 256);
     cfg.mshrs = 2;
     cfg.warmupInsts = 500;
