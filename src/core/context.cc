@@ -491,12 +491,9 @@ Context::restore(ByteReader &r)
     // Rebuild the store -> SAQ-slot back-pointers and the deposited-word
     // index (derived state; ring elements stay where they are until the
     // entry is popped).
-    saqWords.clear();
-    for (SaqEntry &e : saq) {
+    for (SaqEntry &e : saq)
         e.inst->saqEntry = &e;
-        if (e.addrValid)
-            saqDeposit(e.addr);
-    }
+    saqWords = depositedWords();
 
     nextSeq = r.u64();
     nextIssueSeq = r.u64();
@@ -526,15 +523,31 @@ Context::restore(ByteReader &r)
     missWindowSum = r.u32();
     graduatedBase = r.u64();
 
-    // Rebuild the derived run of equal miss samples, newest first; it
-    // depends on the ring alone, so the recount reproduces the
+    // The run depends on the ring alone, so the recount reproduces the
     // continued run's exactly.
+    missRun = trailingMissRun();
+}
+
+std::uint32_t
+Context::trailingMissRun() const
+{
     const auto aged = [&](std::uint32_t age) {
         return missSamples[(missSampleAt + kIqWindow - 1 - age) % kIqWindow];
     };
-    missRun = 1;
-    while (missRun < kIqWindow && aged(missRun) == aged(0))
-        ++missRun;
+    std::uint32_t run = 1;
+    while (run < kIqWindow && aged(run) == aged(0))
+        ++run;
+    return run;
+}
+
+std::unordered_map<Addr, std::uint32_t>
+Context::depositedWords() const
+{
+    std::unordered_map<Addr, std::uint32_t> words;
+    for (const SaqEntry &e : saq)
+        if (e.addrValid)
+            ++words[e.addr >> 3];
+    return words;
 }
 
 bool

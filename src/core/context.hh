@@ -245,9 +245,13 @@ struct Context
      * ring can coincidentally sum to outstanding * kIqWindow and still
      * decay as it slides — so the idle fast-forward stability probe
      * needs the run. Derived state: never serialized, recounted by
-     * restore().
+     * restore() (trailingMissRun).
      */
     std::uint32_t missRun = kIqWindow;
+
+    /** The trailing run of equal miss samples the ring holds, newest
+     *  first, capped at kIqWindow: what missRun holds. */
+    std::uint32_t trailingMissRun() const;
 
     /**
      * The windows hold the samples of every cycle before this one.
@@ -303,6 +307,27 @@ struct Context
     /** True when the data source of a store is ready (graduation). */
     bool storeDataReady(const DynInst &di) const;
 
+    /** True when queue head @p di passes its issue gates: next in
+     *  program order unless @p cfg is decoupled (otherwise the queues
+     *  are disabled), and its operands ready — a store's address
+     *  operands only, as its data may arrive later, from the EP. */
+    bool
+    issueReady(const DynInst &di, const SimConfig &cfg) const
+    {
+        if (!cfg.decoupled && di.seq != nextIssueSeq)
+            return false;
+        return di.isStoreOp ? storeAddrReady(di) : operandsReady(di);
+    }
+
+    /** True when ROB head @p di can graduate: completed, and a store's
+     *  data ready. */
+    bool
+    graduable(const DynInst &di) const
+    {
+        return di.state == InstState::Completed &&
+               (!di.isStoreOp || storeDataReady(di));
+    }
+
     /**
      * Find the first unready source of @p di and classify its producer.
      * @param[out] tok the perceived token when a missed load produces it
@@ -323,7 +348,8 @@ struct Context
     /**
      * Search the SAQ for the youngest older store writing the same
      * 8-byte word as @p load_addr (reference linear walk; the issue
-     * stage uses saqForwardsFast, and tests assert they agree).
+     * stage uses saqForwardsFast, and DerivedState::check asserts they
+     * agree).
      * @return true when such a store exists (forwarding)
      */
     bool saqForwards(InstSeq load_seq, Addr load_addr) const;
@@ -335,6 +361,10 @@ struct Context
         return !saqWords.empty() &&
                saqWords.find(load_addr >> 3) != saqWords.end();
     }
+
+    /** The word index the SAQ's deposited addresses make: what
+     *  saqWords holds. */
+    std::unordered_map<Addr, std::uint32_t> depositedWords() const;
 
     /** Record a store's address deposit in the word index. */
     void
@@ -370,8 +400,9 @@ struct Context
      * Write the keys that follow the outstanding-miss count and the
      * trailing windows into @p s: outstandingMisses, iqOccupancyWindow,
      * missWindow and missWindowUniform, with the windows as of
-     * windowsAt. Called after every miss open or close and every
-     * window sync.
+     * windowsAt. Called after every miss close and window sync, and
+     * at the end of an issue visit that opened a miss
+     * (DerivedState).
      */
     void missAndWindowKeys(ThreadState &s) const;
 

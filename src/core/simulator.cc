@@ -1,9 +1,7 @@
 #include "core/simulator.hh"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
-#include <numeric>
 
 #include "common/log.hh"
 
@@ -17,6 +15,7 @@ Simulator::Simulator(const SimConfig &cfg,
       issuePolicy_(cfg_),
       windowsRead_(fetchPolicy_.readsWindows() ||
                    issuePolicy_.readsWindows()),
+      derived_(cfg_),
       issueRank_{RankedWalk(cfg.numThreads), RankedWalk(cfg.numThreads)},
       dispatchRank_(cfg.numThreads),
       fetchRank_(cfg.numThreads)
@@ -27,111 +26,14 @@ Simulator::Simulator(const SimConfig &cfg,
     for (ThreadId t = 0; t < cfg_.numThreads; ++t)
         contexts_.push_back(
             std::make_unique<Context>(t, cfg_, std::move(sources[t])));
-    rebuildDerived();
-}
-
-void
-Simulator::rebuildDerived()
-{
-    const std::uint32_t n = cfg_.numThreads;
-    keys_.clear();
-    for (auto &ctxp : contexts_) {
-        ctxp->windowsAt = now_;
-        keys_.push_back(ctxp->policyState(cfg_, now_));
-    }
-    for (Waiters *w : {&loads_, &stores_}) {
-        w->at.assign(n, Waiter{});
-        w->set = ThreadSet(n);
-    }
-    waitingLines_.assign(kLineBuckets, 0);
-    for (std::size_t u = 0; u < heads_.size(); ++u) {
-        heads_[u].assign(n, HeadClass{});
-        dirtyHeads_[u].resize(n);
-        std::iota(dirtyHeads_[u].begin(), dirtyHeads_[u].end(), 0u);
-        freeSlotCycles_[u] = 0;
-        issueSet_[u] = ThreadSet(n);
-    }
-    dispatchSet_ = ThreadSet(n);
-    fetchSet_ = ThreadSet(n);
-    graduateSet_ = ThreadSet(n);
-    all_ = ThreadSet(n);
-    admitted_ = ThreadSet(n);
-    for (ThreadId t = 0; t < n; ++t) {
-        for (const Unit unit : {Unit::AP, Unit::EP})
-            issueSet_[std::size_t(unit)].assign(t, queued(unit, t) > 0);
-        dispatchSet_.assign(t, dispatchable(t));
-        fetchSet_.assign(t, keys_[t].fetchBufOccupancy < cfg_.fetchBufferSize);
-        graduateSet_.assign(t, keys_[t].robOccupancy > 0);
-    }
-    all_.fill();
-}
-
-// ---------------------------------------------------------------------
-// Lazily kept per-thread statistics
-// ---------------------------------------------------------------------
-
-void
-Simulator::syncWindows(Context &ctx)
-{
-    if (ctx.syncWindows(now_))
-        ctx.missAndWindowKeys(keys_[ctx.tid]);
+    derived_.rebuild(contexts_, now_);
 }
 
 void
 Simulator::syncAllWindows()
 {
     for (auto &ctxp : contexts_)
-        syncWindows(*ctxp);
-}
-
-void
-Simulator::chargeStalls(Unit unit, ThreadId t)
-{
-    const std::size_t u = std::size_t(unit);
-    HeadClass &h = heads_[u][t];
-    const std::uint64_t owed = freeSlotCycles_[u] - h.chargedTo;
-    if (h.cls.token != PerceivedTracker::kNoToken && owed > 0)
-        contexts_[t]->perceived.stall(h.cls.token, owed);
-    h.chargedTo = freeSlotCycles_[u];
-}
-
-void
-Simulator::chargeAllStalls()
-{
-    for (const Unit unit : {Unit::AP, Unit::EP})
-        for (ThreadId t = 0; t < cfg_.numThreads; ++t)
-            if (!heads_[std::size_t(unit)][t].dirty)
-                chargeStalls(unit, t);
-}
-
-void
-Simulator::classifyDirtyHeads(Unit unit)
-{
-    const std::size_t u = std::size_t(unit);
-    for (const ThreadId t : dirtyHeads_[u]) {
-        HeadClass &h = heads_[u][t];
-        const Context &ctx = *contexts_[t];
-        const auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
-        h.srcs = queue.empty() ? HeadClass{}.srcs : queue.front()->physSrc;
-        h.cls = ctx.stallClass(unit, cfg_);
-        if (h.cls.reason == SlotUse::WaitMem ||
-            h.cls.reason == SlotUse::WaitFu ||
-            (!cfg_.decoupled && !queue.empty() &&
-             queue.front()->seq != ctx.nextIssueSeq))
-            issueSet_[u].erase(t);  // blocked while the class holds
-        h.chargedTo = freeSlotCycles_[u];
-        h.dirty = false;
-    }
-    dirtyHeads_[u].clear();
-}
-
-std::optional<StallClass>
-Simulator::cachedStallClass(Unit unit, ThreadId t) const
-{
-    const HeadClass &h = heads_[std::size_t(unit)].at(t);
-    if (h.dirty)
-        return std::nullopt;
-    return h.cls;
+        derived_.syncWindows(*ctxp, now_);
 }
 
 // ---------------------------------------------------------------------
@@ -148,41 +50,21 @@ Simulator::processCompletions()
         MTDAE_ASSERT(di->state == InstState::Issued,
                      "completion of a non-issued instruction");
         di->state = InstState::Completed;
-        // The ROB head, or the producer of a store head's data, ends a
-        // graduation wait.
-        if (!graduateSet_.contains(ev.tid) && !stores_.set.contains(ev.tid))
-            graduateSet_.insert(ev.tid);
-
-        if (di->ti.dst.valid()) {
-            // Only a head reading the register can change class, and a
-            // closing miss must first collect the stalls its waiters
-            // are owed.
-            for (const Unit unit : {Unit::AP, Unit::EP}) {
-                const auto &srcs = heads_[std::size_t(unit)][ev.tid].srcs;
-                if (srcs[0] == di->physDst || srcs[1] == di->physDst ||
-                    srcs[2] == di->physDst)
-                    invalidateHead(unit, ev.tid);
-            }
+        if (di->ti.dst.valid())
             ctx.file(di->ti.dst.cls).setReady(di->physDst);
-        }
-
-        if (di->loadMissed) {
-            syncWindows(ctx);
-            ctx.perceived.close(di->missToken);
-            ctx.missAndWindowKeys(keys_[ev.tid]);
-        }
 
         if (di->isCondBr()) {
             MTDAE_ASSERT(ctx.unresolvedBranches > 0,
                          "branch resolution underflow");
             ctx.unresolvedBranches -= 1;
-            keys_[ev.tid].unresolvedBranches = ctx.unresolvedBranches;
             if (di->mispredicted && ctx.fetchBlocked &&
                 ctx.blockingBranchSeq == di->seq) {
                 ctx.fetchBlocked = false;
                 ctx.fetchResumeAt = now_ + cfg_.redirectPenalty;
             }
         }
+        // A missed load's miss closes here.
+        derived_.completed(ctx, *di, now_);
     });
 }
 
@@ -193,20 +75,8 @@ Simulator::processCompletions()
 bool
 Simulator::tryIssue(Context &ctx, DynInst &di)
 {
-    // Non-decoupled mode: the instruction queues are disabled, so a
-    // thread issues in strict program order across both units.
-    if (!cfg_.decoupled && di.seq != ctx.nextIssueSeq)
+    if (!ctx.issueReady(di, cfg_))
         return false;
-
-    if (di.isStoreOp) {
-        // A store issues on the AP when its *address* operands are
-        // ready; the data may arrive later (possibly from the EP).
-        if (!ctx.storeAddrReady(di))
-            return false;
-    } else {
-        if (!ctx.operandsReady(di))
-            return false;
-    }
 
     Cycle ready_at;
     if (di.isLoadOp) {
@@ -223,21 +93,20 @@ Simulator::tryIssue(Context &ctx, DynInst &di)
                 // issued), so it waits for the event that can admit it
                 // (Waiter). Port pressure: next cycle.
                 if (r.reject != MemReject::NoPort)
-                    wait(loads_, issueSet_[std::size_t(Unit::AP)], ctx.tid,
-                         di.ti.addr, r.reject);
+                    derived_.refused(Loads, ctx.tid, di.ti.addr, r.reject,
+                                     mem_);
                 return false;
             }
             if (r.miss() && !r.merged)
-                wakeLine(mem_.lineOf(di.ti.addr));
+                derived_.lineAllocated(mem_.lineOf(di.ti.addr));
             ready_at = r.readyAt;
             if (r.miss()) {
-                syncWindows(ctx);
+                derived_.syncWindows(ctx, now_);
                 di.loadMissed = true;
                 di.missToken =
                     ctx.perceived.open(di.ti.op == Opcode::LdI);
                 ctx.file(di.ti.dst.cls).producer(di.physDst).missToken =
                     di.missToken;
-                ctx.missAndWindowKeys(keys_[ctx.tid]);
             }
         }
     } else if (di.isStoreOp) {
@@ -269,47 +138,36 @@ Simulator::tryIssue(Context &ctx, DynInst &di)
 std::uint32_t
 Simulator::issueUnit(Unit unit, std::uint32_t &slots)
 {
-    const std::size_t u = std::size_t(unit);
-    const RankedWalk &rank = issueRank_[u];
+    const RankedWalk &rank = issueRank_[std::size_t(unit)];
     std::uint32_t issued = 0;
     // A head whose clean class proves it blocked, or a waiting load, is
     // not in the set: it waits for its event without a Context access.
     // With an MSHR free the AP walk visits the waiting loads too.
-    const bool admit = unit == Unit::AP && admits(issueSet_[u], loads_);
-    const ThreadSet &set = admit ? admitted_ : issueSet_[u];
+    const ThreadSet *admitted =
+        unit == Unit::AP ? derived_.admits(Loads, mem_) : nullptr;
+    const ThreadSet &set = admitted ? *admitted : derived_.issueSet(unit);
     const auto live = [&](std::size_t w) { return set.word(w); };
     RankedWalk::Cursor c = rank.begin(live);
     for (ThreadId t; slots > 0 && (t = rank.next(c, live)) != kNoThread;) {
-        if (admit && loads_.set.contains(t) &&
-            !mayAttempt(loads_, issueSet_[u], t))
+        if (admitted && !derived_.mayAttempt(Loads, t, mem_, now_))
             continue;
-        ThreadState &key = keys_[t];
-        std::uint32_t &queued =
-            unit == Unit::AP ? key.apQueueOccupancy : key.iqOccupancy;
         Context &ctx = *contexts_[t];
         auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
-        const std::uint32_t was_queued = queued;
-        while (slots > 0 && queued > 0) {
+        const std::uint32_t was_issued = issued;
+        bool missed = false;
+        while (slots > 0 && !queue.empty()) {
             DynInst *di = queue.front();
             if (!tryIssue(ctx, *di))
                 break;
-            // The head moves on. Non-decoupled, the program-order gate
-            // of the other unit's head moves too; a miss hands a token
-            // to whichever head reads the load's register.
-            invalidateHead(unit, t);
-            if (!cfg_.decoupled || di->loadMissed)
-                invalidateHead(unit == Unit::AP ? Unit::EP : Unit::AP, t);
             if (unit == Unit::EP)
-                syncWindows(ctx);
+                derived_.syncWindows(ctx, now_);
+            missed |= di->loadMissed;
             queue.pop_front();
-            queued -= 1;
             slots -= 1;
             issued += 1;
         }
-        if (queued != was_queued)
-            dispatchSet_.assign(t, dispatchable(t));  // a queue entry freed
-        if (queued == 0)
-            issueSet_[u].erase(t);
+        if (issued != was_issued)
+            derived_.issued(ctx, unit, missed);
     }
     return issued;
 }
@@ -329,14 +187,14 @@ Simulator::accountSlots(Unit unit, std::uint32_t free_slots)
     // so the attribution can never drift from the arbitration: only
     // its first free_slots threads (wrapping) are read. Only the
     // classes an event changed are recomputed.
-    classifyDirtyHeads(unit);
-    const std::vector<HeadClass> &heads = heads_[std::size_t(unit)];
-    issueRank_[std::size_t(unit)].forFirst(
-        free_slots, [&](ThreadId t) { bd.add(heads[t].cls.reason); });
+    derived_.classify(unit, contexts_);
+    issueRank_[std::size_t(unit)].forFirst(free_slots, [&](ThreadId t) {
+        bd.add(derived_.headUse(unit, t));
+    });
     // A free slot existed, so every head stalled on an outstanding
     // load miss perceives one more cycle of it; the class collects
-    // them when it is invalidated (chargeStalls).
-    freeSlotCycles_[std::size_t(unit)] += 1;
+    // them when it is invalidated.
+    derived_.slotFree(unit);
 }
 
 void
@@ -344,7 +202,8 @@ Simulator::fixIssueRankings()
 {
     for (const Unit unit : {Unit::AP, Unit::EP})
         issueRank_[std::size_t(unit)].fix(
-            issuePolicy_.issueRanking(unit, keys_), keys_, all_);
+            issuePolicy_.issueRanking(unit, derived_.keys()),
+            derived_.keys(), derived_.all());
 }
 
 void
@@ -380,16 +239,13 @@ bool
 Simulator::tryDispatch(Context &ctx)
 {
     MTDAE_ASSERT(!ctx.fetchBuf.empty(), "dispatch from an empty buffer");
-    if (!canDispatch(ctx))
+    if (!derived_.canDispatch(ctx))
         return false;
     const FetchedInst &fi = ctx.fetchBuf.front();
     const TraceInst &ti = fi.ti;
     const Unit unit = ti.unit();
     const bool is_store = isStore(ti.op);
 
-    ThreadState &key = keys_[ctx.tid];
-    if (key.robOccupancy++ == 0)
-        graduateSet_.insert(ctx.tid);  // a ROB head, which cannot wait
     ctx.rob.emplace_back();
     DynInst &di = ctx.rob.back();
     di.ti = ti;
@@ -415,19 +271,12 @@ Simulator::tryDispatch(Context &ctx)
         // Nops retire without issuing.
         di.state = InstState::Completed;
     } else {
-        std::uint32_t &queued =
-            unit == Unit::AP ? key.apQueueOccupancy : key.iqOccupancy;
-        if (queued == 0) {
-            invalidateHead(unit, ctx.tid);  // a new head: no longer Idle
-            issueSet_[std::size_t(unit)].insert(ctx.tid);
-        }
         if (unit == Unit::AP) {
             ctx.apQ.push_back(&di);
         } else {
-            syncWindows(ctx);
+            derived_.syncWindows(ctx, now_);
             ctx.iq.push_back(&di);
         }
-        queued += 1;
         if (is_store) {
             // Ring elements never move, so the store can keep a direct
             // pointer to its entry for the address deposit at issue (no
@@ -438,7 +287,6 @@ Simulator::tryDispatch(Context &ctx)
     }
 
     ctx.fetchBuf.pop_front();
-    key.fetchBufOccupancy -= 1;
     return true;
 }
 
@@ -449,43 +297,27 @@ Simulator::dispatchStage()
     // tryDispatch refuses a full ROB first, whatever the buffer holds,
     // so such a thread is not in the set, nor is one still waiting for
     // the event that can unblock it.
-    const auto live = [&](std::size_t w) { return dispatchSet_.word(w); };
+    const ThreadSet &set = derived_.dispatchSet();
+    const auto live = [&](std::size_t w) { return set.word(w); };
     RankedWalk::Cursor c = dispatchRank_.begin(live);
     for (ThreadId t;
          budget > 0 && (t = dispatchRank_.next(c, live)) != kNoThread;) {
-        const ThreadState &key = keys_[t];
         Context &ctx = *contexts_[t];
         bool waits = false;
-        while (budget > 0 && key.fetchBufOccupancy > 0) {
+        while (budget > 0 && !ctx.fetchBuf.empty()) {
             if (!tryDispatch(ctx)) {
                 waits = true;
                 break;
             }
             budget -= 1;
         }
-        dispatchSet_.assign(t, !waits && dispatchable(t));
-        fetchSet_.assign(t, key.fetchBufOccupancy < cfg_.fetchBufferSize);
+        derived_.dispatched(ctx, waits);
     }
 }
 
 // ---------------------------------------------------------------------
 // Fetch
 // ---------------------------------------------------------------------
-
-bool
-Simulator::ensurePending(Context &ctx)
-{
-    if (ctx.hasPending)
-        return true;
-    if (ctx.traceDone)
-        return false;
-    if (!ctx.source->next(ctx.pendingInst)) {
-        ctx.traceDone = true;
-        return false;
-    }
-    ctx.hasPending = true;
-    return true;
-}
 
 const TraceInst *
 Simulator::nextInst(Context &ctx)
@@ -494,8 +326,13 @@ Simulator::nextInst(Context &ctx)
     // were fetched before it), so the replay queue drains first.
     if (!ctx.replayQ.empty())
         return &ctx.replayQ.front();
-    if (!ensurePending(ctx))
-        return nullptr;
+    if (!ctx.hasPending) {
+        if (ctx.traceDone || !ctx.source->next(ctx.pendingInst)) {
+            ctx.traceDone = true;
+            return nullptr;
+        }
+        ctx.hasPending = true;
+    }
     return &ctx.pendingInst;
 }
 
@@ -530,14 +367,10 @@ Simulator::flushFetchBuffer(Context &ctx)
         ctx.replayQ.push_front(fi.ti);
     }
     ctx.fetchBuf.clear();
-    dispatchSet_.erase(ctx.tid);  // the head is gone, and any wait with it
     // Replayed instructions get fresh sequence numbers; nothing
     // younger than the squashed block was ever fetched.
     ctx.nextSeq = first;
-    ThreadState &key = keys_[ctx.tid];
-    key.fetchBufOccupancy = 0;
-    key.unresolvedBranches = ctx.unresolvedBranches;
-    fetchSet_.insert(ctx.tid);
+    derived_.fetched(ctx);
 }
 
 void
@@ -587,14 +420,7 @@ Simulator::fetchThread(Context &ctx)
         if (stop)
             break;
     }
-    ThreadState &key = keys_[ctx.tid];
-    // A buffer that was empty held no head to wait on.
-    if (key.fetchBufOccupancy == 0)
-        dispatchSet_.assign(ctx.tid, !ctx.fetchBuf.empty() &&
-                                         key.robOccupancy < cfg_.robEntries);
-    key.fetchBufOccupancy = std::uint32_t(ctx.fetchBuf.size());
-    key.unresolvedBranches = ctx.unresolvedBranches;
-    fetchSet_.assign(ctx.tid, key.fetchBufOccupancy < cfg_.fetchBufferSize);
+    derived_.fetched(ctx);
 }
 
 void
@@ -605,7 +431,7 @@ Simulator::flushStage()
     // handing their dispatch slots to the other threads.
     if (!fetchPolicy_.flushes())
         return;
-    for (const ThreadState &key : keys_)
+    for (const ThreadState &key : derived_.keys())
         if (key.fetchBufOccupancy > 0 && fetchPolicy_.shouldFlush(key))
             flushFetchBuffer(*contexts_[key.tid]);
 }
@@ -619,13 +445,14 @@ Simulator::fetchStage()
     // non-vetoed* ones in that order get the I-cache ports. A vetoed
     // (gated) thread does not consume a port.
     std::uint32_t ports = cfg_.fetchThreadsPerCycle;
-    const auto live = [&](std::size_t w) { return fetchSet_.word(w); };
+    const ThreadSet &set = derived_.fetchSet();
+    const auto live = [&](std::size_t w) { return set.word(w); };
     RankedWalk::Cursor c = fetchRank_.begin(live);
     for (ThreadId t;
          ports > 0 && (t = fetchRank_.next(c, live)) != kNoThread;) {
         Context &ctx = *contexts_[t];
         if (!ctx.fetchEligible(cfg_, now_) ||
-            !fetchPolicy_.mayFetch(keys_[t]))
+            !fetchPolicy_.mayFetch(derived_.keys()[t]))
             continue;
         fetchThread(ctx);
         ports -= 1;
@@ -636,110 +463,42 @@ Simulator::fetchStage()
 // Graduation
 // ---------------------------------------------------------------------
 
-bool
-Simulator::mayAttempt(Waiters &w, ThreadSet &stage, ThreadId t)
-{
-    // Its line was not allocated since it waits (wakeLine), so with no
-    // MSHR free the L1 refuses it.
-    Waiter &h = w.at[t];
-    if (now_ < h.until || !mem_.mshrFree())
-        return false;
-    const MemReject why = mem_.refusal(h.addr);
-    if (why == MemReject::NoMshr || why == MemReject::Conflict) {
-        h.until = waitUntil(h.line, why);
-        return false;
-    }
-    unwait(w, stage, t);
-    return why == MemReject::None;
-}
-
-void
-Simulator::wait(Waiters &w, ThreadSet &stage, ThreadId t, Addr addr,
-                MemReject why)
-{
-    assert(!w.set.contains(t) && "a waiting head is not attempted");
-    const std::uint64_t line = mem_.lineOf(addr);
-    w.at[t] = Waiter{addr, line, waitUntil(line, why)};
-    w.set.insert(t);
-    stage.erase(t);
-    waitingLines_[line % kLineBuckets] += 1;
-}
-
-void
-Simulator::unwait(Waiters &w, ThreadSet &stage, ThreadId t)
-{
-    // A waiting head is queued (a ROB head) and passed its gates (no
-    // blocked class), so back in the set it waits for nothing.
-    assert(waitingLines_[w.at[t].line % kLineBuckets] > 0);
-    w.set.erase(t);
-    stage.insert(t);
-    waitingLines_[w.at[t].line % kLineBuckets] -= 1;
-}
-
-bool
-Simulator::admits(const ThreadSet &stage, const Waiters &w)
-{
-    if (!mem_.mshrFree() || !w.set.any())
-        return false;
-    admitted_.assignUnion(stage, w.set);
-    return true;
-}
-
-void
-Simulator::wakeLine(std::uint64_t line)
-{
-    if (waitingLines_[line % kLineBuckets] == 0)
-        return;
-    // A walk in progress, as any access could allocate a line, walks
-    // the union of its stage set and the waiters (admits()), so moving a
-    // woken head from one to the other changes nothing it visits.
-    const auto wake = [&](Waiters &w, ThreadSet &stage) {
-        const auto members = [&](std::size_t i) { return w.set.word(i); };
-        ThreadSet::Cursor c(cfg_.numThreads, 0, members);
-        for (ThreadId t; (t = c.next(members)) != kNoThread;)
-            if (w.at[t].line == line)
-                unwait(w, stage, t);
-    };
-    wake(loads_, issueSet_[std::size_t(Unit::AP)]);
-    wake(stores_, graduateSet_);
-}
-
 void
 Simulator::graduateStage()
 {
     // With an MSHR free the walk visits the waiting stores too; a store
     // whose line a load allocated this cycle is back in the set.
-    const bool admit = admits(graduateSet_, stores_);
-    const ThreadSet &set = admit ? admitted_ : graduateSet_;
+    const ThreadSet *admitted = derived_.admits(Stores, mem_);
+    const ThreadSet &set = admitted ? *admitted : derived_.graduateSet();
     const auto live = [&](std::size_t w) { return set.word(w); };
     ThreadSet::Cursor c(cfg_.numThreads, 0, live);
     for (ThreadId t; (t = c.next(live)) != kNoThread;) {
-        if (admit && stores_.set.contains(t) &&
-            !mayAttempt(stores_, graduateSet_, t))
+        if (admitted && !derived_.mayAttempt(Stores, t, mem_, now_))
             continue;
         Context &ctx = *contexts_[t];
         std::uint32_t width = cfg_.graduateWidth;
+        bool waits = false;
         while (width > 0 && !ctx.rob.empty()) {
             DynInst &di = ctx.rob.front();
             // The store leaves the SAQ and writes the cache when its
             // data is available (FP store data comes from the EP).
-            if (di.state != InstState::Completed ||
-                (di.isStoreOp && !ctx.storeDataReady(di))) {
-                graduateSet_.erase(t);  // waits for a completion
+            if (!ctx.graduable(di)) {
+                waits = true;  // for a completion
                 break;
             }
             if (di.isStoreOp) {
                 const MemResult r = mem_.store(di.ti.addr, now_);
                 if (!r.accepted) {
                     // No free MSHR, or its frame filling another line:
-                    // the store waits for the event that can admit it
-                    // (Waiter). Port pressure: next cycle.
+                    // the store waits for the event that can admit it.
+                    // Port pressure: next cycle.
                     if (r.reject != MemReject::NoPort)
-                        wait(stores_, graduateSet_, t, di.ti.addr, r.reject);
+                        derived_.refused(Stores, t, di.ti.addr, r.reject,
+                                         mem_);
                     break;
                 }
                 if (r.miss() && !r.merged)
-                    wakeLine(mem_.lineOf(di.ti.addr));
+                    derived_.lineAllocated(mem_.lineOf(di.ti.addr));
                 MTDAE_ASSERT(!ctx.saq.empty() &&
                              ctx.saq.front().inst == &di &&
                              ctx.saq.front().addrValid,
@@ -757,13 +516,7 @@ Simulator::graduateStage()
             lastGraduation_ = now_;
             width -= 1;
         }
-        keys_[t].robOccupancy = std::uint32_t(ctx.rob.size());
-        if (width < cfg_.graduateWidth) {
-            // ROB, SAQ or registers freed: no dispatch wait.
-            dispatchSet_.assign(t, dispatchable(t));
-            if (ctx.rob.empty())
-                graduateSet_.erase(t);
-        }
+        derived_.graduated(ctx, width < cfg_.graduateWidth, waits);
     }
 }
 
@@ -801,14 +554,10 @@ Simulator::quiescent(SkipProbe &blocker)
         // unless it is a store waiting for an event that cannot come
         // this cycle (a wake source): until then the L1 refuses it
         // without side effects.
-        if (!ctx.rob.empty() &&
-            !(stores_.set.contains(t) && waitBlocked(stores_.at[t]))) {
-            const DynInst &head = ctx.rob.front();
-            if (head.state == InstState::Completed &&
-                (!head.isStoreOp || ctx.storeDataReady(head))) {
-                blocker = SkipProbe::Graduable;
-                return false;
-            }
+        if (!ctx.rob.empty() && !derived_.blocked(Stores, t, mem_, now_) &&
+            ctx.graduable(ctx.rob.front())) {
+            blocker = SkipProbe::Graduable;
+            return false;
         }
 
         // Issue: a unit-queue head passing its gates would issue, or at
@@ -817,16 +566,9 @@ Simulator::quiescent(SkipProbe &blocker)
         // heads matter: issueUnit stops a thread's unit at the first
         // non-issuable instruction, and with both heads stuck neither
         // two-pass round can unblock the other unit.
-        const auto head_can_issue = [&](const DynInst *di) {
-            if (!cfg_.decoupled && di->seq != ctx.nextIssueSeq)
-                return false;
-            return di->isStoreOp ? ctx.storeAddrReady(*di)
-                                 : ctx.operandsReady(*di);
-        };
-        if ((!ctx.apQ.empty() &&
-             !(loads_.set.contains(t) && waitBlocked(loads_.at[t])) &&
-             head_can_issue(ctx.apQ.front())) ||
-            (!ctx.iq.empty() && head_can_issue(ctx.iq.front()))) {
+        if ((!ctx.apQ.empty() && !derived_.blocked(Loads, t, mem_, now_) &&
+             ctx.issueReady(*ctx.apQ.front(), cfg_)) ||
+            (!ctx.iq.empty() && ctx.issueReady(*ctx.iq.front(), cfg_))) {
             blocker = SkipProbe::Issuable;
             return false;
         }
@@ -846,10 +588,10 @@ Simulator::quiescent(SkipProbe &blocker)
     // stepping fetch stage never consults the trace of a vetoed
     // thread, and nextInst's lookahead caching would desynchronize the
     // trace-source state from the stepped run's.
-    for (const ThreadState &key : keys_) {
+    for (const ThreadState &key : derived_.keys()) {
         Context &ctx = *contexts_[key.tid];
         if (key.fetchBufOccupancy > 0 &&
-            (fetchPolicy_.shouldFlush(key) || canDispatch(ctx))) {
+            (fetchPolicy_.shouldFlush(key) || derived_.canDispatch(ctx))) {
             blocker = SkipProbe::FrontEnd;
             return false;
         }
@@ -896,8 +638,8 @@ Simulator::nextWakeCycle() const
             wake = resume;
     }
     // A waiting head, blocked since the span is quiescent, may be
-    // admitted once the next fill lands (waitBlocked).
-    if (loads_.set.any() || stores_.set.any())
+    // admitted once the next fill lands.
+    if (derived_.anyWaiting())
         wake = std::min(wake, mem_.nextFillCycle());
     return wake;
 }
@@ -925,11 +667,9 @@ Simulator::trySkipIdle(std::uint64_t max_cycles)
         noteProbe(SkipProbe::NotDue);
         return false;
     }
-#if MTDAE_PROFILE
     std::chrono::steady_clock::time_point t0;
     if (profileEnabled_)
         t0 = std::chrono::steady_clock::now();
-#endif
     SkipProbe blocker = SkipProbe::Skipped;
     if (!quiescent(blocker)) {
         noteProbe(blocker);
@@ -991,10 +731,7 @@ Simulator::trySkipIdle(std::uint64_t max_cycles)
             // every stall class clean, and the classes hold through the
             // span, so each bulk cycle is one more free-slot cycle on
             // both units. The windows sync lazily.
-            MTDAE_ASSERT(dirtyHeads_[0].empty() && dirtyHeads_[1].empty(),
-                         "stall class invalidated inside an idle span");
-            for (std::uint64_t &cycles : freeSlotCycles_)
-                cycles += bulk;
+            derived_.idleSpan(bulk);
             fetchPolicy_.skipCycles(bulk);
             issuePolicy_.skipCycles(bulk);
             now_ += bulk;
@@ -1018,7 +755,6 @@ Simulator::trySkipIdle(std::uint64_t max_cycles)
     cyclesSkipped_ += total;
     skipEvents_ += 1;
     noteProbe(SkipProbe::Skipped);
-#if MTDAE_PROFILE
     if (profileEnabled_) {
         const std::uint64_t d = std::uint64_t(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -1028,7 +764,6 @@ Simulator::trySkipIdle(std::uint64_t max_cycles)
         profile_.totalNs += d;
         profile_.cycles += total;
     }
-#endif
     return true;
 }
 
@@ -1069,14 +804,15 @@ Simulator::stepImpl()
     mark(Stage::Snapshot);
     issueStage();
     mark(Stage::Issue);
-    dispatchRank_.fix(issuePolicy_.dispatchRanking(keys_), keys_,
-                      dispatchSet_);
+    dispatchRank_.fix(issuePolicy_.dispatchRanking(derived_.keys()),
+                      derived_.keys(), derived_.dispatchSet());
     mark(Stage::Snapshot);
     dispatchStage();
     mark(Stage::Dispatch);
     flushStage();
     mark(Stage::Fetch);
-    fetchRank_.fix(fetchPolicy_.fetchRanking(keys_), keys_, fetchSet_);
+    fetchRank_.fix(fetchPolicy_.fetchRanking(derived_.keys()),
+                   derived_.keys(), derived_.fetchSet());
     mark(Stage::Snapshot);
     fetchStage();
     mark(Stage::Fetch);
@@ -1091,23 +827,17 @@ Simulator::stepImpl()
 void
 Simulator::step()
 {
-#if MTDAE_PROFILE
-    if (profileEnabled_) {
+    if (profileEnabled_)
         stepImpl<true>();
-        return;
-    }
-#endif
-    stepImpl<false>();
+    else
+        stepImpl<false>();
 }
 
-bool
+void
 Simulator::setProfiling(bool on)
 {
-    if (on && !kProfileBuilt)
-        return false;  // -DMTDAE_PROFILE=OFF: instrumentation absent
     profileEnabled_ = on;
     profile_.enabled = on;
-    return true;
 }
 
 bool

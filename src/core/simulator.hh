@@ -37,12 +37,11 @@
  *
  * Thread arbitration is pluggable (src/policy/policy.hh), selected by
  * SimConfig::fetchPolicy / SimConfig::issuePolicy. Each seam's policy
- * describes the cycle's ranking over the per-context keys the stages
- * keep live (Simulator::policyKeys), and each stage walks, in that
- * order, only the threads of its stage set (common/thread_set.hh): the
- * threads its skip conditions would let through, kept as bitsets that
- * change where a condition flips. An idle thread costs a stage
- * nothing, not even a key read.
+ * describes the cycle's ranking over the per-context keys, and each
+ * stage walks, in that order, only the threads of its stage set
+ * (common/thread_set.hh): the threads its skip conditions would let
+ * through, kept as bitsets that change where a condition flips. An
+ * idle thread costs a stage nothing, not even a key read.
  *
  * The per-thread bookkeeping behind the statistics follows events, not
  * cycles: the trailing windows are sampled lazily (Context::syncWindows)
@@ -53,6 +52,11 @@
  * load or store is no activity while its event cannot come, and the
  * cycle it can is a wake source. So a cycle touches a Context only
  * where something can happen.
+ *
+ * The keys, the stage sets, the waiting heads and the cached stall
+ * classes are one DerivedState (core/derived_state.hh). The stages
+ * report their events to it and write none of it themselves, and
+ * checkInvariants() re-derives all of it from scratch.
  */
 
 #ifndef MTDAE_CORE_SIMULATOR_HH
@@ -60,13 +64,13 @@
 
 #include <array>
 #include <memory>
-#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/config.hh"
-#include "common/thread_set.hh"
 #include "common/types.hh"
 #include "core/context.hh"
+#include "core/derived_state.hh"
 #include "core/event_queue.hh"
 #include "core/profile.hh"
 #include "core/slot_stats.hh"
@@ -225,168 +229,23 @@ class Simulator
      * The accumulated breakdown is cleared by resetStats() and reported
      * in RunResult::profile, so after run() it covers exactly the
      * measured interval.
-     *
-     * @return false when @p on is true but the instrumentation was
-     *         compiled out (-DMTDAE_PROFILE=OFF); profiling stays off
      */
-    bool setProfiling(bool on);
+    void setProfiling(bool on);
 
-    /** True when profiling is compiled in and currently enabled. */
+    /** True while profiling is enabled. */
     bool profilingEnabled() const { return profileEnabled_; }
 
     /**
-     * The live policy keys, indexed by tid: what the policies are
-     * handed, with every context's windows first brought up to the
-     * current cycle. Each equals Context::policyState() of its context
-     * between step()s (the property tests' oracle).
+     * Check, between cycles, that the derived state agrees with the
+     * simulated state (DerivedState::check): "" when it does, or the
+     * first disagreement, naming the rule, the thread and the cycle.
+     * Const, so it syncs no window, charges no stall and peeks no
+     * trace: calling it cannot change a result.
      */
-    const std::vector<ThreadState> &
-    policyKeys()
+    std::string
+    checkInvariants() const
     {
-        syncAllWindows();
-        return keys_;
-    }
-
-    /**
-     * The cached stall class of @p unit's queue head in thread @p t,
-     * or nothing while an event has invalidated it and it awaits
-     * recomputation. A cached class equals Context::stallClass() of
-     * the head (the property tests' oracle).
-     */
-    std::optional<StallClass> cachedStallClass(Unit unit, ThreadId t) const;
-
-    /**
-     * True when the cached class of @p unit's head in thread @p t is
-     * clean and proves the head cannot issue, so issue skips the head.
-     */
-    bool
-    cachedBlocked(Unit unit, ThreadId t) const
-    {
-        const std::size_t u = std::size_t(unit);
-        return !heads_[u].at(t).dirty && queued(unit, t) > 0 &&
-               !(unit == Unit::AP && loads_.set.contains(t)) &&
-               !issueSet_[u].contains(t);
-    }
-
-    /**
-     * A load or store head the L1 refused for want of an MSHR
-     * (MemReject::NoMshr) or by a frame filling another line
-     * (MemReject::Conflict), held out of its stage set until an event
-     * that can admit it:
-     * - its frame's fill, for a Conflict refusal: the head is not
-     *   attempted before `until`;
-     * - an MSHR free when its stage's walk starts: the walk visits the
-     *   waiting heads too, in its order, and attempts each whose
-     *   `until` has come while an MSHR is still free;
-     * - its line allocated by another access (a primary miss), however
-     *   many MSHRs are left: the head would merge, so it leaves the
-     *   waiters at once. That covers a load that allocates the line
-     *   before graduation runs, and a head its walk did not reach
-     *   (issue ran out of slots) before the line was allocated.
-     * Every attempt this skips would be refused without side effect,
-     * because an MSHR frees only as a fill lands, a line becomes
-     * resident or filling only through an access that allocates it,
-     * and a pending fill is never cancelled. An attempt re-checks the
-     * head through MemorySystem::refusal() before it touches the
-     * Context: a frame refusal waits again, a port refusal retries next
-     * cycle in the stage set.
-     */
-    struct Waiter
-    {
-        Addr addr = 0;           ///< The refused access's address.
-        std::uint64_t line = 0;  ///< Its L1 line (MemorySystem::lineOf).
-        /** The cycle the frame's fill of another line lands, for a
-         *  Conflict refusal; 0 for NoMshr. Once it has landed, the
-         *  head waits as one refused for an MSHR. */
-        Cycle until = 0;
-    };
-
-    /** Thread @p t's AP-queue head load while it waits (Waiter), or
-     *  nothing. Issue leaves a waiting AP queue unvisited. */
-    std::optional<Waiter>
-    waitingLoad(ThreadId t) const
-    {
-        return loads_.set.contains(t) ? std::optional(loads_.at[t])
-                                      : std::nullopt;
-    }
-
-    /** waitingLoad() for thread @p t's ROB-head store (graduation). */
-    std::optional<Waiter>
-    waitingStore(ThreadId t) const
-    {
-        return stores_.set.contains(t) ? std::optional(stores_.at[t])
-                                       : std::nullopt;
-    }
-
-    /** The threads each pipeline stage walks (stageVisits). */
-    enum class StageSet : std::uint8_t {
-        IssueAp, IssueEp, Dispatch, Fetch, Graduate
-    };
-
-    /**
-     * Is thread @p t in stage @p s's set: would the stage, reached now,
-     * visit it whatever the L1's state? Issue: the unit's queue holds a
-     * head that is not cachedBlocked(), and on the AP no waitingLoad().
-     * Dispatch: a buffered instruction, room in the ROB, not
-     * dispatchWaiting(). Fetch: room in the fetch buffer. Graduation: a
-     * ROB head, not graduateWaiting(), no waitingStore(). A waiting
-     * head is visited besides, when its walk starts with an MSHR free.
-     */
-    bool
-    stageVisits(StageSet s, ThreadId t) const
-    {
-        switch (s) {
-          case StageSet::IssueAp: return issueSet_[0].contains(t);
-          case StageSet::IssueEp: return issueSet_[1].contains(t);
-          case StageSet::Dispatch: return dispatchSet_.contains(t);
-          case StageSet::Fetch: return fetchSet_.contains(t);
-          case StageSet::Graduate: return graduateSet_.contains(t);
-        }
-        return false;
-    }
-
-    /** Room for @p ctx's fetch-buffer head, which must exist: ROB, unit
-     *  queue, SAQ, rename register (tryDispatch's checks, side-effect
-     *  free). */
-    bool
-    canDispatch(const Context &ctx) const
-    {
-        const FetchedInst &fi = ctx.fetchBuf.front();
-        const TraceInst &ti = fi.ti;
-        const Unit unit = ti.unit();
-
-        if (ctx.rob.size() >= cfg_.robEntries)
-            return false;
-        if (ti.op != Opcode::Nop) {
-            const auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
-            const std::size_t cap =
-                unit == Unit::AP ? cfg_.apQueueEntries : cfg_.iqEntries;
-            if (queue.size() >= cap)
-                return false;
-        }
-        if (isStore(ti.op) && ctx.saq.size() >= cfg_.saqEntries)
-            return false;
-        if (ti.dst.valid() && !ctx.file(ti.dst.cls).hasFree())
-            return false;
-        return true;
-    }
-
-    /** True while dispatch passes over thread @p t: its last attempt
-     *  failed canDispatch, and no event that can change that came since. */
-    bool
-    dispatchWaiting(ThreadId t) const
-    {
-        return dispatchable(t) && !dispatchSet_.contains(t);
-    }
-
-    /** True while graduation passes over thread @p t: its ROB head was
-     *  incomplete, or a store whose data was not ready, and no
-     *  completion in the thread came since. */
-    bool
-    graduateWaiting(ThreadId t) const
-    {
-        return keys_.at(t).robOccupancy > 0 && !stores_.set.contains(t) &&
-               !graduateSet_.contains(t);
+        return derived_.check(contexts_, mem_, now_);
     }
 
     /** Current cycle. */
@@ -409,13 +268,9 @@ class Simulator
     /** Per-thread state (const). */
     const Context &context(ThreadId t) const { return *contexts_.at(t); }
 
-    /** The memory hierarchy. */
-    const MemorySystem &memory() const { return mem_; }
-
-    /** The configuration in force. */
-    const SimConfig &config() const { return cfg_; }
-
   private:
+    using enum DerivedState::Waiting;
+
     void processCompletions();
     /** Fix both units' issue rankings over every thread (the walks of
      *  both passes and the slot accounting share them). */
@@ -437,7 +292,6 @@ class Simulator
     /** Fetch in this cycle's fetch ranking. */
     void fetchStage();
     void fetchThread(Context &ctx);
-    bool ensurePending(Context &ctx);
     /** Next instruction in program order (replayed flushes first,
      *  then the trace lookahead); null when the thread is drained. */
     const TraceInst *nextInst(Context &ctx);
@@ -451,120 +305,12 @@ class Simulator
      * first squashed instruction (nothing younger was ever fetched).
      */
     void flushFetchBuffer(Context &ctx);
-    /** The waiting heads of one stage (Waiter): each thread's record,
-     *  meaningful while the thread is in the set. */
-    struct Waiters
-    {
-        std::vector<Waiter> at;
-        ThreadSet set;
-    };
-    /**
-     * May thread @p t's head, waiting in @p w and reached by its stage's
-     * walk, be attempted now? Before its frame's fill, or with no MSHR
-     * free, no. Otherwise the L1's side-effect-free probe of its
-     * address decides: accepted returns the head to its @p stage set
-     * and true, a port refusal returns it there to retry next cycle,
-     * and an MSHR or frame refusal waits again, as the real attempt
-     * would.
-     */
-    bool mayAttempt(Waiters &w, ThreadSet &stage, ThreadId t);
-    /** Hold thread @p t's head, refused by the L1 for @p why (NoMshr or
-     *  Conflict) at @p addr, in @p w and out of its @p stage set. */
-    void wait(Waiters &w, ThreadSet &stage, ThreadId t, Addr addr,
-              MemReject why);
-    /** Waiter::until of a head refused for @p why at @p line. */
-    Cycle
-    waitUntil(std::uint64_t line, MemReject why) const
-    {
-        return why == MemReject::Conflict ? mem_.frameFillCycle(line) : 0;
-    }
-    /** Return thread @p t's head from @p w to its @p stage set. */
-    void unwait(Waiters &w, ThreadSet &stage, ThreadId t);
-    /**
-     * Does a walk of @p stage starting now visit the heads waiting in
-     * @p w too (some wait, and an MSHR is free)? If so, admitted_ holds
-     * the union to walk. During a walk only the visited thread changes
-     * sets, or a woken one moves from the waiters into the stage set,
-     * so the union stays the one the walk would read live.
-     */
-    bool admits(const ThreadSet &stage, const Waiters &w);
-    /** An access allocated @p line: every head waiting for it would
-     *  merge, so each returns to its stage set. */
-    void wakeLine(std::uint64_t line);
-    /**
-     * True while waiting head @p w is refused at every cycle up to the
-     * next fill with no L1 access (a quiescent span makes none): no
-     * fill lands this cycle, and its frame still fills another line or
-     * no MSHR is free. The next fill is the wake (nextWakeCycle) even
-     * for a head whose frame fills later: that steps the cycle a fill
-     * lands, as for every waiter, and keeps the skip statistics the
-     * skip goldens pin.
-     */
-    bool
-    waitBlocked(const Waiter &w) const
-    {
-        return mem_.nextFillCycle() > now_ &&
-               (w.until > now_ || !mem_.mshrFree());
-    }
     void graduateStage();
     /** Policy endCycle()s, now_ advance, and the window sync of a policy
      *  that reads the windows (windowsRead_). */
     void finishCycle();
-
-    // --- Lazily kept per-thread statistics -----------------------------
-    /** Context::syncWindows(now_), mirrored into the context's keys. */
-    void syncWindows(Context &ctx);
-    /** syncWindows() for every context. */
+    /** DerivedState::syncWindows() for every context. */
     void syncAllWindows();
-    /**
-     * Drop the cached stall class of @p unit's head in thread @p t
-     * after charging the stalls it is owed; called before any event
-     * that can change the class (the completion of a register the head
-     * reads, an issue that moves the head or opens a miss, a dispatch
-     * into the empty queue).
-     */
-    void
-    invalidateHead(Unit unit, ThreadId t)
-    {
-        const std::size_t u = std::size_t(unit);
-        HeadClass &h = heads_[u][t];
-        if (h.dirty)
-            return;  // nothing owed since the class was dropped
-        chargeStalls(unit, t);
-        h.dirty = true;
-        issueSet_[u].assign(t, queued(unit, t) > 0 &&
-                                   !(unit == Unit::AP &&
-                                     loads_.set.contains(t)));
-        dirtyHeads_[u].push_back(t);
-    }
-    /** Charge a clean class's perceived stalls up to this cycle. */
-    void chargeStalls(Unit unit, ThreadId t);
-    /** chargeStalls() on every clean class (before a save). */
-    void chargeAllStalls();
-    /** Recompute the classes of @p unit invalidated since its last
-     *  cycle with a free slot. */
-    void classifyDirtyHeads(Unit unit);
-    /** Rebuild every derived structure from the simulated state at
-     *  now_: keys, waiters (none), wait marks, window sync points, stall
-     *  classes, stage sets. */
-    void rebuildDerived();
-
-    // --- Stage sets ----------------------------------------------------
-    /** Thread @p t's @p unit queue occupancy key. */
-    std::uint32_t
-    queued(Unit unit, ThreadId t) const
-    {
-        const ThreadState &k = keys_[t];
-        return unit == Unit::AP ? k.apQueueOccupancy : k.iqOccupancy;
-    }
-    /** Would dispatch visit thread @p t but for a wait mark: a buffered
-     *  instruction and room in the ROB? */
-    bool
-    dispatchable(ThreadId t) const
-    {
-        const ThreadState &k = keys_[t];
-        return k.fetchBufOccupancy > 0 && k.robOccupancy < cfg_.robEntries;
-    }
 
     /** step() body; Profiled selects the timing instrumentation. */
     template <bool Profiled> void stepImpl();
@@ -576,8 +322,9 @@ class Simulator
      * reproduces: no completion event is due, no ROB head can graduate,
      * no queue head can issue (or attempt a memory access), no thread
      * can dispatch, fetch or flush. A waiting load or store is neither
-     * issuable nor graduable while waitBlocked(): until the next fill
-     * the L1 refuses it without side effects. Conservative: any doubt
+     * issuable nor graduable while it waits blocked
+     * (DerivedState::blocked): until the next fill the L1 refuses it
+     * without side effects. Conservative: any doubt
      * returns false, naming the first failed condition in @p blocker,
      * and the cycle is stepped normally.
      */
@@ -585,7 +332,7 @@ class Simulator
     /**
      * Earliest cycle after now_ at which quiescence could end: the
      * completion-event head, every gated thread's fetchResumeAt, and,
-     * while a load or store waits, the next fill (waitBlocked).
+     * while a load or store waits, the next fill.
      * kNoCycle when nothing is pending. The memory system is otherwise
      * no wake source: its model is analytic (a reservation is a
      * timestamp the next access reads), nothing accesses it inside a
@@ -619,12 +366,8 @@ class Simulator
     void
     noteProbe(SkipProbe outcome)
     {
-#if MTDAE_PROFILE
         if (profileEnabled_)
             profile_.skipProbes[std::size_t(outcome)] += 1;
-#else
-        (void)outcome;
-#endif
     }
 
     SimConfig cfg_;
@@ -635,75 +378,16 @@ class Simulator
 
     Cycle now_ = 0;
 
-    // Thread arbitration (src/policy/policy.hh): the policies, the keys
-    // they rank by and each seam's ranking, fixed for its walks.
+    // Thread arbitration (src/policy/policy.hh): the policies and each
+    // seam's ranking, fixed for its walks.
     FetchPolicy fetchPolicy_;
     ArbitrationPolicy issuePolicy_;
-    /**
-     * The policy keys of every context, indexed by tid, updated in
-     * place wherever the Context state they mirror changes (fetch,
-     * dispatch, issue, completion, miss open/close, flush, graduation,
-     * window sync). The window keys are as of the context's last sync.
-     * Derived state: rebuilt from Context::policyState() on restore,
-     * never serialized.
-     */
-    std::vector<ThreadState> keys_;
     /** A policy in force reads the window keys: sync every context's
      *  windows at the end of every cycle. */
     bool windowsRead_ = false;
-    /**
-     * The waiting AP-queue head loads (issue) and ROB-head stores
-     * (graduation), per thread (Waiter). A waiting head is out of its
-     * stage set; its walk adds the waiters when it starts with an MSHR
-     * free, and wakeLine() returns those whose line an access
-     * allocates. Waiting is exact because a waiting head cannot change
-     * (its queue or ROB does not move), its gates stay passed (ready
-     * registers stay ready, a waiting load cannot turn forwardable),
-     * and a refusal has no side effect. A waitBlocked() head does not
-     * break quiescence, and the next fill is a wake source. Derived
-     * state: empty after a restore, never serialized (a restored run
-     * re-attempts each head once and it waits again).
-     */
-    Waiters loads_;
-    Waiters stores_;
-    /** The waiting loads and stores per bucket of L1 lines (the line
-     *  mod kLineBuckets): an allocation whose bucket is empty wakes no
-     *  one, so wakeLine() scans the waiters only on a bucket hit. */
-    static constexpr std::size_t kLineBuckets = 1024;
-    std::vector<std::uint32_t> waitingLines_;
-    /**
-     * The stage sets: per stage, the threads it would not pass over,
-     * one bit per context, walked in the stage's ranking. Each is
-     * updated where one of its conditions can flip, and holds the wait
-     * marks and blocked classes as its own bits, not beside them:
-     * - issue, per unit: a queued head whose class is not clean and
-     *   blocked (WaitMem, WaitFu or, not decoupled, not next in program
-     *   order), and on the AP no waiting load. A classification that
-     *   proves the head blocked removes the thread until the head is
-     *   invalidated (invalidateHead), which re-derives its bit.
-     * - dispatch: a buffered instruction, room in the ROB, and no wait
-     *   mark. A failed canDispatch removes the thread; a graduation in
-     *   the thread (a ROB entry, an SAQ entry or a register freed), an
-     *   issue from one of its unit queues, or a flush of its buffer
-     *   re-derives its bit. Only dispatch itself fills the ROB, the
-     *   queues, the SAQ and the register files, and the buffer head
-     *   leaves only by dispatch or flush, so nothing else can make
-     *   canDispatch true.
-     * - fetch: room in the fetch buffer.
-     * - graduation: a ROB head, no wait mark and no waiting store. A ROB
-     *   head that is incomplete, or a store whose data register is not
-     *   ready, removes the thread until any completion in the thread
-     *   (the head, or the producer of the data register, which renames
-     *   in the same context). The head leaves only by graduating.
-     * Derived state: rebuilt from the contexts on restore, with no wait
-     * mark, never serialized.
-     */
-    std::array<ThreadSet, 2> issueSet_;
-    ThreadSet dispatchSet_;
-    ThreadSet fetchSet_;
-    ThreadSet graduateSet_;
-    ThreadSet all_;  ///< every thread (the issue rankings' universe)
-    ThreadSet admitted_;  ///< a stage set and its waiters (admits())
+    /** The keys the policies rank by, the stage sets, the waiting heads
+     *  and the cached stall classes (core/derived_state.hh). */
+    DerivedState derived_;
     /** Each seam's ranking of this cycle, with its keys read once: the
      *  issue rankings before the issue stage, over every thread (both
      *  passes walk them, and the slot accounting reads their first
@@ -712,33 +396,6 @@ class Simulator
     std::array<RankedWalk, 2> issueRank_;
     RankedWalk dispatchRank_;
     RankedWalk fetchRank_;
-
-    /** A cached StallClass, how far its perceived stalls are charged
-     *  (a freeSlotCycles_ value), and the head's renamed sources: a
-     *  completion changes the class only of a head reading its
-     *  register. */
-    struct HeadClass
-    {
-        StallClass cls;
-        std::uint64_t chargedTo = 0;
-        std::array<PhysReg, 3> srcs = {kNoPhysReg, kNoPhysReg,
-                                       kNoPhysReg};
-        bool dirty = true;  ///< invalidated; cls and srcs are stale
-    };
-    /**
-     * Per unit (indexed by Unit), the stall class of every thread's
-     * queue head, the threads whose class awaits recomputation, and
-     * the number of cycles that unit had a free slot. A clean WaitMem
-     * class on an open miss is owed freeSlotCycles_ - chargedTo
-     * perceived stalls, charged when it is invalidated (so before its
-     * miss closes) and before a save. A clean class that proves the
-     * head cannot issue takes the thread out of the unit's issue set.
-     * Derived state: never serialized, every class dirty after a
-     * restore.
-     */
-    std::array<std::vector<HeadClass>, 2> heads_;
-    std::array<std::vector<ThreadId>, 2> dirtyHeads_;
-    std::array<std::uint64_t, 2> freeSlotCycles_{};
 
     // Per-stage wall-clock profiling (core/profile.hh).
     bool profileEnabled_ = false;

@@ -117,7 +117,7 @@ Simulator::saveSnapshot()
     // The image is the stepped run's: windows sampled up to now_, and
     // every perceived stall charged to its miss.
     syncAllWindows();
-    chargeAllStalls();
+    derived_.chargeAllStalls(contexts_);
     ByteWriter w;
     w.u64(now_);
     mem_.save(w);
@@ -233,7 +233,7 @@ Simulator::restoreSnapshot(const Snapshot &snap)
     // recomputation, no load or store waits (a head that waited
     // re-attempts once, is refused without side effects, and waits
     // again), and every thread is awake to dispatch and graduate.
-    rebuildDerived();
+    derived_.rebuild(contexts_, now_);
 }
 
 } // namespace mtdae

@@ -577,11 +577,6 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
             << "'\nrun 'mtdae list' for the experiment list\n";
         return 2;
     }
-    if (opts.profile && !kProfileBuilt) {
-        err << "mtdae: --profile needs the profiling instrumentation; "
-               "rebuild with -DMTDAE_PROFILE=ON\n";
-        return 2;
-    }
     if (opts.experiment == "ablate-dsl" && opts.kernelFile.empty()) {
         err << "mtdae: ablate-dsl needs --kernel-file=PATH\n";
         return 2;

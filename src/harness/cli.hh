@@ -71,8 +71,6 @@ struct Options
      * swept job runs with Simulator::setProfiling(true) and the summed
      * breakdown is reported next to (never inside) the result rows, so
      * CSV output stays byte-identical with or without the flag.
-     * Requires a build with the MTDAE_PROFILE CMake option (the
-     * default); otherwise the driver exits with a usage error.
      */
     bool profile = false;
 

@@ -292,8 +292,11 @@ requirePolicySeam(PolicyKind k, bool fetch)
     if (fetch ? policyIsFetch(k) : policyIsIssue(k))
         return;
     std::string valid;
-    for (const PolicyKind v : fetch ? fetchPolicies() : issuePolicies())
-        valid += (valid.empty() ? "" : ", ") + std::string(policyName(v));
+    for (const PolicyKind v : fetch ? fetchPolicies() : issuePolicies()) {
+        if (!valid.empty())
+            valid += ", ";
+        valid += policyName(v);
+    }
     throw ConfigError("'" + std::string(policyName(k)) + "' is not a " +
                       (fetch ? "fetch" : "dispatch/issue") +
                       " policy (valid: " + valid + ")");

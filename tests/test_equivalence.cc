@@ -137,9 +137,8 @@ TEST_P(Equivalence, GoldenAndFlagFlipsAreByteIdentical)
         << name << ": output drifted from tests/golden";
 
     std::vector<std::vector<std::string>> flips = {
-        {"--jobs=4"}, {"--warm-start=0"}, {"--cycle-skip=off"}};
-    if (kProfileBuilt)
-        flips.push_back({"--profile"});
+        {"--jobs=4"}, {"--warm-start=0"}, {"--cycle-skip=off"},
+        {"--profile"}};
     std::vector<std::string> all;
     for (const auto &f : flips)
         all.insert(all.end(), f.begin(), f.end());

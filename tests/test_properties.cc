@@ -8,7 +8,6 @@
 #include <deque>
 #include <fstream>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <tuple>
 
@@ -123,6 +122,7 @@ TEST_P(RandomKernelTest, RunsToCompletionWithInvariants)
     while (!sim.allDone()) {
         sim.step();
         ASSERT_LT(++steps, 4000000u) << "deadlock in " << k.name;
+        ASSERT_EQ(sim.checkInvariants(), "") << k.name;
     }
 
     // Conservation: every fetched instruction graduates exactly once
@@ -233,14 +233,17 @@ TEST_P(CheckpointFuzzTest, RestoreEquivalenceAtRandomCycles)
     while (!ref.allDone()) {
         ref.step();
         ASSERT_LT(++steps, 4000000u) << "deadlock in " << k.name;
+        ASSERT_EQ(ref.checkInvariants(), "") << k.name;
     }
     const auto ref_final = ref.saveSnapshot().toBytes();
 
     for (int trial = 0; trial < 3; ++trial) {
         const std::uint64_t cycle = rng.uniform(ref.now() + 1);
         Simulator a = makeSim(cfg, k, iters);
-        for (std::uint64_t c = 0; c < cycle; ++c)
+        for (std::uint64_t c = 0; c < cycle; ++c) {
             a.step();
+            ASSERT_EQ(a.checkInvariants(), "") << k.name;
+        }
         const Snapshot snap = a.saveSnapshot();
 
         // Serialize -> deserialize -> serialize is byte-stable.
@@ -251,10 +254,13 @@ TEST_P(CheckpointFuzzTest, RestoreEquivalenceAtRandomCycles)
         // state as the uninterrupted one, byte for byte.
         Simulator b = makeSim(cfg, k, iters);
         b.restoreSnapshot(snap);
+        ASSERT_EQ(b.checkInvariants(), "") << k.name << " restored";
         EXPECT_EQ(b.saveSnapshot().toBytes(), bytes1)
             << k.name << " at cycle " << cycle;
-        while (!b.allDone())
+        while (!b.allDone()) {
             b.step();
+            ASSERT_EQ(b.checkInvariants(), "") << k.name;
+        }
         EXPECT_EQ(b.now(), ref.now())
             << k.name << " at cycle " << cycle;
         EXPECT_EQ(b.saveSnapshot().toBytes(), ref_final)
@@ -290,29 +296,12 @@ class LiveKeyFuzzTest : public ::testing::TestWithParam<std::uint64_t>
 
 TEST_P(LiveKeyFuzzTest, LiveKeysMatchRecomputation)
 {
-    // Fuzz the live policy keys (Simulator::policyKeys): on a random
+    // Fuzz the derived state (Simulator::checkInvariants): on a random
     // kernel and machine, under every fetch and issue policy — gating
     // included, since flush mutates fetch state outside the normal
-    // stages — each key the stages keep in place must equal a
-    // from-scratch Context::policyState(), every single cycle. Also
-    // cross-checks the SAQ word index against the reference linear
-    // walk it replaced in the issue stage, every cached stall class of
-    // a queue head against a from-scratch classification
-    // (Context::stallClass), the walk the cache replaced, and the facts
-    // the stages pass over a thread on: a waiting load passes its
-    // gates and is not forwardable (so only the L1 refuses it), a
-    // waiting store is a graduable head, the L1 holds neither's line
-    // (resident or filling: an access allocating it would have woken
-    // the head), and a conflict waiter whose frame has not filled waits
-    // for that frame's pending fill; a class marked blocked belongs to
-    // a head that fails a gate, a thread waiting to dispatch fails
-    // canDispatch, and one waiting to graduate has a head that cannot.
-    // Each stage set holds exactly the threads the stage would not pass
-    // over, by the same facts recomputed: the issue sets from the
-    // queues, the classes and the waiting loads, the fetch set from the
-    // buffer; the dispatch and graduation sets, whose missing members
-    // are the wait marks and the waiting stores, only threads with
-    // work, the rest justified by the checks above.
+    // stages — and with few MSHRs, so loads and stores wait for the L1,
+    // every live key, stage set, waiting head, cached stall class and
+    // index must agree with its from-scratch rule, every single cycle.
     // A few save/restore round trips check what restore rebuilds.
     const std::uint64_t seed = GetParam();
     Rng rng(deriveSeed(0x73636163, seed));
@@ -344,138 +333,7 @@ TEST_P(LiveKeyFuzzTest, LiveKeysMatchRecomputation)
         ASSERT_LT(++steps, 4000000u) << "deadlock in " << k.name;
         if (restores.bernoulli(0.0005))
             sim.restoreSnapshot(sim.saveSnapshot());
-        ASSERT_EQ(sim.policyKeys().size(), cfg.numThreads);
-        for (ThreadId t = 0; t < cfg.numThreads; ++t) {
-            const Context &ctx = sim.context(t);
-            ASSERT_TRUE(sim.policyKeys()[t] ==
-                        ctx.policyState(cfg, sim.now()))
-                << k.name << " t" << t << " at cycle " << sim.now();
-            for (const Unit unit : {Unit::AP, Unit::EP}) {
-                const std::optional<StallClass> cached =
-                    sim.cachedStallClass(unit, t);
-                if (!cached)
-                    continue;  // invalidated: recomputed before use
-                const StallClass ref = ctx.stallClass(unit, cfg);
-                ASSERT_TRUE(*cached == ref)
-                    << k.name << " t" << t << " unit " << int(unit)
-                    << " at cycle " << sim.now() << ": cached "
-                    << int(cached->reason) << "/" << cached->token
-                    << ", from scratch " << int(ref.reason) << "/"
-                    << ref.token;
-            }
-            // A waiting head is held until the L1 can admit it.
-            const std::optional<Simulator::Waiter> load_waits =
-                sim.waitingLoad(t);
-            if (load_waits) {
-                ASSERT_FALSE(ctx.apQ.empty()) << k.name << " t" << t;
-                const DynInst &head = *ctx.apQ.front();
-                ASSERT_TRUE(head.isLoadOp) << k.name << " t" << t;
-                ASSERT_EQ(load_waits->addr, head.ti.addr)
-                    << k.name << " t" << t;
-                ASSERT_TRUE(cfg.decoupled || head.seq == ctx.nextIssueSeq);
-                ASSERT_TRUE(ctx.operandsReady(head))
-                    << k.name << " t" << t << " at cycle " << sim.now();
-                ASSERT_FALSE(ctx.saqForwards(head.seq, head.ti.addr))
-                    << k.name << " t" << t << " at cycle " << sim.now();
-            }
-            const std::optional<Simulator::Waiter> store_waits =
-                sim.waitingStore(t);
-            if (store_waits) {
-                ASSERT_FALSE(ctx.rob.empty()) << k.name << " t" << t;
-                const DynInst &head = ctx.rob.front();
-                ASSERT_TRUE(head.isStoreOp) << k.name << " t" << t;
-                ASSERT_EQ(store_waits->addr, head.ti.addr)
-                    << k.name << " t" << t;
-                ASSERT_EQ(head.state, InstState::Completed);
-                ASSERT_TRUE(ctx.storeDataReady(head))
-                    << k.name << " t" << t << " at cycle " << sim.now();
-            }
-            const MemorySystem &mem = sim.memory();
-            for (const auto &w : {load_waits, store_waits}) {
-                if (!w)
-                    continue;
-                ASSERT_EQ(w->line, mem.lineOf(w->addr));
-                ASSERT_FALSE(mem.holds(w->line))
-                    << k.name << " t" << t << " at cycle " << sim.now()
-                    << ": a waiting head's line is resident or filling";
-                // A fill due at now() lands when the cycle begins.
-                if (w->until >= sim.now()) {
-                    ASSERT_EQ(mem.frameFillCycle(w->line), w->until)
-                        << k.name << " t" << t << " at cycle " << sim.now();
-                }
-            }
-            using Set = Simulator::StageSet;
-            for (const Unit unit : {Unit::AP, Unit::EP}) {
-                const auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
-                const std::optional<StallClass> cls =
-                    sim.cachedStallClass(unit, t);
-                const bool blocked =
-                    cls && (cls->reason == SlotUse::WaitMem ||
-                            cls->reason == SlotUse::WaitFu ||
-                            (!cfg.decoupled && !queue.empty() &&
-                             queue.front()->seq != ctx.nextIssueSeq));
-                ASSERT_EQ(sim.cachedBlocked(unit, t), blocked && !queue.empty())
-                    << k.name << " t" << t << " unit " << int(unit);
-                ASSERT_EQ(sim.stageVisits(unit == Unit::AP ? Set::IssueAp
-                                                           : Set::IssueEp,
-                                          t),
-                          !queue.empty() && !blocked &&
-                              !(unit == Unit::AP && load_waits))
-                    << k.name << " t" << t << " unit " << int(unit)
-                    << " at cycle " << sim.now();
-            }
-            ASSERT_EQ(sim.stageVisits(Set::Fetch, t),
-                      ctx.fetchBuf.size() < cfg.fetchBufferSize)
-                << k.name << " t" << t << " at cycle " << sim.now();
-            ASSERT_TRUE(!sim.stageVisits(Set::Dispatch, t) ||
-                        (!ctx.fetchBuf.empty() &&
-                         ctx.rob.size() < cfg.robEntries))
-                << k.name << " t" << t << " at cycle " << sim.now();
-            ASSERT_TRUE(!sim.stageVisits(Set::Graduate, t) ||
-                        (!ctx.rob.empty() && !store_waits))
-                << k.name << " t" << t << " at cycle " << sim.now();
-            if (sim.dispatchWaiting(t)) {
-                ASSERT_FALSE(ctx.fetchBuf.empty()) << k.name << " t" << t;
-                ASSERT_FALSE(sim.canDispatch(ctx))
-                    << k.name << " t" << t << " at cycle " << sim.now()
-                    << ": a thread waiting to dispatch could dispatch";
-            }
-            if (sim.graduateWaiting(t)) {
-                ASSERT_FALSE(ctx.rob.empty()) << k.name << " t" << t;
-                const DynInst &head = ctx.rob.front();
-                ASSERT_TRUE(head.state != InstState::Completed ||
-                            (head.isStoreOp && !ctx.storeDataReady(head)))
-                    << k.name << " t" << t << " at cycle " << sim.now()
-                    << ": a thread waiting to graduate could graduate";
-            }
-            for (const Unit unit : {Unit::AP, Unit::EP}) {
-                if (!sim.cachedBlocked(unit, t))
-                    continue;
-                const auto &queue = unit == Unit::AP ? ctx.apQ : ctx.iq;
-                ASSERT_FALSE(queue.empty()) << k.name << " t" << t;
-                const DynInst &head = *queue.front();
-                const bool ready = head.isStoreOp ? ctx.storeAddrReady(head)
-                                                  : ctx.operandsReady(head);
-                ASSERT_TRUE(!ready || (!cfg.decoupled &&
-                                       head.seq != ctx.nextIssueSeq))
-                    << k.name << " t" << t << " unit " << int(unit)
-                    << " at cycle " << sim.now()
-                    << ": a head marked blocked passes its gates";
-            }
-            // A probe seq newer than everything in flight makes the
-            // reference walk answer the same question as the index.
-            const InstSeq probe = ctx.nextSeq + 1;
-            for (const SaqEntry &e : ctx.saq) {
-                if (!e.addrValid)
-                    continue;
-                EXPECT_TRUE(ctx.saqForwardsFast(e.addr));
-                EXPECT_EQ(ctx.saqForwardsFast(e.addr),
-                          ctx.saqForwards(probe, e.addr));
-                const Addr miss = e.addr + 64 * 1024 * 1024;
-                EXPECT_EQ(ctx.saqForwardsFast(miss),
-                          ctx.saqForwards(probe, miss));
-            }
-        }
+        ASSERT_EQ(sim.checkInvariants(), "") << k.name;
     }
 }
 
@@ -491,13 +349,13 @@ class WindowOracleTest : public ::testing::TestWithParam<std::uint64_t>
      * Fuzz the trailing-window statistics (Context::syncWindows): on a
      * random kernel and machine under the @p fetch / @p issue policy
      * pair, at cycles up to @p max_gap apart (so that windows no policy
-     * reads stay lazy in between), once Simulator::policyKeys() has
+     * reads stay lazy in between), once Simulator::saveSnapshot() has
      * brought every context's windows up to the current cycle, the
      * rings must hold, oldest first, the IQ occupancy and
      * outstanding-miss count each of the last 64 cycles ended with —
      * as the test samples them itself after every step — and the
      * incrementally maintained sums, live keys and miss-window
-     * uniformity tracker must agree with them.
+     * uniformity tracker must agree with them (checkInvariants).
      * The uniformity check is the load-bearing one for the adaptive
      * policy — its vetoStable() reads it, and a stale bit silently
      * breaks idle fast-forward byte-identity rather than any
@@ -545,12 +403,10 @@ class WindowOracleTest : public ::testing::TestWithParam<std::uint64_t>
             if (steps < next_check)
                 continue;
             next_check = steps + 1 + sched.uniform(max_gap);
-            const std::vector<ThreadState> &keys = sim.policyKeys();
+            sim.saveSnapshot();  // syncs every context's windows
             for (ThreadId t = 0; t < cfg.numThreads; ++t) {
                 const Context &ctx = sim.context(t);
                 ASSERT_EQ(ctx.windowsAt, sim.now());
-                std::uint32_t iq_sum = 0, miss_sum = 0;
-                bool uniform = true;
                 for (std::uint32_t age = 0; age < kWin; ++age) {
                     const std::uint32_t iq =
                         ctx.iqSamples[(ctx.iqSampleAt + age) % kWin];
@@ -562,19 +418,9 @@ class WindowOracleTest : public ::testing::TestWithParam<std::uint64_t>
                     ASSERT_EQ(miss, miss_hist[t][age])
                         << k.name << " t" << t << " age " << age
                         << " at cycle " << sim.now();
-                    iq_sum += iq;
-                    miss_sum += miss;
-                    uniform &= miss == ctx.perceived.outstanding();
                 }
-                ASSERT_EQ(ctx.iqWindowSum, iq_sum)
-                    << k.name << " t" << t << " at cycle " << sim.now();
-                ASSERT_EQ(ctx.missWindowSum, miss_sum)
-                    << k.name << " t" << t << " at cycle " << sim.now();
-                ASSERT_EQ(keys[t].iqOccupancyWindow, iq_sum);
-                ASSERT_EQ(keys[t].missWindow, miss_sum);
-                ASSERT_EQ(keys[t].missWindowUniform, uniform)
-                    << k.name << " t" << t << " at cycle " << sim.now();
             }
+            ASSERT_EQ(sim.checkInvariants(), "") << k.name;
         }
     }
 };
@@ -589,7 +435,7 @@ TEST_P(WindowOracleTest, IncrementalWindowsMatchFromScratchRecompute)
 TEST_P(WindowOracleTest, LazyWindowsMatchFromScratchOnceSynced)
 {
     // No policy reads the windows: sampled only at events, and caught
-    // up by policyKeys() at checks up to 100 cycles apart.
+    // up by saveSnapshot() at checks up to 100 cycles apart.
     checkWindows(PolicyKind::Icount, PolicyKind::RoundRobin, 100);
 }
 
