@@ -1,7 +1,9 @@
 #include "common/config.hh"
 
 #include <algorithm>
-#include <utility>
+#include <bit>
+#include <cstdint>
+#include <type_traits>
 
 #include "common/log.hh"
 
@@ -39,82 +41,149 @@ SimConfig::scaledForLatency(std::uint32_t l2_latency) const
 
 namespace {
 
-/** Reject a configuration: throw ConfigError with the joined message. */
-template <typename... Args>
-[[noreturn]] void
-reject(Args &&...args)
-{
-    throw ConfigError(detail::concat(std::forward<Args>(args)...));
-}
+/** Contexts, widths, and unit, port, MSHR and bank counts. */
+constexpr std::uint64_t kMaxCount = 1024;
+/** Per-thread queue entries: the default ROB scaled for a
+ *  kMaxLatency L2 (scaledForLatency). */
+constexpr std::uint64_t kMaxEntries = 65536;
+/** Cache sizes in bytes (16 MiB). */
+constexpr std::uint64_t kMaxCacheBytes = 1 << 24;
+
+using C = SimConfig;
+
+/**
+ * The knob table, in serializeConfig() order. The ranges bound what a
+ * knob allocates (a per-thread queue, a register file, a cache array)
+ * and keep every latency sum and product inside 32 bits;
+ * docs/ARCHITECTURE.md's knob table lists them.
+ */
+constexpr Knob kKnobs[] = {
+    // Twice the widest golden's 130 contexts.
+    {"threads", "numThreads", &C::numThreads, 1, 256},
+    {"decoupled", "decoupled", &C::decoupled},
+    {"ap-units", "apUnits", &C::apUnits, 1, kMaxCount},
+    {"ep-units", "epUnits", &C::epUnits, 1, kMaxCount},
+    {"ap-latency", "apLatency", &C::apLatency, 1, kMaxLatency},
+    {"ep-latency", "epLatency", &C::epLatency, 1, kMaxLatency},
+    {"fetch-threads", "fetchThreadsPerCycle",
+     &C::fetchThreadsPerCycle, 1, kMaxCount},
+    {"fetch-width", "fetchWidth", &C::fetchWidth, 1, kMaxCount},
+    {"fetch-buffer", "fetchBufferSize", &C::fetchBufferSize, 1, kMaxEntries},
+    {"dispatch-width", "dispatchWidth", &C::dispatchWidth, 1, kMaxCount},
+    {"fetch-policy", "fetchPolicy", &C::fetchPolicy},
+    {"issue-policy", "issuePolicy", &C::issuePolicy},
+    {"thread-weights", "threadWeights", &C::threadWeights, 1, UINT32_MAX},
+    {"adaptive-threshold", "adaptiveMissThreshold",
+     &C::adaptiveMissThreshold, 1, UINT32_MAX},
+    {"max-branches", "maxUnresolvedBranches",
+     &C::maxUnresolvedBranches, 1, kMaxCount},
+    {"redirect-penalty", "redirectPenalty",
+     &C::redirectPenalty, 0, kMaxLatency},
+    {"bht-entries", "bhtEntries", &C::bhtEntries, 1, 1 << 20, true},
+    {"predictor", "predictor", &C::predictor},
+    {"gshare-bits", "gshareHistoryBits", &C::gshareHistoryBits, 1, 32},
+    {"iq-entries", "iqEntries", &C::iqEntries, 1, kMaxEntries},
+    {"apq-entries", "apQueueEntries", &C::apQueueEntries, 1, kMaxEntries},
+    {"saq-entries", "saqEntries", &C::saqEntries, 1, kMaxEntries},
+    {"rob-entries", "robEntries", &C::robEntries, 1, kMaxEntries},
+    // Rename headroom above the architectural registers, and a 16-bit
+    // PhysReg index short of its kNoPhysReg sentinel.
+    {"ap-regs", "apPhysRegs", &C::apPhysRegs, C::kArchIntRegs + 1, kNoPhysReg},
+    {"ep-regs", "epPhysRegs", &C::epPhysRegs, C::kArchFpRegs + 1, kNoPhysReg},
+    {"graduate-width", "graduateWidth", &C::graduateWidth, 1, kMaxCount},
+    {"l1-bytes", "l1Bytes", &C::l1Bytes, 1, kMaxCacheBytes},
+    {"l1-line", "l1LineBytes", &C::l1LineBytes, 1, 4096, true},
+    {"l1-ports", "l1Ports", &C::l1Ports, 1, kMaxCount},
+    {"mshrs", "mshrs", &C::mshrs, 1, kMaxCount},
+    {"l1-hit-latency", "l1HitLatency", &C::l1HitLatency, 0, kMaxLatency},
+    {"l2-latency", "l2Latency", &C::l2Latency, 0, kMaxLatency},
+    {"bus-bytes", "busBytesPerCycle", &C::busBytesPerCycle, 1, 4096},
+    {"perfect-l2", "perfectL2", &C::perfectL2},
+    {"l2-size", "l2Bytes", &C::l2Bytes, 1, kMaxCacheBytes},
+    {"l2-assoc", "l2Assoc", &C::l2Assoc, 1, kMaxCount},
+    {"l2-ports", "l2Ports", &C::l2Ports, 1, kMaxCount},
+    {"l2-mshrs", "l2Mshrs", &C::l2Mshrs, 1, kMaxCount},
+    {"dram-banks", "dramBanks", &C::dramBanks, 1, kMaxCount},
+    {"dram-row-bytes", "dramRowBytes", &C::dramRowBytes, 1, 1 << 20},
+    {"dram-cas", "dramCas", &C::dramCas, 1, kMaxLatency},
+    {"dram-ras", "dramRas", &C::dramRas, 1, kMaxLatency},
+    {"dram-precharge", "dramPrecharge", &C::dramPrecharge, 0, kMaxLatency},
+    {"dram-bus-cycles", "dramBusCycles", &C::dramBusCycles, 1, kMaxLatency},
+    {"seed", "seed", &C::seed, 0, UINT64_MAX},
+    {"warmup", "warmupInsts", &C::warmupInsts, 0, UINT64_MAX},
+    {.key = "cycle-skip", .member = "cycleSkip", .field = &C::cycleSkip,
+     .fingerprinted = false},
+};
 
 } // namespace
+
+std::span<const Knob>
+knobs()
+{
+    return kKnobs;
+}
+
+const Knob *
+findKnob(std::string_view key)
+{
+    const Knob *k = std::ranges::find(kKnobs, key, &Knob::key);
+    return k == std::ranges::end(kKnobs) ? nullptr : k;
+}
+
+std::string
+Knob::check(const SimConfig &cfg) const
+{
+    std::string error;
+    const auto in_range = [&](std::uint64_t v, const char *what) {
+        if (v < min || v > max || (pow2 && !std::has_single_bit(v)))
+            error = detail::concat("bad value '", v, "' for --", key, ": ",
+                                   member, what,
+                                   pow2 ? " a power of two" : "", " in ",
+                                   min, "..", max);
+        return error.empty();
+    };
+    std::visit(
+        [&](auto f) {
+            const auto &v = cfg.*f;
+            using T = std::decay_t<decltype(v)>;
+            if constexpr (std::is_same_v<T, std::vector<std::uint32_t>>)
+                for (const std::uint32_t entry : v)
+                    if (!in_range(entry, " entries must be"))
+                        return;
+            if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>)
+                in_range(v, " must be");
+        },
+        field);
+    return error;
+}
+
+const char *
+predictorName(SimConfig::PredictorKind k)
+{
+    return k == C::PredictorKind::Gshare ? "gshare" : "bimodal";
+}
 
 void
 SimConfig::validate() const
 {
-    if (numThreads == 0)
-        reject("numThreads must be >= 1");
+    for (const Knob &k : kKnobs)
+        if (std::string error = k.check(*this); !error.empty())
+            throw ConfigError(error);
     requirePolicySeam(fetchPolicy, true);
     requirePolicySeam(issuePolicy, false);
-    for (const std::uint32_t w : threadWeights)
-        if (w == 0)
-            reject("thread weights must be >= 1");
-    if (adaptiveMissThreshold == 0)
-        reject("adaptiveMissThreshold must be >= 1");
-    if (apUnits == 0 || epUnits == 0)
-        reject("both units need at least one functional unit");
-    if (apLatency == 0 || epLatency == 0)
-        reject("functional unit latencies must be >= 1");
-    if (apPhysRegs <= kArchIntRegs)
-        reject("apPhysRegs must exceed the ", kArchIntRegs,
-               " architectural integer registers");
-    if (epPhysRegs <= kArchFpRegs)
-        reject("epPhysRegs must exceed the ", kArchFpRegs,
-               " architectural FP registers");
-    if (iqEntries == 0 || apQueueEntries == 0 || saqEntries == 0)
-        reject("queues must have at least one entry");
-    if (robEntries == 0)
-        reject("robEntries must be >= 1");
-    if (graduateWidth == 0)
-        reject("graduateWidth must be >= 1");
-    if (fetchBufferSize == 0)
-        reject("fetchBufferSize must be >= 1");
-    if (maxUnresolvedBranches == 0)
-        reject("maxUnresolvedBranches must be >= 1");
-    if (l1LineBytes == 0 || (l1LineBytes & (l1LineBytes - 1)) != 0)
-        reject("l1LineBytes must be a power of two");
-    if (l1Bytes == 0 || l1Bytes % l1LineBytes != 0)
-        reject("l1Bytes must be a multiple of the line size");
+    if (l1Bytes % l1LineBytes != 0)
+        throw ConfigError("l1Bytes must be a multiple of the line size");
     if ((l1Bytes / l1LineBytes) & (l1Bytes / l1LineBytes - 1))
-        reject("L1 line count must be a power of two (direct-mapped)");
-    if (mshrs == 0)
-        reject("a lockup-free cache needs at least one MSHR");
-    if (l1Ports == 0)
-        reject("l1Ports must be >= 1");
-    if (busBytesPerCycle == 0)
-        reject("busBytesPerCycle must be >= 1");
-    if (fetchThreadsPerCycle == 0 || fetchWidth == 0 || dispatchWidth == 0)
-        reject("front-end widths must be >= 1");
-    if (l2Assoc == 0)
-        reject("l2Assoc must be >= 1");
-    if (l2Bytes == 0 || l2Bytes % (l1LineBytes * l2Assoc) != 0)
-        reject("l2Bytes must be a multiple of l1LineBytes * l2Assoc");
+        throw ConfigError(
+            "L1 line count must be a power of two (direct-mapped)");
+    if (l2Bytes % (l1LineBytes * l2Assoc) != 0)
+        throw ConfigError(
+            "l2Bytes must be a multiple of l1LineBytes * l2Assoc");
     const std::uint32_t l2_sets = l2Bytes / (l1LineBytes * l2Assoc);
     if (l2_sets & (l2_sets - 1))
-        reject("L2 set count must be a power of two");
-    if (l2Ports == 0 || l2Mshrs == 0)
-        reject("the L2 needs at least one port and one MSHR");
-    if (dramBanks == 0)
-        reject("dramBanks must be >= 1");
+        throw ConfigError("L2 set count must be a power of two");
     if (dramRowBytes < l1LineBytes || dramRowBytes % l1LineBytes != 0)
-        reject("dramRowBytes must be a multiple of the line size");
-    if (dramCas == 0 || dramRas == 0 || dramBusCycles == 0)
-        reject("DRAM CAS/RAS latencies and bus cycles must be >= 1");
-    if (bhtEntries == 0 || (bhtEntries & (bhtEntries - 1)) != 0)
-        reject("bhtEntries must be a power of two");
-    if (predictor == PredictorKind::Gshare &&
-        (gshareHistoryBits == 0 || gshareHistoryBits > 32))
-        reject("gshareHistoryBits must be in 1..32");
+        throw ConfigError("dramRowBytes must be a multiple of the line size");
 }
 
 } // namespace mtdae

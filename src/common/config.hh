@@ -8,8 +8,11 @@
 #define MTDAE_COMMON_CONFIG_HH
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <variant>
 #include <vector>
 
 #include "common/types.hh"
@@ -258,8 +261,8 @@ struct SimConfig
      * next wake event instead of stepping them cycle by cycle; set from
      * the CLI with --cycle-skip. An execution strategy, not a machine
      * parameter: results are byte-identical either way (the skip-vs-
-     * step contract, tests/test_skip.cc), so like SimJob::profile it is
-     * deliberately excluded from serializeConfig() — it must not
+     * step contract, tests/test_skip.cc), so like SimJob::profile its
+     * knob is the one left out of serializeConfig() — it must not
      * perturb configFingerprint()/prefixKey() or snapshot
      * compatibility.
      */
@@ -299,9 +302,60 @@ struct SimConfig
                    : threadWeights[tid % threadWeights.size()];
     }
 
-    /** @throws ConfigError naming the first inconsistent parameter. */
+    /**
+     * Check every knob against its range (knobs()), then the rules
+     * that span knobs: policy seams, cache and DRAM geometry.
+     * @throws ConfigError naming the first inconsistent parameter
+     */
     void validate() const;
 };
+
+/** CLI spelling of @p k ("bimodal", "gshare"). */
+const char *predictorName(SimConfig::PredictorKind k);
+
+/**
+ * The longest latency, in cycles, a latency knob takes; also the
+ * largest `--latencies` value, so the grids that scale structures,
+ * DRAM timings or L2 sizes by one stay inside 32 bits.
+ */
+inline constexpr std::uint32_t kMaxLatency = 8192;
+
+/**
+ * One SimConfig member as the CLI, the config fingerprint and
+ * SimConfig::validate() see it. knobs() declares every member once, so
+ * a new member is one row there.
+ */
+struct Knob
+{
+    /** The member, by type. */
+    using Field = std::variant<std::uint32_t SimConfig::*,
+                               std::uint64_t SimConfig::*,
+                               bool SimConfig::*, PolicyKind SimConfig::*,
+                               SimConfig::PredictorKind SimConfig::*,
+                               std::vector<std::uint32_t> SimConfig::*>;
+
+    const char *key;     ///< CLI key: --<key>=<value>.
+    const char *member;  ///< The member's name, for messages.
+    Field field;
+    /** Valid range of a number, or of each entry of a list; a bool or
+     *  enum knob takes every value its parser yields. */
+    std::uint64_t min = 0;
+    std::uint64_t max = 0;
+    bool pow2 = false;          ///< The number must be a power of two.
+    bool fingerprinted = true;  ///< Serialized by serializeConfig().
+
+    /**
+     * "" when this member of @p cfg (each entry, for a list) is in
+     * range, else the message naming the flag and the member.
+     */
+    std::string check(const SimConfig &cfg) const;
+};
+
+/** Every SimConfig member, once, in serializeConfig() order. */
+std::span<const Knob> knobs();
+
+/** The knob whose CLI key is @p key, or null. */
+const Knob *findKnob(std::string_view key);
 
 } // namespace mtdae
 

@@ -491,9 +491,12 @@ Context::restore(ByteReader &r)
     // Rebuild the store -> SAQ-slot back-pointers and the deposited-word
     // index (derived state; ring elements stay where they are until the
     // entry is popped).
-    for (SaqEntry &e : saq)
+    saqWords.clear();
+    for (SaqEntry &e : saq) {
         e.inst->saqEntry = &e;
-    saqWords = depositedWords();
+        if (e.addrValid)
+            saqDeposit(e.addr);
+    }
 
     nextSeq = r.u64();
     nextIssueSeq = r.u64();
@@ -538,16 +541,6 @@ Context::trailingMissRun() const
     while (run < kIqWindow && aged(run) == aged(0))
         ++run;
     return run;
-}
-
-std::unordered_map<Addr, std::uint32_t>
-Context::depositedWords() const
-{
-    std::unordered_map<Addr, std::uint32_t> words;
-    for (const SaqEntry &e : saq)
-        if (e.addrValid)
-            ++words[e.addr >> 3];
-    return words;
 }
 
 bool

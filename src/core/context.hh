@@ -362,10 +362,6 @@ struct Context
                saqWords.find(load_addr >> 3) != saqWords.end();
     }
 
-    /** The word index the SAQ's deposited addresses make: what
-     *  saqWords holds. */
-    std::unordered_map<Addr, std::uint32_t> depositedWords() const;
-
     /** Record a store's address deposit in the word index. */
     void
     saqDeposit(Addr addr)

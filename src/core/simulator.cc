@@ -27,6 +27,18 @@ Simulator::Simulator(const SimConfig &cfg,
         contexts_.push_back(
             std::make_unique<Context>(t, cfg_, std::move(sources[t])));
     derived_.rebuild(contexts_, now_);
+    // The longest a legal machine can go without graduating, with room
+    // to spare: a ROB head may wait out a frame's fill, then an MSHR,
+    // then its own access, and each access may queue behind every other
+    // outstanding miss, its victim write-backs and their DRAM row
+    // conflicts. At least the fixed 1M cycles of a default machine.
+    const Cycle dram = Cycle(cfg_.dramPrecharge) + cfg_.dramRas +
+                       cfg_.dramCas + cfg_.dramBusCycles;
+    progressHorizon_ = std::max<Cycle>(
+        1'000'000,
+        4 * (cfg_.mshrs * (3 * dram + 2 * cfg_.lineTransferCycles()) +
+             cfg_.l2Latency + cfg_.apLatency + cfg_.epLatency +
+             cfg_.l1HitLatency + cfg_.redirectPenalty));
 }
 
 void
@@ -682,7 +694,7 @@ Simulator::trySkipIdle(std::uint64_t max_cycles)
     Cycle target = nextWakeCycle();
     if (max_cycles < target)
         target = max_cycles;
-    const Cycle guard_at = lastGraduation_ + 1'000'001;
+    const Cycle guard_at = lastGraduation_ + progressHorizon_ + 1;
     if (guard_at < target)
         target = guard_at;
     if (target < now_ + 2) {
@@ -994,10 +1006,10 @@ namespace {
 
 /** Deadlock guard shared by the run loops. */
 void
-guardProgress(Cycle now, Cycle last_graduation)
+guardProgress(Cycle now, Cycle last_graduation, Cycle horizon)
 {
-    if (now - last_graduation > 1000000)
-        MTDAE_PANIC("no graduation for 1M cycles at cycle ", now,
+    if (now - last_graduation > horizon)
+        MTDAE_PANIC("no graduation for ", horizon, " cycles at cycle ", now,
                     " — pipeline deadlock");
 }
 
@@ -1010,7 +1022,7 @@ Simulator::runWarmup(std::uint64_t max_cycles)
            !allDone()) {
         if (!trySkipIdle(max_cycles))
             step();
-        guardProgress(now_, lastGraduation_);
+        guardProgress(now_, lastGraduation_, progressHorizon_);
     }
 }
 
@@ -1022,7 +1034,7 @@ Simulator::runMeasure(std::uint64_t measure_insts, std::uint64_t max_cycles)
     while (totalGraduated_ < target && now_ < max_cycles && !allDone()) {
         if (!trySkipIdle(max_cycles))
             step();
-        guardProgress(now_, lastGraduation_);
+        guardProgress(now_, lastGraduation_, progressHorizon_);
     }
     return snapshot();
 }

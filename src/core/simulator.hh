@@ -411,6 +411,9 @@ class Simulator
     std::uint64_t condBranches_ = 0;
     std::uint64_t forwardedLoads_ = 0;
     Cycle lastGraduation_ = 0;
+    /** The deadlock guard fires after this many cycles without a
+     *  graduation: longer than any legal wait of this machine. */
+    Cycle progressHorizon_ = 0;
     /** Cycles fast-forwarded in this interval (RunResult::cyclesSkipped);
      *  interval statistics like slotsAp_, not simulated state — never
      *  serialized into snapshots. */

@@ -1,5 +1,8 @@
 #include "core/snapshot.hh"
 
+#include <type_traits>
+#include <variant>
+
 #include "core/simulator.hh"
 
 namespace mtdae {
@@ -7,58 +10,27 @@ namespace mtdae {
 void
 serializeConfig(const SimConfig &cfg, ByteWriter &w)
 {
-    w.u32(cfg.numThreads);
-    w.b(cfg.decoupled);
-    w.u32(cfg.apUnits);
-    w.u32(cfg.epUnits);
-    w.u32(cfg.apLatency);
-    w.u32(cfg.epLatency);
-    w.u32(cfg.fetchThreadsPerCycle);
-    w.u32(cfg.fetchWidth);
-    w.u32(cfg.fetchBufferSize);
-    w.u32(cfg.dispatchWidth);
-    w.u8(std::uint8_t(cfg.fetchPolicy));
-    w.u8(std::uint8_t(cfg.issuePolicy));
-    w.u64(cfg.threadWeights.size());
-    for (const std::uint32_t tw : cfg.threadWeights)
-        w.u32(tw);
-    w.u32(cfg.adaptiveMissThreshold);
-    w.u32(cfg.maxUnresolvedBranches);
-    w.u32(cfg.redirectPenalty);
-    w.u32(cfg.bhtEntries);
-    w.u8(std::uint8_t(cfg.predictor));
-    w.u32(cfg.gshareHistoryBits);
-    w.u32(cfg.iqEntries);
-    w.u32(cfg.apQueueEntries);
-    w.u32(cfg.saqEntries);
-    w.u32(cfg.robEntries);
-    w.u32(cfg.apPhysRegs);
-    w.u32(cfg.epPhysRegs);
-    w.u32(cfg.graduateWidth);
-    w.u32(cfg.l1Bytes);
-    w.u32(cfg.l1LineBytes);
-    w.u32(cfg.l1Ports);
-    w.u32(cfg.mshrs);
-    w.u32(cfg.l1HitLatency);
-    w.u32(cfg.l2Latency);
-    w.u32(cfg.busBytesPerCycle);
-    w.b(cfg.perfectL2);
-    w.u32(cfg.l2Bytes);
-    w.u32(cfg.l2Assoc);
-    w.u32(cfg.l2Ports);
-    w.u32(cfg.l2Mshrs);
-    w.u32(cfg.dramBanks);
-    w.u32(cfg.dramRowBytes);
-    w.u32(cfg.dramCas);
-    w.u32(cfg.dramRas);
-    w.u32(cfg.dramPrecharge);
-    w.u32(cfg.dramBusCycles);
-    w.u64(cfg.seed);
-    w.u64(cfg.warmupInsts);
-    // cfg.cycleSkip is deliberately not serialized: like SimJob::profile
-    // it is an execution strategy with byte-identical results, so it
-    // must not perturb configFingerprint()/prefixKey() — a skip-on run
-    // may warm-start from a skip-off checkpoint and vice versa.
+    for (const Knob &k : knobs()) {
+        if (!k.fingerprinted)
+            continue;
+        std::visit(
+            [&](auto field) {
+                const auto &v = cfg.*field;
+                using T = std::decay_t<decltype(v)>;
+                if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+                    w.u8(std::uint8_t(v));
+                } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+                    w.u32(v);
+                } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+                    w.u64(v);
+                } else {
+                    w.u64(v.size());
+                    for (const std::uint32_t entry : v)
+                        w.u32(entry);
+                }
+            },
+            k.field);
+    }
 }
 
 std::uint64_t

@@ -73,9 +73,10 @@ struct Snapshot
 };
 
 /**
- * Serialize every SimConfig field, in declaration order, into @p w.
- * The canonical byte form behind configFingerprint(); also the basis
- * of the warm-start prefix key (src/harness/sweep.hh).
+ * Serialize every fingerprinted knob (knobs(), in table order; all but
+ * cycleSkip) into @p w. The canonical byte form behind
+ * configFingerprint(); also the basis of the warm-start prefix key
+ * (src/harness/sweep.hh).
  */
 void serializeConfig(const SimConfig &cfg, ByteWriter &w);
 

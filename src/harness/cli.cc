@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
-#include <functional>
-#include <map>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 #include <sys/stat.h>
 
 #include "common/table.hh"
@@ -90,107 +90,6 @@ parseU32List(const std::string &s, std::vector<std::uint32_t> &out,
     return true;
 }
 
-/** One SimConfig override knob: apply a string value to a config. */
-struct Knob
-{
-    std::function<bool(SimConfig &, const std::string &)> set;
-};
-
-const std::map<std::string, Knob> &
-knobs()
-{
-    auto u32 = [](std::uint32_t SimConfig::*field) {
-        return Knob{[field](SimConfig &c, const std::string &v) {
-            return parseU32(v, c.*field);
-        }};
-    };
-    auto u64 = [](std::uint64_t SimConfig::*field) {
-        return Knob{[field](SimConfig &c, const std::string &v) {
-            return parseU64(v, c.*field);
-        }};
-    };
-    static const std::map<std::string, Knob> k = {
-        {"threads", u32(&SimConfig::numThreads)},
-        {"decoupled", Knob{[](SimConfig &c, const std::string &v) {
-             return parseBool(v, c.decoupled);
-         }}},
-        {"ap-units", u32(&SimConfig::apUnits)},
-        {"ep-units", u32(&SimConfig::epUnits)},
-        {"ap-latency", u32(&SimConfig::apLatency)},
-        {"ep-latency", u32(&SimConfig::epLatency)},
-        {"fetch-threads", u32(&SimConfig::fetchThreadsPerCycle)},
-        {"fetch-width", u32(&SimConfig::fetchWidth)},
-        {"fetch-buffer", u32(&SimConfig::fetchBufferSize)},
-        {"dispatch-width", u32(&SimConfig::dispatchWidth)},
-        // A known policy on the wrong seam parses: validate() rejects
-        // it with the seam's valid policies.
-        {"fetch-policy", Knob{[](SimConfig &c, const std::string &v) {
-             return parsePolicy(v, c.fetchPolicy);
-         }}},
-        {"issue-policy", Knob{[](SimConfig &c, const std::string &v) {
-             return parsePolicy(v, c.issuePolicy);
-         }}},
-        {"thread-weights", Knob{[](SimConfig &c, const std::string &v) {
-             std::string err;
-             if (!parseU32List(v, c.threadWeights, err))
-                 return false;
-             for (const std::uint32_t w : c.threadWeights)
-                 if (w == 0)
-                     return false;
-             return true;
-         }}},
-        {"adaptive-threshold", u32(&SimConfig::adaptiveMissThreshold)},
-        {"max-branches", u32(&SimConfig::maxUnresolvedBranches)},
-        {"redirect-penalty", u32(&SimConfig::redirectPenalty)},
-        {"bht-entries", u32(&SimConfig::bhtEntries)},
-        {"predictor", Knob{[](SimConfig &c, const std::string &v) {
-             if (v == "bimodal")
-                 c.predictor = SimConfig::PredictorKind::Bimodal;
-             else if (v == "gshare")
-                 c.predictor = SimConfig::PredictorKind::Gshare;
-             else
-                 return false;
-             return true;
-         }}},
-        {"gshare-bits", u32(&SimConfig::gshareHistoryBits)},
-        {"iq-entries", u32(&SimConfig::iqEntries)},
-        {"apq-entries", u32(&SimConfig::apQueueEntries)},
-        {"saq-entries", u32(&SimConfig::saqEntries)},
-        {"rob-entries", u32(&SimConfig::robEntries)},
-        {"ap-regs", u32(&SimConfig::apPhysRegs)},
-        {"ep-regs", u32(&SimConfig::epPhysRegs)},
-        {"graduate-width", u32(&SimConfig::graduateWidth)},
-        {"l1-bytes", u32(&SimConfig::l1Bytes)},
-        {"l1-line", u32(&SimConfig::l1LineBytes)},
-        {"l1-ports", u32(&SimConfig::l1Ports)},
-        {"mshrs", u32(&SimConfig::mshrs)},
-        {"l1-hit-latency", u32(&SimConfig::l1HitLatency)},
-        {"l2-latency", u32(&SimConfig::l2Latency)},
-        {"bus-bytes", u32(&SimConfig::busBytesPerCycle)},
-        {"perfect-l2", Knob{[](SimConfig &c, const std::string &v) {
-             return parseBool(v, c.perfectL2);
-         }}},
-        {"l2-size", u32(&SimConfig::l2Bytes)},
-        {"l2-assoc", u32(&SimConfig::l2Assoc)},
-        {"l2-ports", u32(&SimConfig::l2Ports)},
-        {"l2-mshrs", u32(&SimConfig::l2Mshrs)},
-        {"dram-banks", u32(&SimConfig::dramBanks)},
-        {"dram-row-bytes", u32(&SimConfig::dramRowBytes)},
-        {"dram-cas", u32(&SimConfig::dramCas)},
-        {"dram-ras", u32(&SimConfig::dramRas)},
-        {"dram-precharge", u32(&SimConfig::dramPrecharge)},
-        {"dram-bus-cycles", u32(&SimConfig::dramBusCycles)},
-        {"seed", u64(&SimConfig::seed)},
-        {"warmup", u64(&SimConfig::warmupInsts)},
-        // Alias of --warmup: the checkpoint docs spell the knob out.
-        {"warmup-insts", u64(&SimConfig::warmupInsts)},
-        {"cycle-skip", Knob{[](SimConfig &c, const std::string &v) {
-             return parseBool(v, c.cycleSkip);
-         }}},
-    };
-    return k;
-}
-
 /** mkdir -p: create every component of @p path; true when it exists. */
 bool
 makeDirs(const std::string &path)
@@ -238,16 +137,43 @@ bool
 applyOverride(SimConfig &cfg, const std::string &key,
               const std::string &value, std::string &error)
 {
-    const auto it = knobs().find(key);
-    if (it == knobs().end()) {
+    // --warmup-insts: the checkpoint docs' spelling of --warmup.
+    const Knob *k = findKnob(key == "warmup-insts" ? "warmup" : key);
+    if (k == nullptr) {
         error = "unknown config key '--" + key + "'";
         return false;
     }
-    if (!it->second.set(cfg, value)) {
+    // A known policy on the wrong seam parses: validate() rejects it
+    // with the seam's valid policies.
+    const bool parsed = std::visit(
+        [&](auto field) {
+            auto &v = cfg.*field;
+            using T = std::decay_t<decltype(v)>;
+            if constexpr (std::is_same_v<T, std::uint32_t>)
+                return parseU32(value, v);
+            else if constexpr (std::is_same_v<T, std::uint64_t>)
+                return parseU64(value, v);
+            else if constexpr (std::is_same_v<T, bool>)
+                return parseBool(value, v);
+            else if constexpr (std::is_same_v<T, PolicyKind>)
+                return parsePolicy(value, v);
+            else if constexpr (std::is_same_v<T, SimConfig::PredictorKind>) {
+                for (const T kind : {T::Bimodal, T::Gshare})
+                    if (value == predictorName(kind)) {
+                        v = kind;
+                        return true;
+                    }
+                return false;
+            } else
+                return parseU32List(value, v, error);
+        },
+        k->field);
+    if (!parsed) {
         error = "bad value '" + value + "' for --" + key;
         return false;
     }
-    return true;
+    error = k->check(cfg);
+    return error.empty();
 }
 
 bool
@@ -263,9 +189,10 @@ const std::vector<std::string> &
 overrideKeys()
 {
     static const std::vector<std::string> keys = [] {
-        std::vector<std::string> k;
-        for (const auto &[key, knob] : knobs())
-            k.push_back(key);
+        std::vector<std::string> k = {"warmup-insts"};
+        for (const Knob &knob : knobs())
+            k.push_back(knob.key);
+        std::sort(k.begin(), k.end());
         return k;
     }();
     return keys;
@@ -355,6 +282,14 @@ parseArgs(const std::vector<std::string> &args, Options &opts,
         } else if (key == "latencies") {
             if (!parseU32List(value, opts.latencies, error))
                 return false;
+            // An L2 latency, a DRAM slowdown or an L2 size in KiB: each
+            // grid scales by it in 32 bits.
+            if (*std::max_element(opts.latencies.begin(),
+                                  opts.latencies.end()) > kMaxLatency) {
+                error = "bad --latencies '" + value + "' (each at most " +
+                        std::to_string(kMaxLatency) + ")";
+                return false;
+            }
         } else if (key == "jobs") {
             if (!parseU32(value, opts.jobs) || opts.jobs == 0) {
                 error = "bad --jobs '" + value +

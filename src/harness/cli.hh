@@ -97,9 +97,11 @@ struct Options
 };
 
 /**
- * Set @p key (CLI spelling, e.g. "iq-entries") to @p value on @p cfg.
+ * Set @p key (CLI spelling, e.g. "iq-entries") to @p value on @p cfg,
+ * through its row of the knob table (knobs()).
  *
- * @return false with @p error set on an unknown key or a bad value.
+ * @return false with @p error set on an unknown key, a value that does
+ *         not parse, or one outside the knob's range (Knob::check)
  */
 bool applyOverride(SimConfig &cfg, const std::string &key,
                    const std::string &value, std::string &error);

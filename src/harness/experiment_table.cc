@@ -530,9 +530,8 @@ table()
                          makeCfg(o, n, true, firstOr(o.latencies, 16));
                      cfg.predictor = kind;
                      cfg.maxUnresolvedBranches = depth;
-                     g.mix({kind == P::Bimodal ? "bimodal" : "gshare",
-                            str(depth)},
-                           cfg, g.insts * n);
+                     g.mix({predictorName(kind), str(depth)}, cfg,
+                           g.insts * n);
                  }
          }},
 

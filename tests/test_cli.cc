@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/cli.hh"
+#include "test_util.hh"
 
 using namespace mtdae;
 using cli::Options;
@@ -107,18 +108,17 @@ TEST(CliParse, RejectsUnknownAndMalformedFlags)
 
 TEST(CliParse, EveryDocumentedKeyIsSettable)
 {
-    SimConfig cfg;
-    std::string error;
+    // Each key takes every value test::knobSpellings() draws from its
+    // knob's row: the ends of its range, both bools, every enum kind.
     for (const auto &key : cli::overrideKeys()) {
-        const std::string value =
-            key == "decoupled" || key == "perfect-l2" ||
-                    key == "cycle-skip"               ? "true"
-            : key == "predictor"                      ? "gshare"
-            : key == "fetch-policy" || key == "issue-policy"
-                ? "round-robin"
-                : "8";
-        EXPECT_TRUE(cli::applyOverride(cfg, key, value, error))
-            << key << ": " << error;
+        const Knob *k = findKnob(key == "warmup-insts" ? "warmup" : key);
+        ASSERT_NE(k, nullptr) << key;
+        for (const std::string &value : test::knobSpellings(*k)) {
+            SimConfig cfg;
+            std::string error;
+            EXPECT_TRUE(cli::applyOverride(cfg, key, value, error))
+                << key << "=" << value << ": " << error;
+        }
     }
 }
 
@@ -281,39 +281,87 @@ TEST(CliDriver, BadFlagFails)
 
 TEST(CliDriver, InvalidMachineIsAUsageError)
 {
-    // Overrides that parse but describe no buildable machine are
-    // rejected by SimConfig::validate() before any job runs; runCli
+    // A value outside its knob's range is refused while parsing; one
+    // that parses but describes no buildable machine is rejected by
+    // SimConfig::validate() before any job runs. Either way runCli
     // reports the message and returns 2 instead of exiting the process.
+    const std::string usage = "run 'mtdae help' for usage\n";
     const std::vector<std::pair<std::vector<std::string>, std::string>>
         cases = {
             {{"fig4", "--iq-entries=0"},
-             "queues must have at least one entry"},
-            {{"fig4", "--threads=0"}, "numThreads must be >= 1"},
+             "bad value '0' for --iq-entries: iqEntries must be in "
+             "1..65536\n" + usage},
+            {{"fig4", "--threads=0"},
+             "bad value '0' for --threads: numThreads must be in "
+             "1..256\n" + usage},
             {{"ablate-l2", "--l2-size=1000"},
-             "l2Bytes must be a multiple of l1LineBytes * l2Assoc"},
-            {{"run", "--graduate-width=0"}, "graduateWidth must be >= 1"},
-            {{"run", "--fetch-buffer=0"}, "fetchBufferSize must be >= 1"},
-            {{"run", "--l1-ports=0"}, "l1Ports must be >= 1"},
+             "l2Bytes must be a multiple of l1LineBytes * l2Assoc\n"},
+            {{"run", "--graduate-width=0"},
+             "bad value '0' for --graduate-width: graduateWidth must be "
+             "in 1..1024\n" + usage},
+            {{"run", "--fetch-buffer=0"},
+             "bad value '0' for --fetch-buffer: fetchBufferSize must be in "
+             "1..65536\n" + usage},
+            {{"run", "--l1-ports=0"},
+             "bad value '0' for --l1-ports: l1Ports must be in "
+             "1..1024\n" + usage},
             {{"run", "--max-branches=0"},
-             "maxUnresolvedBranches must be >= 1"},
+             "bad value '0' for --max-branches: maxUnresolvedBranches "
+             "must be in 1..1024\n" + usage},
             {{"run", "--predictor=gshare", "--gshare-bits=0"},
-             "gshareHistoryBits must be in 1..32"},
+             "bad value '0' for --gshare-bits: gshareHistoryBits must be "
+             "in 1..32\n" + usage},
             {{"run", "--predictor=gshare", "--gshare-bits=40"},
-             "gshareHistoryBits must be in 1..32"},
+             "bad value '40' for --gshare-bits: gshareHistoryBits must be "
+             "in 1..32\n" + usage},
+            {{"run", "--l1-line=24"},
+             "bad value '24' for --l1-line: l1LineBytes must be a power "
+             "of two in 1..4096\n" + usage},
+            {{"run", "--thread-weights=4,0"},
+             "bad value '0' for --thread-weights: threadWeights entries "
+             "must be in 1..4294967295\n" + usage},
             // A known policy on the wrong seam: the message lists the
             // seam's valid policies.
             {{"run", "--fetch-policy=split"},
              "'split' is not a fetch policy (valid: icount, round-robin, "
-             "brcount, misscount, stall, flush, adaptive, weighted)"},
+             "brcount, misscount, stall, flush, adaptive, weighted)\n"},
             {{"run", "--issue-policy=stall"},
              "'stall' is not a dispatch/issue policy (valid: icount, "
-             "round-robin, brcount, misscount, split, weighted)"},
+             "round-robin, brcount, misscount, split, weighted)\n"},
         };
     for (auto [args, message] : cases) {
         args.insert(args.end(), {"--insts=100", "--quiet", "--json"});
         std::ostringstream out, err;
-        EXPECT_EQ(cli::runCli(args, out, err), 2) << args[0];
-        EXPECT_EQ(err.str(), "mtdae: " + message + "\n");
+        EXPECT_EQ(cli::runCli(args, out, err), 2) << args[1];
+        EXPECT_EQ(err.str(), "mtdae: " + message);
+        EXPECT_TRUE(out.str().empty());
+    }
+}
+
+/**
+ * Values that used to abort the run ("pipeline deadlock") or run on a
+ * wrapped DRAM timing: each is refused as a usage error naming its flag.
+ */
+TEST(CliDriver, OutOfRangeLatenciesAreUsageErrors)
+{
+    const std::string huge = "4294967295";
+    const std::vector<std::vector<std::string>> cases = {
+        {"run", "--l2-latency=1000000"},
+        {"run", "--ap-latency=" + huge},
+        {"run", "--ep-latency=" + huge},
+        {"run", "--l1-hit-latency=" + huge},
+        {"run", "--perfect-l2=0", "--dram-cas=" + huge},
+        {"run", "--perfect-l2=0", "--dram-bus-cycles=" + huge},
+        {"fig4-dram", "--latencies=1", "--dram-ras=" + huge},
+        {"fig4", "--latencies=" + std::to_string(kMaxLatency + 1)},
+    };
+    for (auto args : cases) {
+        const std::string flag = args.back().substr(0, args.back().find('='));
+        args.insert(args.end(), {"--threads-list=2", "--insts=300",
+                                 "--warmup=0", "--quiet", "--json"});
+        std::ostringstream out, err;
+        EXPECT_EQ(cli::runCli(args, out, err), 2) << flag;
+        EXPECT_NE(err.str().find(flag), std::string::npos) << err.str();
         EXPECT_TRUE(out.str().empty());
     }
 }

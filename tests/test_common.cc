@@ -303,7 +303,7 @@ TEST(SimConfig, ValidateRejectsBadConfigs)
 
     cfg = SimConfig{};
     cfg.mshrs = 0;
-    EXPECT_THROW(test::withMessage(validate, "MSHR"), ConfigError);
+    EXPECT_THROW(test::withMessage(validate, "--mshrs"), ConfigError);
 
     cfg = SimConfig{};
     cfg.bhtEntries = 1000;  // not a power of two

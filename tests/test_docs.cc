@@ -8,16 +8,20 @@
  * advertise one that no longer exists. The same regime covers the
  * kernel DSL: docs/KERNEL_DSL.md's keyword table must equal
  * dsl::dslKeywords() and its corpus table must equal the actual
- * examples/kernels/ directory listing, both directions each.
+ * examples/kernels/ directory listing, both directions each. And
+ * docs/ARCHITECTURE.md's knob table must list exactly the members of
+ * knobs(), each with its CLI key and range.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/config.hh"
 #include "harness/cli.hh"
@@ -226,6 +230,75 @@ TEST(DocDrift, ArchitectureDocTracksTheGatingHooks)
     EXPECT_NE(text.find("shouldFlush"), std::string::npos);
     EXPECT_NE(text.find("`split`"), std::string::npos);
     EXPECT_NE(text.find("ablate-gating"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// The knob table.
+// ---------------------------------------------------------------------
+
+/** One row of docs/ARCHITECTURE.md's knob table. */
+struct KnobRow
+{
+    std::string key;    ///< The CLI key, without "--".
+    std::string range;  ///< The range cell.
+};
+
+/** docs/ARCHITECTURE.md's knob table, by SimConfig member. */
+std::map<std::string, KnobRow>
+knobRows()
+{
+    std::map<std::string, KnobRow> rows;
+    std::istringstream is(docText("docs/ARCHITECTURE.md"));
+    std::string line;
+    bool in_section = false;
+    while (std::getline(is, line)) {
+        if (line.rfind("## ", 0) == 0)
+            in_section = line.rfind("## Configuration knobs", 0) == 0;
+        if (!in_section || line.rfind("| `", 0) != 0)
+            continue;
+        // | `member` (`--key`...) | default | range | meaning |
+        std::vector<std::string> cells, quoted;
+        std::istringstream cs(line);
+        for (std::string cell; std::getline(cs, cell, '|');)
+            cells.push_back(cell);
+        std::istringstream qs(cells.at(1));
+        for (std::string part; std::getline(qs, part, '`');)
+            quoted.push_back(part);
+        // quoted: " ", member, " (", "--key", ...
+        rows[quoted.at(1)] = {quoted.at(3).substr(2), cells.at(3)};
+    }
+    return rows;
+}
+
+TEST(DocDrift, EveryKnobHasAnArchitectureRowWithItsKeyAndRange)
+{
+    const auto rows = knobRows();
+    for (const Knob &k : knobs()) {
+        const auto it = rows.find(k.member);
+        ASSERT_NE(it, rows.end())
+            << k.member << " is missing from docs/ARCHITECTURE.md";
+        EXPECT_EQ(it->second.key, k.key) << k.member;
+        // A number or a list: its range, spelled out first in the cell.
+        const std::string range =
+            std::to_string(k.min) + ".." + std::to_string(k.max);
+        if (k.max > k.min) {
+            EXPECT_EQ(it->second.range.find(range), 1u)
+                << k.member << ": '" << it->second.range << "'";
+        }
+    }
+}
+
+TEST(DocDrift, EveryArchitectureKnobRowNamesAKnob)
+{
+    std::set<std::string> members;
+    for (const Knob &k : knobs())
+        members.insert(k.member);
+    const auto rows = knobRows();
+    EXPECT_FALSE(rows.empty());
+    for (const auto &[member, row] : rows)
+        EXPECT_TRUE(members.count(member))
+            << "docs/ARCHITECTURE.md documents '" << member
+            << "', which no knob declares";
 }
 
 // ---------------------------------------------------------------------

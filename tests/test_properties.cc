@@ -118,12 +118,7 @@ TEST_P(RandomKernelTest, RunsToCompletionWithInvariants)
 
     const std::uint64_t iters = 400;
     Simulator sim = makeSim(cfg, k, iters);
-    std::uint64_t steps = 0;
-    while (!sim.allDone()) {
-        sim.step();
-        ASSERT_LT(++steps, 4000000u) << "deadlock in " << k.name;
-        ASSERT_EQ(sim.checkInvariants(), "") << k.name;
-    }
+    ASSERT_TRUE(drain(sim, true)) << k.name;
 
     // Conservation: every fetched instruction graduates exactly once
     // (the trace is finite and known-length per iteration modulo
@@ -229,12 +224,7 @@ TEST_P(CheckpointFuzzTest, RestoreEquivalenceAtRandomCycles)
 
     const std::uint64_t iters = 150;
     Simulator ref = makeSim(cfg, k, iters);
-    std::uint64_t steps = 0;
-    while (!ref.allDone()) {
-        ref.step();
-        ASSERT_LT(++steps, 4000000u) << "deadlock in " << k.name;
-        ASSERT_EQ(ref.checkInvariants(), "") << k.name;
-    }
+    ASSERT_TRUE(drain(ref, true)) << k.name;
     const auto ref_final = ref.saveSnapshot().toBytes();
 
     for (int trial = 0; trial < 3; ++trial) {
@@ -257,10 +247,7 @@ TEST_P(CheckpointFuzzTest, RestoreEquivalenceAtRandomCycles)
         ASSERT_EQ(b.checkInvariants(), "") << k.name << " restored";
         EXPECT_EQ(b.saveSnapshot().toBytes(), bytes1)
             << k.name << " at cycle " << cycle;
-        while (!b.allDone()) {
-            b.step();
-            ASSERT_EQ(b.checkInvariants(), "") << k.name;
-        }
+        ASSERT_TRUE(drain(b, true)) << k.name;
         EXPECT_EQ(b.now(), ref.now())
             << k.name << " at cycle " << cycle;
         EXPECT_EQ(b.saveSnapshot().toBytes(), ref_final)
@@ -281,8 +268,7 @@ TEST_P(PortSweepTest, RunsCorrectlyWithAnyPortCount)
     SimConfig cfg = testConfig(2);
     cfg.l1Ports = GetParam();
     Simulator sim = makeSim(cfg, streamingKernel(), 2000);
-    while (!sim.allDone())
-        sim.step();
+    ASSERT_TRUE(drain(sim));
     EXPECT_EQ(sim.totalGraduated(),
               2 * streamingKernel().ops.size() * 2000);
 }

@@ -16,8 +16,7 @@ TEST(Simulator, DrainsAFiniteTraceCompletely)
     const SimConfig cfg = testConfig();
     Simulator sim = makeSim(cfg, streamingKernel(), 100);
     const std::size_t body = streamingKernel().ops.size();
-    while (!sim.allDone())
-        sim.step();
+    ASSERT_TRUE(drain(sim));
     EXPECT_EQ(sim.totalGraduated(), body * 100);
 }
 
@@ -62,8 +61,7 @@ TEST(Simulator, UsefulSlotsMatchGraduatedWork)
     SimConfig cfg = testConfig();
     cfg.warmupInsts = 0;
     Simulator sim = makeSim(cfg, streamingKernel(), 2000);
-    while (!sim.allDone())
-        sim.step();
+    ASSERT_TRUE(drain(sim));
     const RunResult r = sim.snapshot();
     EXPECT_EQ(r.ap.count(SlotUse::Useful) + r.ep.count(SlotUse::Useful),
               sim.totalGraduated());
@@ -168,8 +166,7 @@ TEST(Simulator, StoreDataArrivesFromTheEp)
     b.advance(s);
     const SimConfig cfg = testConfig();
     Simulator sim = makeSim(cfg, b.build("fpstore"), 5000);
-    while (!sim.allDone())
-        sim.step();
+    ASSERT_TRUE(drain(sim));
     EXPECT_EQ(sim.totalGraduated(), 7u * 5000);
 }
 
@@ -247,8 +244,7 @@ TEST(Simulator, RegisterPressureStallsDispatchNotCorrectness)
     SimConfig cfg = testConfig();
     cfg.epPhysRegs = 34;  // almost no rename headroom
     Simulator sim = makeSim(cfg, streamingKernel(), 2000);
-    while (!sim.allDone())
-        sim.step();
+    ASSERT_TRUE(drain(sim));
     EXPECT_EQ(sim.totalGraduated(),
               streamingKernel().ops.size() * 2000);
 }
@@ -262,8 +258,7 @@ TEST(Simulator, TinyQueuesStillDrainCorrectly)
     cfg.robEntries = 4;
     cfg.fetchBufferSize = 2;
     Simulator sim = makeSim(cfg, streamingKernel(), 500);
-    while (!sim.allDone())
-        sim.step();
+    ASSERT_TRUE(drain(sim));
     EXPECT_EQ(sim.totalGraduated(), streamingKernel().ops.size() * 500);
 }
 

@@ -147,8 +147,7 @@ TEST(Smt, SevenAndMoreThreadsStillCorrect)
 {
     SimConfig cfg = testConfig(9);
     Simulator sim = makeSim(cfg, streamingKernel(), 2000);
-    while (!sim.allDone())
-        sim.step();
+    ASSERT_TRUE(drain(sim));
     EXPECT_EQ(sim.totalGraduated(),
               9 * streamingKernel().ops.size() * 2000);
 }

@@ -9,11 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <exception>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "common/config.hh"
@@ -146,6 +149,61 @@ makeSim(const SimConfig &cfg, const Kernel &kernel,
         sources.push_back(std::make_unique<KernelTraceSource>(
             kernel, Addr(t) << 34, 0x1000, 7 + t, iterations));
     return Simulator(cfg, std::move(sources));
+}
+
+/**
+ * Step @p sim until every thread is done, checking
+ * Simulator::checkInvariants() after every step when @p check. Fails,
+ * naming the cycle, after 4M steps: a stalled pipeline fails the test
+ * instead of hanging it.
+ */
+inline ::testing::AssertionResult
+drain(Simulator &sim, bool check = false)
+{
+    constexpr std::uint64_t kMaxSteps = 4000000;
+    for (std::uint64_t steps = 0; !sim.allDone(); ++steps) {
+        if (steps == kMaxSteps)
+            return ::testing::AssertionFailure()
+                   << "not done after " << kMaxSteps << " steps, at cycle "
+                   << sim.now();
+        sim.step();
+        if (check)
+            if (const std::string rule = sim.checkInvariants(); !rule.empty())
+                return ::testing::AssertionFailure() << rule;
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/**
+ * CLI spellings of values knob @p k accepts: each end of a number's
+ * range (and both ends as one list), both bools, every enum kind.
+ */
+inline std::vector<std::string>
+knobSpellings(const Knob &k)
+{
+    return std::visit(
+        [&](auto field) -> std::vector<std::string> {
+            using T = std::decay_t<decltype(SimConfig{}.*field)>;
+            const std::string lo = std::to_string(k.min);
+            const std::string hi = std::to_string(k.max);
+            if constexpr (std::is_same_v<T, bool>) {
+                return {"0", "1"};
+            } else if constexpr (std::is_same_v<T, PolicyKind>) {
+                std::vector<std::string> names;
+                for (const PolicyKind p : allPolicies())
+                    names.push_back(policyName(p));
+                return names;
+            } else if constexpr (std::is_same_v<T, SimConfig::PredictorKind>) {
+                return {predictorName(SimConfig::PredictorKind::Bimodal),
+                        predictorName(SimConfig::PredictorKind::Gshare)};
+            } else if constexpr (std::is_same_v<T,
+                                                std::vector<std::uint32_t>>) {
+                return {lo, hi, lo + "," + hi};
+            } else {
+                return {lo, hi};
+            }
+        },
+        k.field);
 }
 
 /** A small machine configuration that runs fast in unit tests. */
